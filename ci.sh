@@ -186,6 +186,21 @@ print("bench-smoke golden: edge_dense_flood_n1024 checksum 315 ok")
 PYEOF
     rm -rf "$BENCH_DIR"
 
+    step "sparse golden checksum (edge_sparse_flood_n16384 at scale 0.1)"
+    # The same fingerprint for the sparse engine's per-pair stepping (the
+    # path every edge-MEG builtin runs): any drift in its death/birth RNG
+    # schedule or its snapshot push order changes the checksum.
+    SPARSE_LINE=$(cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
+        bench edge_sparse_flood_n16384 --scale 0.1 --repetitions 1 --warmup 0)
+    case "$SPARSE_LINE" in
+        *'"checksum":4924}'*) echo "sparse golden: edge_sparse_flood_n16384 checksum 4924 ok" ;;
+        *)
+            printf 'edge_sparse_flood_n16384 checksum drifted (want 4924): %s\n' \
+                "$SPARSE_LINE" >&2
+            exit 1
+            ;;
+    esac
+
     step "bench baseline gate smoke (--baseline BENCH_PR8.json on one workload)"
     # Full-scale single workload (~0.3 s): the checksum must equal the
     # committed PR 8 record exactly, and the median must stay within a loose

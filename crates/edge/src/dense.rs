@@ -26,7 +26,7 @@
 //! and moderate regimes the paper's theorems live in.
 
 use crate::model::EdgeMegParams;
-use crate::sparse::sample_bernoulli_indices;
+use crate::sparse::{sample_bernoulli_indices, RowWalker};
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
 use meg_graph::generators::pair_from_index;
 use meg_graph::{Node, PairBits, SnapshotBuf};
@@ -69,22 +69,13 @@ pub struct DenseEdgeMeg {
 
 /// Pushes every set pair of `alive` into `snapshot` in ascending pair-index
 /// order — which *is* row-major order over the upper triangle, so the edge
-/// sequence is identical to the old full scan. The row of each set bit is
-/// tracked monotonically (rows shrink as `a` grows: row `a` holds the
-/// `n−1−a` pairs `(a, a+1) .. (a, n−1)`), so the walk is `O(words + n + m)`
-/// instead of `O(n²)`.
+/// sequence is identical to the old full scan. A [`RowWalker`] decodes the
+/// set bits, so the walk is `O(words + n + m)` instead of `O(n²)`.
 fn push_alive_edges(alive: &PairBits, n: usize, snapshot: &mut SnapshotBuf) {
-    let mut a = 0usize;
-    let mut row_start = 0usize;
-    let mut row_len = n.saturating_sub(1);
+    let mut rows = RowWalker::new(n);
     alive.for_each_set_bit(|k| {
-        while k >= row_start + row_len {
-            row_start += row_len;
-            row_len -= 1;
-            a += 1;
-        }
-        let b = a + 1 + (k - row_start);
-        snapshot.push_edge(a as Node, b as Node);
+        let (a, b) = rows.pair(k as u64);
+        snapshot.push_edge(a, b);
     });
 }
 

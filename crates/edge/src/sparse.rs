@@ -18,28 +18,39 @@ use crate::model::EdgeMegParams;
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
 use meg_graph::generators::pair_from_index;
 use meg_graph::{Graph, Node, SnapshotBuf};
+use meg_markov::gen_bool_threshold;
 use meg_obs as obs;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use rand::{Rng, RngCore, SeedableRng};
+
+/// Top bit of an entry of the per-pair alive list: set on the edges that die
+/// in the current step, so the list keeps the pre-step set until the merge.
+/// Pair indices never use it: `n(n−1)` fits in a `u64`, so `C(n, 2) < 2⁶³`.
+const DEAD: u64 = 1 << 63;
 
 /// Edge-MEG storing only the alive edges.
 ///
-/// Under the default [`Stepping::PerPair`] the alive set is a `BTreeSet`
-/// (deterministic iteration order for the per-edge death draws). Under
+/// Under the default [`Stepping::PerPair`] the alive set is an ascending flat
+/// `Vec<u64>` of pair indices: deaths draw one Bernoulli per entry in that
+/// order, births are skip-sampled pair indices checked against the list with
+/// a forward cursor, and the births are merged in place — no tree, no
+/// per-edge square root, no per-round allocation after warm-up. Under
 /// [`Stepping::Transitions`] it is a flat `Vec<u32>` of pair indices instead:
 /// deaths are skip-sampled as positions in that array and swap-removed,
-/// births are skip-sampled pair indices checked against the pre-step snapshot
-/// — no tree, no per-birth node allocation, and the snapshot is maintained by
-/// deltas rather than rebuilt.
+/// births are skip-sampled pair indices checked against the pre-step snapshot,
+/// and the snapshot is maintained by deltas rather than rebuilt.
 #[derive(Clone, Debug)]
 pub struct SparseEdgeMeg {
     params: EdgeMegParams,
-    /// Linear pair indices of the alive edges (per-pair stepping), ordered so
-    /// that the death phase consumes RNG draws in a deterministic edge order
-    /// (a `HashSet` here would make trajectories depend on hash-iteration
-    /// order, which is randomized per instance).
-    alive: BTreeSet<u64>,
+    /// Linear pair indices of the alive edges (per-pair stepping), strictly
+    /// ascending outside a step. The death phase consumes its RNG draws in
+    /// this order, so trajectories are a function of the seed alone, and the
+    /// order is also row-major, so the snapshot rebuild decodes it with one
+    /// [`RowWalker`].
+    alive: Vec<u64>,
+    /// Scratch: this step's births in ascending index order (per-pair
+    /// stepping), merged into `alive` at the end of the step.
+    born: Vec<u64>,
     rng: StdRng,
     snapshot: SnapshotBuf,
     time: u64,
@@ -78,17 +89,21 @@ impl SparseEdgeMeg {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let total_pairs = params.num_pairs();
-        let mut alive: BTreeSet<u64> = BTreeSet::new();
+        let mut alive: Vec<u64> = Vec::new();
         let mut alive_vec: Vec<u32> = Vec::new();
         match stepping {
             Stepping::PerPair => match init {
                 InitialDistribution::Empty => {}
                 InitialDistribution::Full => alive = (0..total_pairs).collect(),
                 InitialDistribution::Stationary => {
+                    // Sized once, for the mean count plus six standard
+                    // deviations: growing by doubling instead leaves a trail
+                    // of freed blocks that raised the peak memory of
+                    // two-thread sweeps by a few MB.
+                    let mean = params.expected_stationary_edges();
+                    alive.reserve((mean + 6.0 * mean.sqrt()) as usize + 64);
                     let phat = params.stationary_edge_probability();
-                    sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| {
-                        alive.insert(idx);
-                    });
+                    sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| alive.push(idx));
                 }
             },
             Stepping::Transitions => {
@@ -112,6 +127,7 @@ impl SparseEdgeMeg {
         SparseEdgeMeg {
             params,
             alive,
+            born: Vec::new(),
             rng,
             snapshot: SnapshotBuf::with_nodes(params.n),
             time: 0,
@@ -148,53 +164,87 @@ impl SparseEdgeMeg {
         }
     }
 
+    /// The next draw of a *clone* of the engine RNG — a cursor probe for
+    /// differential tests (the engine's own stream is not advanced). Two
+    /// engines that have consumed the same number of draws from the same
+    /// seed probe equal.
+    pub fn rng_cursor_probe(&self) -> u64 {
+        self.rng.clone().next_u64()
+    }
+
     fn rebuild_snapshot(&mut self) {
         self.snapshot.begin(self.params.n);
-        let n = self.params.n as u64;
+        let mut rows = RowWalker::new(self.params.n);
         for &idx in &self.alive {
-            let (a, b) = pair_from_index(n, idx);
-            self.snapshot.push_edge(a as Node, b as Node);
+            let (a, b) = rows.pair(idx);
+            self.snapshot.push_edge(a, b);
         }
         self.snapshot.build();
     }
 
+    /// Per-pair stepping on the ascending alive list. The RNG schedule is
+    /// one death draw per alive edge in ascending index order (only when
+    /// `q > 0`), then the birth skip-sampling over all pairs (only when
+    /// `p > 0`).
     fn step_chain(&mut self) {
         let total_pairs = self.params.num_pairs();
         let p = self.params.p;
         let q = self.params.q;
-        let record = obs::installed();
-        // Deaths: keep each alive edge with probability 1 − q.
-        let alive_before = self.alive.len();
+        // Deaths: mark each alive edge dead with probability q, in place, so
+        // the list still holds the pre-step set for the birth phase. The
+        // integer compare is `gen_bool(q)` draw for draw.
+        let mut died = 0u64;
         if q > 0.0 {
-            let rng = &mut self.rng;
-            self.alive.retain(|_| !rng.gen_bool(q));
+            let threshold = gen_bool_threshold(q);
+            for idx in self.alive.iter_mut() {
+                let dies = (self.rng.next_u64() >> 11) < threshold;
+                *idx |= DEAD * dies as u64;
+                died += dies as u64;
+            }
         }
-        let died = alive_before - self.alive.len();
         // Births: each pair that was absent *before* this step turns on with
         // probability p. Pairs that were alive before the step are skipped:
         // if they survived the death phase they stay alive anyway, and if they
         // just died the model says they need a full step absent before they
-        // can be reborn. To distinguish "alive before the step" from "alive
-        // after the death phase" we consult the pre-step snapshot, which holds
-        // exactly the pre-step edge set.
-        let mut born = 0u64;
+        // can be reborn. Candidates arrive in ascending order, so one forward
+        // cursor over the pre-step list (dead marks masked off) answers
+        // membership.
+        self.born.clear();
         let mut draws = 0u64;
         if p > 0.0 {
-            let mut births: Vec<u64> = Vec::new();
+            let alive = &self.alive;
+            let born = &mut self.born;
+            let mut cursor = 0usize;
             draws = sample_bernoulli_indices(total_pairs, p, &mut self.rng, |idx| {
-                let (a, b) = pair_from_index(self.params.n as u64, idx);
-                if !self.snapshot.has_edge(a as Node, b as Node) {
-                    births.push(idx);
+                while cursor < alive.len() && alive[cursor] & !DEAD < idx {
+                    cursor += 1;
+                }
+                if cursor == alive.len() || alive[cursor] & !DEAD != idx {
+                    born.push(idx);
                 }
             });
-            born = births.len() as u64;
-            for idx in births {
-                self.alive.insert(idx);
+        }
+        // Merge: drop the dead, then merge the births in from the back so
+        // every entry moves at most once and the list stays ascending (births
+        // are disjoint from the pre-step set, hence from the survivors).
+        if died > 0 {
+            self.alive.retain(|&idx| idx & DEAD == 0);
+        }
+        let (mut i, mut j) = (self.alive.len(), self.born.len());
+        self.alive.resize(i + j, 0);
+        while j > 0 {
+            let slot = i + j - 1;
+            if i > 0 && self.alive[i - 1] > self.born[j - 1] {
+                i -= 1;
+                self.alive[slot] = self.alive[i];
+            } else {
+                j -= 1;
+                self.alive[slot] = self.born[j];
             }
         }
-        if record {
-            obs::add(obs::Counter::EdgeDeaths, died as u64);
-            obs::add(obs::Counter::EdgeBirths, born);
+        if obs::installed() {
+            obs::add(obs::Counter::EdgeDeaths, died);
+            obs::add(obs::Counter::EdgeBirths, self.born.len() as u64);
             obs::add(obs::Counter::RngDraws, draws);
         }
     }
@@ -298,6 +348,41 @@ pub(crate) fn sample_bernoulli_indices<R: Rng>(
     draws
 }
 
+/// Incremental [`pair_from_index`] for ascending pair indices: the endpoints
+/// of the `k`-th pair of the row-major upper triangle, with the row tracked
+/// monotonically (row `a` holds the `n−1−a` pairs `(a, a+1) .. (a, n−1)`), so
+/// a walk over `m` indices costs `O(n + m)` and no square root.
+///
+/// Shared by both engines' snapshot rebuilds. Indices passed to
+/// [`pair`](RowWalker::pair) must be non-decreasing and below `C(n, 2)`.
+pub(crate) struct RowWalker {
+    a: u64,
+    row_start: u64,
+    row_len: u64,
+}
+
+impl RowWalker {
+    pub(crate) fn new(n: usize) -> Self {
+        RowWalker {
+            a: 0,
+            row_start: 0,
+            row_len: (n as u64).saturating_sub(1),
+        }
+    }
+
+    /// The endpoints `(a, b)`, `a < b`, of the pair with linear index `k`.
+    #[inline]
+    pub(crate) fn pair(&mut self, k: u64) -> (Node, Node) {
+        debug_assert!(k >= self.row_start, "pair indices must not decrease");
+        while k >= self.row_start + self.row_len {
+            self.row_start += self.row_len;
+            self.row_len -= 1;
+            self.a += 1;
+        }
+        (self.a as Node, (self.a + 1 + (k - self.row_start)) as Node)
+    }
+}
+
 impl EvolvingGraph for SparseEdgeMeg {
     fn num_nodes(&self) -> usize {
         self.params.n
@@ -389,8 +474,28 @@ mod tests {
     }
 
     #[test]
+    fn row_walker_decodes_like_pair_from_index() {
+        // Every index of every triangle, including the single pair at n = 2
+        // and the last row's single pair (n−2, n−1).
+        for n in 2..=64u64 {
+            let mut rows = RowWalker::new(n as usize);
+            for k in 0..n * (n - 1) / 2 {
+                let (a, b) = pair_from_index(n, k);
+                assert_eq!(rows.pair(k), (a as Node, b as Node), "n {n}, k {k}");
+            }
+        }
+        // Sparse walks skip whole rows; equal consecutive indices are allowed.
+        let n = 50u64;
+        let mut rows = RowWalker::new(n as usize);
+        for k in [0, 0, 3, 48, 49, 500, 1000, 1000, 1224] {
+            let (a, b) = pair_from_index(n, k);
+            assert_eq!(rows.pair(k), (a as Node, b as Node), "k {k}");
+        }
+    }
+
+    #[test]
     fn snapshot_edge_set_equals_alive_state_exactly() {
-        // The alive `BTreeSet` (private state) is the independent reference:
+        // The ascending alive list (private state) is the independent reference:
         // the CSR snapshot must list exactly those pairs, in index order.
         let n = 120usize;
         let params = EdgeMegParams::with_stationary(n, 0.05, 0.4);

@@ -466,8 +466,9 @@ impl Graph for SnapshotBuf {
 
     fn has_edge(&self, u: Node, v: Node) -> bool {
         // Scan the shorter of the two neighbor lists (same trick as
-        // `AdjacencyList::has_edge`; the sparse edge engine calls this per
-        // birth candidate).
+        // `AdjacencyList::has_edge`). Only the sparse edge engine's
+        // transitions path calls this per birth candidate; its per-pair path
+        // tests candidates against its sorted alive list instead.
         let (a, b) = if self.degree(u) <= self.degree(v) {
             (u, v)
         } else {

@@ -17,9 +17,9 @@
 //! metrics: the square-region section covers the Euclidean lanes and a
 //! torus-walkers section covers the wrap-around lanes (the two metric
 //! monomorphisations are separate code paths, so each gets its own bar). The
-//! sparse engine's *per-pair* path stays out of scope (its alive-set
-//! `BTreeSet` allocates per birth by design); its transitions path keeps the
-//! alive set in a flat reused `Vec` and is held to the zero-allocation bar.
+//! sparse engine keeps its alive set in flat reused `Vec`s under both
+//! stepping modes (an ascending pair-index list merged in place per-pair, a
+//! swap-removed array under transitions), and both are held to the same bar.
 //!
 //! The test counts `alloc` / `realloc` / `alloc_zeroed` calls around the
 //! measured loop on the test's own single thread; nothing else runs
@@ -186,6 +186,30 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     assert_eq!(
         sparse_allocs, 0,
         "sparse transitions advance() allocated {sparse_allocs} times after warm-up"
+    );
+
+    // --- sparse edge-MEG, per-pair stepping ------------------------------
+    // The `epidemic_threshold` operating point (n = 600, p̂ = 3·ln n/n,
+    // q = 0.5): deaths mark the ascending alive list in place, births merge
+    // into it from a reused buffer, so once both have reached their
+    // high-water capacity a round allocates nothing.
+    let phat = 3.0 * (600f64).ln() / 600.0;
+    let params = EdgeMegParams::with_stationary(600, phat, 0.5);
+    let mut sparse_pp = SparseEdgeMeg::stationary(params, 19);
+    for _ in 0..100 {
+        sparse_pp.advance();
+    }
+    let (sparse_pp_allocs, sparse_pp_edges) = allocations_during(|| {
+        let mut total = 0usize;
+        for _ in 0..200 {
+            total += sparse_pp.advance().num_edges();
+        }
+        total
+    });
+    assert!(sparse_pp_edges > 0, "sparse per-pair workload degenerated");
+    assert_eq!(
+        sparse_pp_allocs, 0,
+        "sparse per-pair advance() allocated {sparse_pp_allocs} times after warm-up"
     );
 
     // --- raw SnapshotBuf delta rounds -------------------------------------
