@@ -13,7 +13,7 @@ MODE="${1:-full}"
 
 step() { printf '\n\033[1m== %s\033[0m\n' "$*"; }
 
-step "markdown link check (intra-repo links in README + docs)"
+step "markdown link check (intra-repo links and backticked repo paths in README + docs)"
 LINK_ERR_FILE=$(mktemp)
 for md in README.md PAPER.md PAPERS.md ROADMAP.md CHANGES.md docs/*.md crates/*/README.md; do
     [ -f "$md" ] || continue
@@ -32,13 +32,30 @@ for md in README.md PAPER.md PAPERS.md ROADMAP.md CHANGES.md docs/*.md crates/*/
         fi
     done
 done
+# Backticked repo paths (`crates/…`, `docs/…`, `tests/…`, `perfbench/…`,
+# `examples/…`) in README.md and docs/*.md name files the reader is sent
+# to, so they must exist too. They are repo-root relative; a `:line` suffix
+# is dropped, and templated paths (containing <, * or {) are skipped.
+for md in README.md docs/*.md; do
+    [ -f "$md" ] || continue
+    { grep -oE '`(crates|docs|tests|perfbench|examples)/[^`]*`' "$md" || true; } |
+    sed -e 's/^`//' -e 's/`$//' -e 's/ .*$//' -e 's/:[0-9][0-9-]*$//' |
+    while read -r target; do
+        case "$target" in
+            *'<'*|*'*'*|*'{'*) continue ;;
+        esac
+        if [ ! -e "$target" ]; then
+            echo "missing path in $md: \`$target\`" | tee -a "$LINK_ERR_FILE" >&2
+        fi
+    done
+done
 if [ -s "$LINK_ERR_FILE" ]; then
-    echo "$(wc -l < "$LINK_ERR_FILE") broken intra-repo markdown link(s)" >&2
+    echo "$(wc -l < "$LINK_ERR_FILE") broken intra-repo markdown link(s) or path(s)" >&2
     rm -f "$LINK_ERR_FILE"
     exit 1
 fi
 rm -f "$LINK_ERR_FILE"
-echo "all intra-repo markdown links resolve"
+echo "all intra-repo markdown links and backticked repo paths resolve"
 
 step "cargo fmt --check"
 cargo fmt --all --check
@@ -244,7 +261,7 @@ PYEOF
         }
     done
     # Span timings must have been recorded for the core phases.
-    for s in advance trial cell; do
+    for s in advance trial cell sweep; do
         grep -qE "^  $s +[1-9][0-9]*" "$MET_DIR/metrics.txt" || {
             echo "span $s missing from the metrics report" >&2
             rm -rf "$MET_DIR"
@@ -253,6 +270,30 @@ PYEOF
     done
     echo "metrics report carries live counters and spans; rows byte-identical"
     rm -rf "$MET_DIR"
+
+    step "scheduler smoke (rows byte-identical at 1, 2 and 3 trial threads)"
+    SCHED_DIR=$(mktemp -d)
+    for t in 1 2 3; do
+        RAYON_NUM_THREADS=$t $MEG_LAB run epidemic_threshold --scale 0.1 --trials 3 \
+            --seed 2009 --format json > "$SCHED_DIR/fixed.$t.jsonl"
+    done
+    for t in 1 3; do
+        RAYON_NUM_THREADS=$t $MEG_LAB run quick_smoke --scale 0.1 --seed 2009 \
+            --target-stderr 0.75 --min-trials 2 --max-trials 4 --format json \
+            > "$SCHED_DIR/adaptive.$t.jsonl"
+    done
+    if ! diff -u "$SCHED_DIR/fixed.1.jsonl" "$SCHED_DIR/fixed.2.jsonl" ||
+        ! diff -u "$SCHED_DIR/fixed.1.jsonl" "$SCHED_DIR/fixed.3.jsonl" ||
+        ! diff -u "$SCHED_DIR/adaptive.1.jsonl" "$SCHED_DIR/adaptive.3.jsonl"; then
+        echo "rows changed with the trial-thread count" >&2
+        rm -rf "$SCHED_DIR"
+        exit 1
+    fi
+    [ -s "$SCHED_DIR/fixed.1.jsonl" ] && [ -s "$SCHED_DIR/adaptive.1.jsonl" ] || {
+        echo "scheduler smoke produced no rows" >&2; rm -rf "$SCHED_DIR"; exit 1; }
+    echo "scheduler: $(wc -l < "$SCHED_DIR/fixed.1.jsonl") fixed rows at 1/2/3 threads and" \
+        "$(wc -l < "$SCHED_DIR/adaptive.1.jsonl") adaptive rows at 1/3 threads identical"
+    rm -rf "$SCHED_DIR"
 
     step "protocol-family smoke (epidemics + rumor + byzantine, per-protocol counters live)"
     PROTO_DIR=$(mktemp -d)

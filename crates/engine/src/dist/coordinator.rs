@@ -8,19 +8,23 @@
 //! 2. under `--resume`, loads every compatible part file in the output
 //!    directory and **skips each already-checkpointed cell** — resumed rows
 //!    are re-emitted from the checkpoint, not re-executed;
-//! 3. executes the remaining cells — sequentially in-process
-//!    (`workers == 0`), or by dispatching them to `workers` subprocesses
-//!    speaking the [`worker`](super::worker) protocol. A worker that dies
-//!    mid-run is respawned and its in-flight cell retried, up to
+//! 3. executes the remaining cells — in-process (`workers == 0`) on the
+//!    sweep-wide trial queue, where `meg_stats::trial_threads()` trial
+//!    threads pull `(cell, trial)` units across cell boundaries, or by
+//!    dispatching them to `workers` subprocesses speaking the
+//!    [`worker`](super::worker) protocol. A worker that dies mid-run is
+//!    respawned and its in-flight cell retried, up to
 //!    [`DistOptions::max_retries`] retries (i.e. `max_retries + 1` total
-//!    attempts) per cell;
+//!    attempts) per cell. Both paths share one work queue, one adaptive
+//!    control loop and one ordered emitter;
 //! 4. appends each completed row to the shard's part file the moment it
 //!    finishes, then streams rows to the caller in ascending global
 //!    cell-index order — so the emitted byte stream of shard `i/m` is
 //!    exactly the corresponding subsequence of an unsharded run's output.
 //!
-//! Under a [`Precision::TargetStderr`] scenario the worker pool runs the
-//! **adaptive control loop** instead of one-request-per-cell: each cell's
+//! Under a [`Precision::TargetStderr`] scenario the **adaptive control
+//! loop** decides each cell's trial count — on trial units in-process, and
+//! instead of one-request-per-cell in the worker pool: each cell's
 //! first `min_trials` are dispatched as a batch, the returned outcomes'
 //! standard error is checked against `eps` at every checkpoint of the shared
 //! doubling schedule (`meg_stats::precision_checkpoints`), and incremental
@@ -76,19 +80,18 @@ use super::worker::{batch_line, cell_line, hello_line_with, shutdown_line};
 use super::DistError;
 use crate::json::Json;
 use crate::metrics::snapshot_from_json;
-use crate::run::{
-    adaptive_stop, aggregate_row, cell_seed, resolve_cells, run_cell, Cell, TrialOutcome,
-};
+use crate::run::{aggregate_row, cell_seed, resolve_cells, scenario_jobs, Cell, TrialOutcome};
 use crate::scenario::{Precision, Scenario};
+use crate::sched::{
+    self, Control, Finished, OrderedEmitter, Plan, Replies, Reply, WorkItem, WorkQueue, WorkReply,
+};
 use meg_obs as obs;
 use meg_obs::MetricsSnapshot;
-use meg_stats::precision_checkpoints;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Options controlling one sharded run.
@@ -171,60 +174,13 @@ pub struct RunReport {
     pub worker_metrics: Vec<MetricsSnapshot>,
 }
 
-/// Buffers out-of-order results and releases them in ascending assigned
-/// order, so callers see the canonical row stream regardless of which worker
-/// finished first.
-struct OrderedEmitter<'a, F: FnMut(usize, &str)> {
-    assigned: &'a [usize],
-    next: usize,
-    buffer: BTreeMap<usize, String>,
-    emitted: Vec<(usize, String)>,
-    on_row: F,
-}
-
-impl<'a, F: FnMut(usize, &str)> OrderedEmitter<'a, F> {
-    fn new(assigned: &'a [usize], on_row: F) -> Self {
-        OrderedEmitter {
-            assigned,
-            next: 0,
-            buffer: BTreeMap::new(),
-            emitted: Vec::new(),
-            on_row,
-        }
-    }
-
-    fn offer(&mut self, cell: usize, line: String) {
-        self.buffer.insert(cell, line);
-        while let Some(&expect) = self.assigned.get(self.next) {
-            match self.buffer.remove(&expect) {
-                Some(line) => {
-                    (self.on_row)(expect, &line);
-                    self.emitted.push((expect, line));
-                    self.next += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Flushes rows stranded behind a gap (possible only under `limit`).
-    fn finish(mut self) -> Vec<(usize, String)> {
-        let rest = std::mem::take(&mut self.buffer);
-        for (cell, line) in rest {
-            (self.on_row)(cell, &line);
-            self.emitted.push((cell, line));
-        }
-        self.emitted
-    }
-}
-
 /// Executes this shard's cells and returns the report. `on_row` is invoked
 /// once per emitted row, in ascending global cell-index order.
 pub fn run_sharded<F: FnMut(usize, &str)>(
     scenario: &Scenario,
     master_seed: u64,
     opts: &DistOptions,
-    on_row: F,
+    mut on_row: F,
 ) -> Result<RunReport, DistError> {
     let cells = resolve_cells(scenario)?;
     let assigned = opts.shard.assign(cells.len());
@@ -272,13 +228,18 @@ pub fn run_sharded<F: FnMut(usize, &str)>(
         todo.truncate(limit);
     }
 
-    let mut emitter = OrderedEmitter::new(&assigned, on_row);
+    let mut rows = Vec::with_capacity(assigned.len());
+    let mut emitter = OrderedEmitter::new(&assigned, |cell, line: String| {
+        on_row(cell, &line);
+        rows.push((cell, line));
+        Ok::<(), DistError>(())
+    });
     let resumed_count = resumed.len();
 
     // Sweep observability: both read the monotonic clock strictly outside
     // RNG-consuming code, so neither can perturb a single row byte.
     let journal = opts.trace.as_ref().map(|_| TraceJournal::new());
-    let coord_lane = opts.workers; // == 0 → the single in-process lane
+    let coord_lane = opts.workers; // == 0 → the in-process lanes start at 0
     let meter = (opts.progress && progress::stderr_wants_progress())
         .then(|| Progress::new(assigned.len(), resumed_count, opts.workers.max(1)));
 
@@ -286,32 +247,31 @@ pub fn run_sharded<F: FnMut(usize, &str)>(
         if let Some(j) = &journal {
             j.instant(coord_lane, format!("cell {cell} resumed"), Some(cell));
         }
-        emitter.offer(cell, line);
+        emitter.offer(cell, line)?;
     }
 
     let executed = todo.len();
     let mut worker_metrics = Vec::new();
     if opts.workers == 0 {
-        for &index in &todo {
-            let t0 = journal.as_ref().map(|j| j.now_us());
-            let row = run_cell(
-                scenario,
-                &cells[index],
-                cell_seed(&scenario.name, master_seed, index),
-            );
-            let line = row.to_json().render();
-            if let Some(j) = &journal {
-                j.complete(0, format!("cell {index}"), t0.unwrap_or(0), Some(index));
-            }
-            if let Some(w) = &mut writer {
-                w.append(&line)?;
-            }
-            emitter.offer(index, line);
-            if let Some(m) = &meter {
-                m.item_done(0);
-                m.cell_done();
-            }
-        }
+        let jobs = scenario_jobs(scenario, &cells, master_seed, todo.iter().copied());
+        sched::run_rows(
+            scenario,
+            &jobs,
+            meg_stats::trial_threads(),
+            journal.as_ref(),
+            crate::run::execute_trial,
+            |row| {
+                let line = row.to_json().render();
+                if let Some(w) = &mut writer {
+                    w.append(&line)?;
+                }
+                if let Some(m) = &meter {
+                    m.item_done(0);
+                    m.cell_done();
+                }
+                emitter.offer(row.cell, line)
+            },
+        )?;
     } else {
         worker_metrics = dispatch_to_workers(
             scenario,
@@ -325,20 +285,22 @@ pub fn run_sharded<F: FnMut(usize, &str)>(
                 if let Some(w) = &mut writer {
                     w.append(&line)?;
                 }
-                emitter.offer(index, line);
-                Ok(())
+                emitter.offer(index, line)
             },
         )?;
     }
+    emitter.finish()?;
 
     if let Some(m) = &meter {
         m.finish();
     }
     if let (Some(j), Some(path)) = (&journal, &opts.trace) {
-        j.write(path, &lane_names(opts.workers))?;
+        let mut names = lane_names(opts.workers);
+        // In-process cells overlap in time, so their spans fill extra lanes.
+        names.extend((names.len()..j.lanes()).map(|lane| format!("in-process {lane}")));
+        j.write(path, &names)?;
     }
 
-    let rows = emitter.finish();
     Ok(RunReport {
         assigned: assigned.len(),
         executed,
@@ -351,113 +313,6 @@ pub fn run_sharded<F: FnMut(usize, &str)>(
 
 // ---------------------------------------------------------------------------
 // Worker-pool dispatch
-
-/// One unit of work a pool thread sends to its subprocess.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WorkItem {
-    /// Execute a whole cell and answer with its canonical row line
-    /// (fixed-trials mode).
-    Row(usize),
-    /// Execute trials `start .. start + count` of a cell and answer with the
-    /// raw outcomes (adaptive mode; the control loop decides what follows).
-    Batch {
-        cell: usize,
-        start: usize,
-        count: usize,
-    },
-}
-
-impl WorkItem {
-    /// The global cell index this item concerns.
-    fn cell(&self) -> usize {
-        match *self {
-            WorkItem::Row(index) => index,
-            WorkItem::Batch { cell, .. } => cell,
-        }
-    }
-
-    /// Label for this item's trace span.
-    fn trace_name(&self) -> String {
-        match *self {
-            WorkItem::Row(index) => format!("cell {index}"),
-            WorkItem::Batch { cell, start, count } => {
-                format!("cell {cell} trials {start}..{}", start + count)
-            }
-        }
-    }
-}
-
-/// The shared work queue. Unlike a plain deque, it knows how many adaptive
-/// cells are still *open* (not yet finalized by the control loop): a pool
-/// thread finding the queue empty must keep waiting while open cells exist,
-/// because the coordinator may still enqueue follow-up batches for them.
-struct WorkQueue {
-    state: Mutex<QueueState>,
-    available: Condvar,
-}
-
-struct QueueState {
-    items: VecDeque<WorkItem>,
-    open_cells: usize,
-    shutdown: bool,
-}
-
-impl WorkQueue {
-    fn new(items: VecDeque<WorkItem>, open_cells: usize) -> WorkQueue {
-        WorkQueue {
-            state: Mutex::new(QueueState {
-                items,
-                open_cells,
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Takes the next work item, blocking while the queue is empty but
-    /// adaptive cells remain open. Returns `None` when drained or shut down.
-    fn pop(&self) -> Option<WorkItem> {
-        let mut st = self.state.lock().expect("queue lock");
-        loop {
-            if st.shutdown {
-                return None;
-            }
-            if let Some(item) = st.items.pop_front() {
-                obs::sample(obs::Gauge::QueueDepth, st.items.len() as u64);
-                return Some(item);
-            }
-            if st.open_cells == 0 {
-                return None;
-            }
-            st = self.available.wait(st).expect("queue lock");
-        }
-    }
-
-    fn push(&self, item: WorkItem) {
-        let mut st = self.state.lock().expect("queue lock");
-        st.items.push_back(item);
-        obs::sample(obs::Gauge::QueueDepth, st.items.len() as u64);
-        drop(st);
-        self.available.notify_one();
-    }
-
-    /// Marks one adaptive cell finalized; wakes every waiting thread once
-    /// none remain so they can exit.
-    fn finish_cell(&self) {
-        let mut st = self.state.lock().expect("queue lock");
-        st.open_cells = st.open_cells.saturating_sub(1);
-        if st.open_cells == 0 {
-            drop(st);
-            self.available.notify_all();
-        }
-    }
-
-    /// Aborts the run: waiting threads wake up and exit.
-    fn shut_down(&self) {
-        self.state.lock().expect("queue lock").shutdown = true;
-        self.available.notify_all();
-    }
-}
 
 /// A live worker subprocess with buffered pipes.
 struct WorkerProc {
@@ -658,21 +513,12 @@ impl WorkerProc {
     }
 }
 
-/// A validated, parsed worker reply.
-enum WorkReply {
-    /// The canonical row line answering a [`WorkItem::Row`].
-    Row(String),
-    /// The trial outcomes answering a [`WorkItem::Batch`].
-    Batch(Vec<TrialOutcome>),
-}
-
 /// Shared, read-only context every pool thread borrows.
 struct PoolCtx<'a> {
     cmd: &'a std::path::Path,
     handshake: &'a Handshake,
     opts: &'a DistOptions,
     queue: &'a WorkQueue,
-    abort: &'a AtomicBool,
     journal: Option<&'a TraceJournal>,
     meter: Option<&'a Progress>,
     /// When the pool started — anchors the `[+{ms}ms]` prefix on verbose
@@ -694,20 +540,18 @@ impl PoolCtx<'_> {
 fn worker_thread(
     lane: usize,
     ctx: &PoolCtx<'_>,
-    results: &mpsc::Sender<Result<(WorkItem, WorkReply), DistError>>,
+    results: &Replies<DistError>,
     metrics_out: &Mutex<MetricsSnapshot>,
 ) {
     let opts = ctx.opts;
     let mut proc: Option<WorkerProc> = None;
     let mut acc = MetricsSnapshot::empty();
-    'items: while !ctx.abort.load(Ordering::SeqCst) {
-        let Some(item) = ctx.queue.pop() else {
-            break;
-        };
+    'items: while let Some(item) = ctx.queue.pop() {
+        let started = Instant::now();
         let cell = item.cell();
         let mut attempts = 0usize;
         let reply = loop {
-            if ctx.abort.load(Ordering::SeqCst) {
+            if ctx.queue.is_shut_down() {
                 break 'items;
             }
             let t0 = ctx.journal.map(|j| j.now_us());
@@ -781,7 +625,6 @@ fn worker_thread(
                                 ctx.elapsed_ms()
                             );
                         }
-                        ctx.abort.store(true, Ordering::SeqCst);
                         ctx.queue.shut_down();
                         let _ = results.send(Err(DistError::Worker(format!(
                             "{item:?} failed after {attempts} attempt(s): {reason}"
@@ -801,7 +644,12 @@ fn worker_thread(
                 }
             }
         };
-        if results.send(Ok((item, reply))).is_err() {
+        let reply = Reply {
+            item,
+            body: reply,
+            started,
+        };
+        if results.send(Ok(reply)).is_err() {
             break;
         }
     }
@@ -816,24 +664,17 @@ fn worker_thread(
     }
 }
 
-/// Control-loop state of one adaptive cell: the outcomes accumulated so far
-/// and which checkpoint of the schedule they reach.
-struct CellCtl {
-    outcomes: Vec<TrialOutcome>,
-    next_checkpoint: usize,
-}
-
 /// Runs `todo` through a pool of `opts.workers` subprocesses, invoking
 /// `on_result` (on the calling thread) as each finished row line arrives.
 ///
 /// Under `Precision::FixedTrials` each cell is one work item answered by its
-/// canonical row line. Under `Precision::TargetStderr` this thread runs the
-/// **adaptive control loop**: it dispatches each cell's first `min_trials`
-/// batch, inspects the returned outcomes' standard error at every checkpoint
-/// of the shared doubling schedule, re-dispatches incremental batches while
-/// the target is unmet, and aggregates the final row itself — reaching
-/// exactly the trial count an unsharded adaptive run would, so the row bytes
-/// match.
+/// canonical row line. Under `Precision::TargetStderr` the shared control
+/// loop ([`Control`]) dispatches each cell's first `min_trials` batch,
+/// inspects the returned outcomes' standard error at every checkpoint of the
+/// shared doubling schedule, re-dispatches incremental batches while the
+/// target is unmet, and this thread aggregates the final row itself —
+/// reaching exactly the trial count an unsharded adaptive run would, so the
+/// row bytes match.
 #[allow(clippy::too_many_arguments)] // internal seam; run_sharded is the API
 fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
     scenario: &Scenario,
@@ -858,42 +699,25 @@ fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
         num_cells: scenario.num_cells(),
         fingerprint: super::checkpoint::scenario_fingerprint(scenario),
     };
-    let adaptive = match scenario.precision {
-        Precision::FixedTrials => None,
-        Precision::TargetStderr {
-            eps,
-            min_trials,
-            max_trials,
-        } => Some((eps, precision_checkpoints(min_trials, max_trials))),
-    };
-
-    let (items, open_cells): (VecDeque<WorkItem>, usize) = match &adaptive {
-        None => (todo.iter().map(|&c| WorkItem::Row(c)).collect(), 0),
-        Some((_, checkpoints)) => (
-            todo.iter()
-                .map(|&cell| WorkItem::Batch {
-                    cell,
-                    start: 0,
-                    count: checkpoints[0],
-                })
-                .collect(),
-            todo.len(),
-        ),
-    };
-    let queue = WorkQueue::new(items, open_cells);
-    let abort = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel();
-    let pool_size = opts.workers.min(todo.len());
     // Trace lane layout follows `lane_names(opts.workers)`: lanes past the
     // pool (when fewer cells than workers) simply stay empty.
     let coord_lane = opts.workers;
-    let mut ctl: BTreeMap<usize, CellCtl> = BTreeMap::new();
+    let queue = WorkQueue::new();
+    let mut control = Control::new(&queue, false, journal.map(|j| (j, coord_lane)));
+    match scenario.precision {
+        Precision::FixedTrials => queue.push(todo.iter().map(|&c| WorkItem::Row(c))),
+        Precision::TargetStderr { .. } => {
+            for &c in todo {
+                control.open(c, Plan::for_cell(&scenario.precision, &cells[c]));
+            }
+        }
+    }
+    let pool_size = opts.workers.min(todo.len());
     let ctx = PoolCtx {
         cmd: &cmd,
         handshake: &handshake,
         opts,
         queue: &queue,
-        abort: &abort,
         journal,
         meter,
         started: Instant::now(),
@@ -902,105 +726,33 @@ fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
         .map(|_| Mutex::new(MetricsSnapshot::empty()))
         .collect();
 
-    std::thread::scope(|scope| {
-        for (lane, slot) in lane_metrics.iter().enumerate() {
-            let tx = tx.clone();
-            let ctx = &ctx;
-            scope.spawn(move || {
-                worker_thread(lane, ctx, &tx, slot);
-            });
-        }
-        drop(tx);
-
-        let fail = |abort: &AtomicBool, queue: &WorkQueue| {
-            abort.store(true, Ordering::SeqCst);
-            queue.shut_down();
-        };
-        let mut first_error = None;
-        let mut finalized = 0usize;
-        while finalized < todo.len() {
-            let mut finished: Option<(usize, String)> = None;
-            match rx.recv() {
-                Ok(Ok((WorkItem::Row(index), WorkReply::Row(line)))) => {
-                    finished = Some((index, line))
-                }
-                Ok(Ok((WorkItem::Batch { cell, .. }, WorkReply::Batch(outcomes)))) => {
-                    let (eps, checkpoints) = adaptive.as_ref().expect("batch implies adaptive");
-                    let state = ctl.entry(cell).or_insert(CellCtl {
-                        outcomes: Vec::new(),
-                        next_checkpoint: 0,
-                    });
-                    state.outcomes.extend(outcomes);
-                    let last = state.next_checkpoint + 1 == checkpoints.len();
-                    if !last && !adaptive_stop(*eps, &state.outcomes) {
-                        // Target unmet with budget left: grow to the next
-                        // checkpoint of the shared schedule.
-                        state.next_checkpoint += 1;
-                        let start = state.outcomes.len();
-                        let target = checkpoints[state.next_checkpoint];
-                        if let Some(j) = journal {
-                            j.instant(
-                                coord_lane,
-                                format!("double cell {cell} to {target} trials"),
-                                Some(cell),
-                            );
-                        }
-                        queue.push(WorkItem::Batch {
-                            cell,
-                            start,
-                            count: target - start,
-                        });
-                    } else {
-                        let state = ctl.remove(&cell).expect("cell is in flight");
-                        let row = aggregate_row(
-                            scenario,
-                            &cells[cell],
-                            cell_seed(&scenario.name, master_seed, cell),
-                            &state.outcomes,
-                        );
-                        queue.finish_cell();
-                        finished = Some((cell, row.to_json().render()));
-                    }
-                }
-                Ok(Ok(_)) => {
-                    fail(&abort, &queue);
-                    first_error = Some(DistError::Worker(
-                        "worker reply kind does not match its work item".into(),
-                    ));
-                    break;
-                }
-                Ok(Err(e)) => {
-                    first_error = Some(e);
-                    break;
-                }
-                Err(_) => {
-                    first_error = Some(DistError::Worker(
-                        "worker pool exited without completing the queue".into(),
-                    ));
-                    break;
-                }
+    sched::drive(
+        &queue,
+        &mut control,
+        todo.len(),
+        pool_size,
+        |lane, results| worker_thread(lane, &ctx, results, &lane_metrics[lane]),
+        |index, finished, _| {
+            let line = match finished {
+                Finished::Row(line) => line,
+                Finished::Outcomes(outcomes) => aggregate_row(
+                    scenario,
+                    &cells[index],
+                    cell_seed(&scenario.name, master_seed, index),
+                    &outcomes,
+                )
+                .to_json()
+                .render(),
+            };
+            if let Some(j) = journal {
+                j.instant(coord_lane, format!("cell {index} complete"), Some(index));
             }
-            if let Some((index, line)) = finished {
-                finalized += 1;
-                if let Some(j) = journal {
-                    j.instant(coord_lane, format!("cell {index} complete"), Some(index));
-                }
-                if let Some(m) = meter {
-                    m.cell_done();
-                }
-                if let Err(e) = on_result(index, line) {
-                    // Checkpoint write failed: stop the pool and surface it.
-                    fail(&abort, &queue);
-                    first_error = Some(e);
-                    break;
-                }
+            if let Some(m) = meter {
+                m.cell_done();
             }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })?;
+            on_result(index, line)
+        },
+    )?;
 
     Ok(if opts.ship_metrics {
         lane_metrics
@@ -1234,17 +986,17 @@ mod tests {
     fn ordered_emitter_releases_in_assigned_order() {
         let assigned = [1usize, 4, 7];
         let order = std::cell::RefCell::new(Vec::new());
-        let mut e = OrderedEmitter::new(&assigned, |c, _| order.borrow_mut().push(c));
-        e.offer(7, "c".into());
+        let mut e = OrderedEmitter::new(&assigned, |c, _: String| {
+            order.borrow_mut().push(c);
+            Ok::<(), DistError>(())
+        });
+        e.offer(7, "c".into()).unwrap();
         assert!(order.borrow().is_empty(), "7 must wait for 1 and 4");
-        e.offer(1, "a".into());
+        e.offer(1, "a".into()).unwrap();
         assert_eq!(*order.borrow(), vec![1]);
-        e.offer(4, "b".into());
+        e.offer(4, "b".into()).unwrap();
         assert_eq!(*order.borrow(), vec![1, 4, 7]);
-        let rows = e.finish();
-        assert_eq!(
-            rows.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
-            vec![1, 4, 7]
-        );
+        e.finish().unwrap();
+        assert_eq!(*order.borrow(), vec![1, 4, 7]);
     }
 }

@@ -9,11 +9,18 @@
 //! per worker (`tid = lane`), plus a coordinator lane for control-loop
 //! events.
 //!
+//! An in-process run records one complete span per cell, from its first
+//! trial's start to its row's release. Cells overlap in time there (the
+//! trial threads pull trials across cell boundaries), so each span goes to
+//! the lowest lane that is free over its whole extent
+//! ([`TraceJournal::complete_packed`]): no two overlapping spans share a
+//! lane.
+//!
 //! Timestamps are microseconds on the coordinator's monotonic clock,
 //! anchored at journal creation. All clock reads happen strictly outside
 //! RNG-consuming code (workers run in other processes; the in-process path
-//! reads the clock only around whole-cell execution), so tracing a run
-//! cannot change a single emitted row byte.
+//! reads the clock only between trials), so tracing a run cannot change a
+//! single emitted row byte.
 //!
 //! [Chrome trace-event JSON format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -39,8 +46,9 @@ struct TraceEvent {
 /// An append-only, thread-shared event journal for one sharded run.
 ///
 /// Lanes `0 .. workers` belong to the worker pool; lane `workers` is the
-/// coordinator's control loop (for `workers == 0`, lane 0 carries the
-/// in-process cell spans and doubles as the coordinator lane).
+/// coordinator's control loop. For `workers == 0`, lane 0 doubles as the
+/// coordinator lane, and the in-process cell spans fill lanes 0, 1, … as
+/// they overlap ([`TraceJournal::complete_packed`]).
 pub struct TraceJournal {
     start: Instant,
     events: Mutex<Vec<TraceEvent>>,
@@ -72,6 +80,44 @@ impl TraceJournal {
             dur_us: Some(dur),
             cell,
         });
+    }
+
+    /// Records a complete-phase span that began at `started` and ends now on
+    /// the lowest lane whose complete spans all ended by `started`, and
+    /// returns that lane. For spans that overlap in time, such as the cells
+    /// of one in-process sweep.
+    pub fn complete_packed(&self, name: String, started: Instant, cell: Option<usize>) -> usize {
+        let start_us = u64::try_from(started.saturating_duration_since(self.start).as_micros())
+            .unwrap_or(u64::MAX);
+        let end_us = self.now_us().max(start_us);
+        let mut events = self.events.lock().expect("trace lock");
+        let mut busy_until: Vec<u64> = Vec::new();
+        for ev in events.iter() {
+            if let Some(dur) = ev.dur_us {
+                if busy_until.len() <= ev.lane {
+                    busy_until.resize(ev.lane + 1, 0);
+                }
+                busy_until[ev.lane] = busy_until[ev.lane].max(ev.ts_us + dur);
+            }
+        }
+        let lane = busy_until
+            .iter()
+            .position(|&end| end <= start_us)
+            .unwrap_or(busy_until.len());
+        events.push(TraceEvent {
+            name,
+            lane,
+            ts_us: start_us,
+            dur_us: Some(end_us - start_us),
+            cell,
+        });
+        lane
+    }
+
+    /// Number of lanes any event was recorded on (highest lane + 1).
+    pub fn lanes(&self) -> usize {
+        let events = self.events.lock().expect("trace lock");
+        events.iter().map(|ev| ev.lane + 1).max().unwrap_or(0)
     }
 
     /// Records an instant marker on `lane` at the current time.
@@ -159,7 +205,8 @@ impl Default for TraceJournal {
 
 /// Timeline lane labels for a run with `workers` subprocesses: one per
 /// worker plus the trailing coordinator lane (a single `in-process` lane
-/// when `workers == 0`).
+/// when `workers == 0`; the coordinator names any further packed
+/// in-process lanes `in-process k`).
 pub fn lane_names(workers: usize) -> Vec<String> {
     if workers == 0 {
         return vec!["in-process".to_string()];
@@ -206,6 +253,23 @@ mod tests {
             events[2].get("args").unwrap().get("name").unwrap().as_str(),
             Some("coordinator")
         );
+    }
+
+    #[test]
+    fn packed_spans_never_overlap_on_a_lane() {
+        let j = TraceJournal::new();
+        let t0 = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let t1 = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        // Both began before either ended: they overlap, so lanes differ.
+        assert_eq!(j.complete_packed("cell 0".into(), t0, Some(0)), 0);
+        assert_eq!(j.complete_packed("cell 1".into(), t1, Some(1)), 1);
+        // A span starting after both ended reuses the lowest lane.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let t2 = Instant::now();
+        assert_eq!(j.complete_packed("cell 2".into(), t2, Some(2)), 0);
+        assert_eq!(j.lanes(), 2);
     }
 
     #[test]

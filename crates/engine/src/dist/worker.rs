@@ -44,6 +44,9 @@
 //! grows cells with. Trial `i`'s randomness depends only on the cell seed
 //! and `i`, so batches concatenate byte-identically to one fixed run.
 //!
+//! Both kinds of request run on the engine's sweep-wide trial queue, with
+//! the worker's own trial threads (`RAYON_NUM_THREADS`, else all cores).
+//!
 //! Workers are stateless between requests, so the coordinator may kill and
 //! respawn one at any time and simply resend the in-flight request. The
 //! `fail_after` knob makes a worker abort after serving that many requests —

@@ -13,9 +13,11 @@
 //! trials per cell, or adaptive `target_stderr` mode that grows each cell's
 //! trial set until its observable reaches a target standard error. The
 //! engine ([`run_scenario`]) crosses them into cells, derives a
-//! deterministic seed per cell (so any cell reproduces in isolation), drives
-//! the trials through `meg_stats::run_trials`, records the `meg_core::spec`
-//! regime classification on every [`Row`], and emits results through an
+//! deterministic seed per cell (so any cell reproduces in isolation), runs
+//! the trials of every cell through one sweep-wide queue that
+//! `rayon::current_num_threads()` trial threads drain across cell
+//! boundaries, records the `meg_core::spec` regime classification on every
+//! [`Row`] (released in cell order), and emits results through an
 //! [`OutputFormat`] sink (ASCII table, JSON-lines, or CSV). All twelve of
 //! the paper's experiments ship as [`builtin`](fn@builtin) scenarios (see
 //! `docs/EXPERIMENTS.md`); `docs/ARCHITECTURE.md` documents the pipeline end
@@ -78,6 +80,7 @@ pub mod json;
 pub mod metrics;
 pub mod run;
 pub mod scenario;
+mod sched;
 pub mod sink;
 
 pub use builtin::{builtin, builtin_names};

@@ -9,8 +9,12 @@
 //!   the scenario with the same master seed and cell `k` sees exactly the
 //!   same randomness, regardless of which other cells exist or how threads
 //!   schedule them;
-//! * trials inside a cell run through [`meg_stats::run_trials`], which gives
-//!   each trial its own derived RNG stream (parallel-safe);
+//! * trial `i` of a cell draws its own RNG stream, `trial_rng(cell_seed, i)`,
+//!   so which thread runs it cannot matter. A sweep's trials run through one
+//!   sweep-wide queue (`crate::sched`): `meg_stats::trial_threads()` trial
+//!   threads pull `(cell, trial)` units across cell boundaries, the calling
+//!   thread makes the adaptive checkpoint decisions, and rows are released
+//!   in cell order;
 //! * every row records the `meg_core::spec` regime classification of its
 //!   resolved parameters, so results stay honest about which theorem
 //!   hypotheses they satisfy.
@@ -19,6 +23,7 @@ use crate::scenario::{
     AdversarialKind, EdgeEngine, MobilityKind, Param, Precision, Protocol, Scenario, ScenarioError,
     StaticKind, Substrate,
 };
+use crate::sched::{self, Job, Plan};
 use meg_core::adversarial::{RotatingBridge, RotatingStar};
 use meg_core::analysis::{measure_expansion_sequence, ExpansionMeasurement};
 use meg_core::evolving::{EvolvingGraph, FrozenGraph};
@@ -35,11 +40,10 @@ use meg_graph::Graph;
 use meg_mobility::{Billiard, RandomWaypoint, TorusWalkers};
 use meg_obs as obs;
 use meg_stats::seeds::{derive_seed, labeled_seed};
-use meg_stats::{
-    precision_checkpoints, run_trials, run_trials_range, run_trials_scheduled, Summary,
-};
+use meg_stats::Summary;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::convert::Infallible;
 
 /// Fully resolved numeric parameters of one cell's substrate.
 #[derive(Clone, Debug, PartialEq)]
@@ -352,7 +356,10 @@ impl Row {
 
 /// Expands a scenario into its resolved cells (deterministic order).
 ///
-/// Fails if the scenario does not [`validate`](Scenario::validate).
+/// Fails if the scenario does not [`validate`](Scenario::validate), or if a
+/// sweep override leaves a cell unrunnable: a swept n below 2, or an edge
+/// cell whose q, p̂ or implied birth rate is out of range. Every check runs
+/// here, before any trial thread starts.
 pub fn resolve_cells(scenario: &Scenario) -> Result<Vec<Cell>, ScenarioError> {
     scenario.validate()?;
     let mut cells = Vec::with_capacity(scenario.num_cells());
@@ -390,7 +397,12 @@ fn resolve_cell(
             | (Param::N, Substrate::Geometric { n, .. })
             | (Param::N, Substrate::Adversarial { n, .. })
             | (Param::N, Substrate::Static { n, .. }) => {
-                *n = value.round().max(2.0) as usize;
+                if value.is_nan() || value.round() < 2.0 {
+                    return Err(ScenarioError(format!(
+                        "cell {index}: swept n={value} is below 2"
+                    )));
+                }
+                *n = value.round() as usize;
             }
             (Param::Q, Substrate::Edge { q, .. }) => *q = value,
             (Param::PHat, Substrate::Edge { p_hat, .. }) => *p_hat = PHatSpec::Fixed(value),
@@ -469,7 +481,8 @@ fn resolve_cell(
             stepping,
         } => {
             let p_hat = p_hat.resolve(n, q);
-            let params = EdgeMegParams::with_stationary(n, p_hat, q);
+            let params = edge_params(n, p_hat, q)
+                .map_err(|e| ScenarioError(format!("cell {index}: {}", e.0)))?;
             ResolvedSubstrate::Edge {
                 engine,
                 params,
@@ -546,6 +559,26 @@ fn resolve_cell(
     })
 }
 
+/// The edge-MEG parameters `M(n, p, q)` with stationary edge probability
+/// `p̂`, or an error naming the first precondition of
+/// [`EdgeMegParams::with_stationary`] a resolved cell breaks: q in (0, 1],
+/// p̂ in (0, 1), and the implied birth rate `p = q·p̂/(1−p̂)` at most 1.
+fn edge_params(n: usize, p_hat: f64, q: f64) -> Result<EdgeMegParams, ScenarioError> {
+    if !(q > 0.0 && q <= 1.0) {
+        return Err(ScenarioError(format!("death rate q={q} outside (0, 1]")));
+    }
+    if !(p_hat > 0.0 && p_hat < 1.0) {
+        return Err(ScenarioError(format!("p_hat={p_hat} outside (0, 1)")));
+    }
+    let p = q * p_hat / (1.0 - p_hat);
+    if p > 1.0 {
+        return Err(ScenarioError(format!(
+            "implied birth rate p={p} exceeds 1 (q={q}, p_hat={p_hat})"
+        )));
+    }
+    Ok(EdgeMegParams::with_stationary(n, p_hat, q))
+}
+
 /// Outcome of a single trial: the cell observable (`value` is the completion
 /// round count for spreading protocols, the measured quantity for probes)
 /// plus completion and message-cost bookkeeping.
@@ -594,7 +627,7 @@ impl TrialOutcome {
         })
     }
 
-    fn failed() -> TrialOutcome {
+    pub(crate) fn failed() -> TrialOutcome {
         TrialOutcome {
             completed: false,
             value: 0.0,
@@ -800,8 +833,9 @@ fn geometric_occupancy_trial(
     }
 }
 
-/// Executes one trial of one resolved cell under the given RNG stream.
-fn execute_trial(cell: &Cell, rng: &mut ChaCha8Rng) -> TrialOutcome {
+/// Executes one trial of one resolved cell under its RNG stream (the trial
+/// index is already folded into `rng`).
+pub(crate) fn execute_trial(cell: &Cell, _trial: usize, rng: &mut ChaCha8Rng) -> TrialOutcome {
     let _span = obs::span("trial");
     obs::add(obs::Counter::Trials, 1);
     match &cell.substrate {
@@ -889,9 +923,9 @@ fn execute_trial(cell: &Cell, rng: &mut ChaCha8Rng) -> TrialOutcome {
 
 /// The adaptive stop decision on an outcome prefix: `true` once at least two
 /// trials completed and the standard error of their observable is ≤ `eps`.
-/// `eps ≤ 0` never stops (the "spend the whole budget" mode). Shared by the
-/// in-process runner and the distributed coordinator so both make identical
-/// decisions.
+/// `eps ≤ 0` never stops (the "spend the whole budget" mode). The one
+/// control loop every execution path shares consults it, so in-process and
+/// pooled runs make identical decisions.
 pub fn adaptive_stop(eps: f64, outcomes: &[TrialOutcome]) -> bool {
     if eps <= 0.0 {
         return false;
@@ -917,30 +951,26 @@ pub fn run_cell_range(
     start: usize,
     count: usize,
 ) -> Vec<TrialOutcome> {
-    run_trials_range(cell_seed, start, count, |_i, rng| execute_trial(cell, rng))
-}
-
-/// Executes one resolved cell's trials under the scenario's [`Precision`]
-/// policy and returns the raw outcomes.
-pub fn run_cell_outcomes(scenario: &Scenario, cell: &Cell, cell_seed: u64) -> Vec<TrialOutcome> {
-    match scenario.precision {
-        Precision::FixedTrials => {
-            run_trials(cell_seed, cell.trials, |_i, rng| execute_trial(cell, rng))
-        }
-        Precision::TargetStderr {
-            eps,
-            min_trials,
-            max_trials,
-        } => {
-            let checkpoints = precision_checkpoints(min_trials, max_trials);
-            run_trials_scheduled(
-                cell_seed,
-                &checkpoints,
-                |_i, rng| execute_trial(cell, rng),
-                |outcomes| adaptive_stop(eps, outcomes),
-            )
-        }
+    let mut out = Vec::new();
+    if count == 0 {
+        return out;
     }
+    let job = Job {
+        cell,
+        seed: cell_seed,
+        plan: Plan::range(start, count),
+    };
+    let Ok(()) = sched::run_jobs::<Infallible, _, _>(
+        &[job],
+        meg_stats::trial_threads(),
+        None,
+        execute_trial,
+        |_, outcomes, _| {
+            out = outcomes;
+            Ok(())
+        },
+    );
+    out
 }
 
 /// Aggregates a cell's trial outcomes into its result [`Row`].
@@ -1016,11 +1046,27 @@ pub fn aggregate_row(
     }
 }
 
-/// Runs one resolved cell under `cell_seed` and aggregates its row.
+/// Runs one resolved cell under `cell_seed` and the scenario's
+/// [`Precision`] policy, and aggregates its row.
 pub fn run_cell(scenario: &Scenario, cell: &Cell, cell_seed: u64) -> Row {
-    let _span = obs::span("cell");
-    let outcomes = run_cell_outcomes(scenario, cell, cell_seed);
-    aggregate_row(scenario, cell, cell_seed, &outcomes)
+    let job = Job {
+        cell,
+        seed: cell_seed,
+        plan: Plan::for_cell(&scenario.precision, cell),
+    };
+    let mut out = None;
+    let Ok(()) = sched::run_rows::<Infallible, _, _>(
+        scenario,
+        &[job],
+        meg_stats::trial_threads(),
+        None,
+        execute_trial,
+        |row| {
+            out = Some(row);
+            Ok(())
+        },
+    );
+    out.expect("a one-cell sweep releases one row")
 }
 
 /// The seed of cell `index` of `scenario` under `master_seed`.
@@ -1029,24 +1075,50 @@ pub fn cell_seed(scenario_name: &str, master_seed: u64, index: usize) -> u64 {
 }
 
 /// Runs every cell of the scenario, invoking `on_row` as each row is
-/// produced (streaming sinks), and returns all rows.
+/// produced (streaming sinks, ascending cell order), and returns all rows.
+/// All cells share one trial queue drained by
+/// `meg_stats::trial_threads()` trial threads.
 pub fn run_scenario_streaming<F: FnMut(&Row)>(
     scenario: &Scenario,
     master_seed: u64,
+    on_row: F,
+) -> Result<Vec<Row>, ScenarioError> {
+    run_scenario_on(scenario, master_seed, meg_stats::trial_threads(), on_row)
+}
+
+/// [`run_scenario_streaming`] on exactly `threads` trial threads.
+fn run_scenario_on<F: FnMut(&Row)>(
+    scenario: &Scenario,
+    master_seed: u64,
+    threads: usize,
     mut on_row: F,
 ) -> Result<Vec<Row>, ScenarioError> {
     let cells = resolve_cells(scenario)?;
+    let jobs = scenario_jobs(scenario, &cells, master_seed, 0..cells.len());
     let mut rows = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let row = run_cell(
-            scenario,
-            cell,
-            cell_seed(&scenario.name, master_seed, cell.index),
-        );
-        on_row(&row);
-        rows.push(row);
-    }
+    let Ok(()) =
+        sched::run_rows::<Infallible, _, _>(scenario, &jobs, threads, None, execute_trial, |row| {
+            on_row(&row);
+            rows.push(row);
+            Ok(())
+        });
     Ok(rows)
+}
+
+/// The in-process jobs for cells `todo` of a resolved scenario.
+pub(crate) fn scenario_jobs<'a>(
+    scenario: &Scenario,
+    cells: &'a [Cell],
+    master_seed: u64,
+    todo: impl IntoIterator<Item = usize>,
+) -> Vec<Job<'a>> {
+    todo.into_iter()
+        .map(|index| Job {
+            cell: &cells[index],
+            seed: cell_seed(&scenario.name, master_seed, index),
+            plan: Plan::for_cell(&scenario.precision, &cells[index]),
+        })
+        .collect()
 }
 
 /// Runs every cell of the scenario and returns the rows.
@@ -1460,6 +1532,177 @@ mod tests {
         );
         // Determinism holds under the fast path too.
         assert_eq!(rows, run_scenario(&s, 99).unwrap());
+    }
+
+    /// The builtins as their golden fixtures pin them: name of the fixture
+    /// and the scenario that produced it (all 33).
+    fn golden_cases() -> Vec<(String, Scenario)> {
+        use crate::builtin::{builtin, builtin_names};
+        let mut cases = Vec::new();
+        for name in builtin_names() {
+            let base = builtin(name).unwrap().scaled(0.1);
+            let mut fixed = base.clone();
+            fixed.trials = 2;
+            cases.push((format!("{name}.jsonl"), fixed));
+            let mut adaptive = base;
+            adaptive.precision = Precision::TargetStderr {
+                eps: 0.5,
+                min_trials: 2,
+                max_trials: 4,
+            };
+            cases.push((format!("{name}.adaptive.jsonl"), adaptive));
+        }
+        let mut transitions = builtin("edge_vs_n").unwrap().scaled(0.1);
+        transitions.trials = 2;
+        for sub in &mut transitions.substrates {
+            if let Substrate::Edge { stepping, .. } = sub {
+                *stepping = SteppingKind::Transitions;
+            }
+        }
+        cases.push(("edge_vs_n.transitions.jsonl".into(), transitions));
+        cases
+    }
+
+    #[test]
+    fn golden_rows_are_byte_identical_at_any_trial_thread_count() {
+        let cases = golden_cases();
+        assert_eq!(cases.len(), 33);
+        for threads in [1, 3, 7] {
+            for (fixture, scenario) in &cases {
+                let path = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
+                let want = std::fs::read_to_string(&path).unwrap();
+                let mut got = String::new();
+                run_scenario_on(scenario, 20260730, threads, |row| {
+                    got.push_str(&row.to_json().render());
+                    got.push('\n');
+                })
+                .unwrap();
+                assert_eq!(got, want, "{fixture} drifted at {threads} trial threads");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_release_in_cell_order_when_a_later_cell_finishes_first() {
+        use std::sync::{Condvar, Mutex};
+        let s = tiny_scenario();
+        let cells = resolve_cells(&s).unwrap();
+        let jobs = scenario_jobs(&s, &cells, 3, 0..cells.len());
+        // Cell 0's trials wait until both of cell 1's trials are done, so
+        // cell 1 finishes first on the third thread.
+        let cell1_done = (Mutex::new(0usize), Condvar::new());
+        let finished = Mutex::new(Vec::new());
+        let trial = |cell: &Cell, i: usize, rng: &mut ChaCha8Rng| {
+            if cell.index == 0 {
+                let (count, cv) = &cell1_done;
+                let _ready = cv
+                    .wait_while(count.lock().unwrap(), |done| *done < 2)
+                    .unwrap();
+            }
+            let outcome = execute_trial(cell, i, rng);
+            finished.lock().unwrap().push(cell.index);
+            if cell.index == 1 {
+                let (count, cv) = &cell1_done;
+                *count.lock().unwrap() += 1;
+                cv.notify_all();
+            }
+            outcome
+        };
+        let mut seen = Vec::new();
+        let Ok(()) = sched::run_rows::<Infallible, _, _>(&s, &jobs, 3, None, trial, |row| {
+            seen.push(row);
+            Ok(())
+        });
+        let finished = finished.into_inner().unwrap();
+        let last = |c: usize| finished.iter().rposition(|&x| x == c).unwrap();
+        assert!(last(1) < last(0), "cell 1 must finish first: {finished:?}");
+        assert_eq!(
+            seen.iter().map(|r| r.cell).collect::<Vec<_>>(),
+            (0..cells.len()).collect::<Vec<_>>()
+        );
+        assert_eq!(seen, run_scenario(&s, 3).unwrap());
+    }
+
+    #[test]
+    fn a_panicking_trial_ends_the_run_with_its_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let fixed = tiny_scenario();
+        let mut adaptive = tiny_scenario();
+        // eps = 0 never stops, so idle threads wait for follow-up batches
+        // when trial 5 (in the third batch) panics.
+        adaptive.precision = Precision::TargetStderr {
+            eps: 0.0,
+            min_trials: 2,
+            max_trials: 8,
+        };
+        for (s, bad_trial) in [(fixed, 1), (adaptive, 5)] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let cells = resolve_cells(&s).unwrap();
+                let jobs = scenario_jobs(&s, &cells, 1, 0..cells.len());
+                let trial = |cell: &Cell, i: usize, rng: &mut ChaCha8Rng| {
+                    if (cell.index, i) == (3, bad_trial) {
+                        panic!("trial {i} of cell 3 failed");
+                    }
+                    execute_trial(cell, i, rng)
+                };
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    sched::run_rows::<Infallible, _, _>(&s, &jobs, 3, None, trial, |_| Ok(()))
+                }));
+                let message = run.err().and_then(|p| p.downcast::<String>().ok());
+                let _ = tx.send(message.map(|m| *m));
+            });
+            let message = rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("the run hung after a trial panicked");
+            assert_eq!(
+                message.as_deref(),
+                Some(format!("trial {bad_trial} of cell 3 failed").as_str())
+            );
+        }
+    }
+
+    #[test]
+    fn a_swept_death_rate_outside_the_unit_interval_is_an_error() {
+        let mut s = tiny_scenario();
+        s.sweep = Sweep::over(Param::Q, [0.5, 1.5]);
+        let err = resolve_cells(&s).unwrap_err();
+        assert!(err.0.contains("q=1.5"), "{err}");
+        s.sweep = Sweep::over(Param::Q, [0.0]);
+        assert!(resolve_cells(&s).unwrap_err().0.contains("q=0"));
+    }
+
+    #[test]
+    fn a_swept_node_count_below_two_is_an_error_not_a_clamp() {
+        let mut s = tiny_scenario();
+        s.sweep = Sweep::over(Param::N, [1.0]);
+        let err = resolve_cells(&s).unwrap_err();
+        assert!(err.0.contains("n=1"), "{err}");
+        // The adversarial round-up to each construction's minimum stays.
+        s.substrates = vec![Substrate::Adversarial {
+            n: 64,
+            construction: AdversarialKind::RotatingBridge,
+        }];
+        s.sweep = Sweep::over(Param::N, [3.0]);
+        assert_eq!(resolve_cells(&s).unwrap()[0].substrate.params()[0].1, 4.0);
+    }
+
+    #[test]
+    fn a_stationary_probability_outside_the_open_unit_interval_is_an_error() {
+        for p_hat in [0.0, 1.0, 1.5, f64::NAN] {
+            let err = edge_params(10, p_hat, 0.5).unwrap_err();
+            assert!(err.0.contains("p_hat"), "{err}");
+        }
+        assert!(edge_params(10, 0.2, 0.5).is_ok());
+    }
+
+    #[test]
+    fn an_implied_birth_rate_above_one_is_an_error() {
+        // p = q·p̂/(1−p̂) = 0.5·0.9/0.1 = 4.5.
+        let err = edge_params(10, 0.9, 0.5).unwrap_err();
+        assert!(err.0.contains("birth rate"), "{err}");
     }
 
     #[test]

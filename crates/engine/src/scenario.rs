@@ -11,8 +11,8 @@
 //!
 //! The engine (see [`crate::run`]) crosses substrates × protocols × sweep
 //! cells into a flat list of *cells*, resolves each cell to concrete
-//! parameters, and runs it through `meg_stats::run_trials` under a
-//! deterministically derived per-cell seed.
+//! parameters, and runs the trials of every cell through one sweep-wide
+//! trial queue under a deterministically derived per-cell seed.
 //!
 //! Derived parameter specs ([`PHatSpec`], [`RadiusSpec`], [`MoveRadiusSpec`])
 //! keep scenarios honest at every scale: `{"log_factor": 3.0}` means

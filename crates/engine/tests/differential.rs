@@ -261,7 +261,8 @@ fn legacy_execute_trial(cell: &Cell, rng: &mut ChaCha8Rng) -> TrialOutcome {
 }
 
 /// Runs the cell's trials through the legacy path under the scenario's
-/// precision policy — the exact schedule `run_cell_outcomes` uses.
+/// precision policy — the schedule the engine's trial queue reaches, on
+/// the stand-alone `meg_stats` runner.
 fn legacy_cell_outcomes(scenario: &Scenario, cell: &Cell, seed: u64) -> Vec<TrialOutcome> {
     match scenario.precision {
         Precision::FixedTrials => {

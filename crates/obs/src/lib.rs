@@ -151,26 +151,35 @@ impl Counter {
 pub enum Gauge {
     /// Informed-node count sampled once per protocol round.
     InformedPerRound,
-    /// Coordinator work-queue depth sampled at each push.
+    /// Work-queue depth sampled at each push and pop.
     QueueDepth,
+    /// Trial threads of an in-process sweep, sampled once per sweep.
+    TrialThreads,
 }
 
 impl Gauge {
     /// Every gauge, in rendering order.
-    pub const ALL: [Gauge; 2] = [Gauge::InformedPerRound, Gauge::QueueDepth];
+    pub const ALL: [Gauge; 3] = [
+        Gauge::InformedPerRound,
+        Gauge::QueueDepth,
+        Gauge::TrialThreads,
+    ];
 
     /// The gauge's snake_case name.
     pub fn name(self) -> &'static str {
         match self {
             Gauge::InformedPerRound => "informed_per_round",
             Gauge::QueueDepth => "queue_depth",
+            Gauge::TrialThreads => "trial_threads",
         }
     }
 }
 
 /// The fixed span vocabulary. [`span`] names outside this list are ignored
-/// (with a debug assertion to catch typos).
-pub const SPAN_NAMES: [&str; 4] = ["advance", "trial", "cell", "worker_round_trip"];
+/// (with a debug assertion to catch typos). `sweep` is one in-process sweep
+/// from its first queued trial to its last released row; `cell` runs from a
+/// cell's first trial start to its row's release.
+pub const SPAN_NAMES: [&str; 5] = ["advance", "trial", "cell", "worker_round_trip", "sweep"];
 
 /// Buckets in each span's log2 latency histogram. Bucket 0 holds sub-ns
 /// (zero) readings; bucket `b ≥ 1` holds durations in `[2^(b-1), 2^b)` ns;
@@ -355,6 +364,22 @@ impl Drop for SpanGuard {
                 SPANS[slot].lock().expect("span lock").record(ns);
             }
         }
+    }
+}
+
+/// Records one span sample of an already measured duration: for spans whose
+/// start and end are seen by different threads (a cell starts on a trial
+/// thread and is released by the collecting one). Same naming rules as
+/// [`span`]; a no-op unless a recorder is installed.
+pub fn record_span(name: &'static str, elapsed: std::time::Duration) {
+    if !installed() {
+        return;
+    }
+    let slot = SPAN_NAMES.iter().position(|&s| s == name);
+    debug_assert!(slot.is_some(), "unknown span name {name:?}");
+    if let Some(slot) = slot {
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        SPANS[slot].lock().expect("span lock").record(ns);
     }
 }
 
@@ -683,6 +708,22 @@ impl MetricsSnapshot {
         }
     }
 
+    /// Share of the trial threads' time spent inside trials: the `trial`
+    /// span total over trial threads × the `sweep` span total, or `None`
+    /// when no in-process sweep was recorded. Idle threads (waiting on the
+    /// queue, or on a slow trial at a cell or checkpoint boundary) pull it
+    /// below 1.
+    pub fn trial_thread_utilization(&self) -> Option<f64> {
+        let sweep = self.span("sweep").filter(|s| s.total_ns > 0)?;
+        let threads = self
+            .gauges
+            .iter()
+            .find(|g| g.name == Gauge::TrialThreads.name() && g.count > 0)?
+            .mean();
+        let trial_ns = self.span("trial").map_or(0, |s| s.total_ns);
+        Some(trial_ns as f64 / (threads * sweep.total_ns as f64))
+    }
+
     /// Renders the human-readable metrics report (the `--metrics report`
     /// sink). Counters with value 0 are listed too: an absent signal is
     /// itself a signal.
@@ -693,13 +734,23 @@ impl MetricsSnapshot {
         for &(name, v) in &self.counters {
             out.push_str(&format!("  {name:<22} {v}\n"));
         }
-        if let Some(rate) = self.delta_fallback_rate() {
+        let rate = self.delta_fallback_rate();
+        let utilization = self.trial_thread_utilization();
+        if rate.is_some() || utilization.is_some() {
+            out.push_str("derived\n");
+        }
+        if let Some(rate) = rate {
             out.push_str(&format!(
-                "derived\n  {:<22} {:.2}% ({} of {} delta rounds rebuilt)\n",
+                "  {:<22} {:.2}% ({} of {} delta rounds rebuilt)\n",
                 "delta_fallback_rate",
                 rate * 100.0,
                 self.counter("delta_rebuilds"),
                 self.counter("delta_rounds"),
+            ));
+        }
+        if let Some(u) = utilization {
+            out.push_str(&format!(
+                "  trial-thread utilization {u:.3} (trial span / trial threads × sweep span)\n"
             ));
         }
         out.push_str("gauges                   count        mean   min   max\n");
@@ -895,6 +946,35 @@ mod tests {
         assert_eq!(stats.percentile_ns(0.90), 6); // rank 90 is the last fast one
         assert_eq!(stats.percentile_ns(0.99), 1536); // bucket [1024, 2048)
         assert_eq!(stats.percentile_ns(1.0), 1536);
+    }
+
+    #[test]
+    fn trial_thread_utilization_divides_trial_time_by_thread_capacity() {
+        let mut snap = MetricsSnapshot::empty();
+        assert_eq!(snap.trial_thread_utilization(), None, "no sweep recorded");
+        let set_total = |snap: &mut MetricsSnapshot, name: &str, ns: u64| {
+            let s = snap.spans.iter_mut().find(|s| s.name == name).unwrap();
+            s.count = 1;
+            s.total_ns = ns;
+        };
+        // Two threads over a 100 ns sweep, 150 ns inside trials: 0.75.
+        set_total(&mut snap, "sweep", 100);
+        set_total(&mut snap, "trial", 150);
+        assert_eq!(
+            snap.trial_thread_utilization(),
+            None,
+            "thread count unknown"
+        );
+        let g = snap
+            .gauges
+            .iter_mut()
+            .find(|g| g.name == "trial_threads")
+            .unwrap();
+        (g.count, g.sum, g.min, g.max) = (1, 2, 2, 2);
+        assert_eq!(snap.trial_thread_utilization(), Some(0.75));
+        assert!(snap
+            .render_report()
+            .contains("trial-thread utilization 0.750"));
     }
 
     #[test]

@@ -10,6 +10,13 @@ use crate::seeds::trial_rng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
+/// How many threads trials fan out to: `rayon::current_num_threads()`
+/// (`RAYON_NUM_THREADS` when set, else the available parallelism). The
+/// scenario engine sizes its trial threads by it, too.
+pub fn trial_threads() -> usize {
+    rayon::current_num_threads()
+}
+
 /// Runs `trials` independent trials in parallel and collects their results in
 /// trial order.
 ///
