@@ -356,10 +356,10 @@ impl Row {
 
 /// Expands a scenario into its resolved cells (deterministic order).
 ///
-/// Fails if the scenario does not [`validate`](Scenario::validate), or if a
-/// sweep override leaves a cell unrunnable: a swept n below 2, or an edge
-/// cell whose q, p̂ or implied birth rate is out of range. Every check runs
-/// here, before any trial thread starts.
+/// Fails if the scenario does not [`validate`](Scenario::validate) (which
+/// rejects a swept n below 2), or if a sweep override leaves an edge cell
+/// with q, p̂ or an implied birth rate out of range. Every check runs here,
+/// before any trial thread starts.
 pub fn resolve_cells(scenario: &Scenario) -> Result<Vec<Cell>, ScenarioError> {
     scenario.validate()?;
     let mut cells = Vec::with_capacity(scenario.num_cells());
@@ -397,11 +397,7 @@ fn resolve_cell(
             | (Param::N, Substrate::Geometric { n, .. })
             | (Param::N, Substrate::Adversarial { n, .. })
             | (Param::N, Substrate::Static { n, .. }) => {
-                if value.is_nan() || value.round() < 2.0 {
-                    return Err(ScenarioError(format!(
-                        "cell {index}: swept n={value} is below 2"
-                    )));
-                }
+                // `Scenario::validate` rejects swept values below 2.
                 *n = value.round() as usize;
             }
             (Param::Q, Substrate::Edge { q, .. }) => *q = value,

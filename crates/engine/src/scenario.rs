@@ -1240,6 +1240,11 @@ impl Scenario {
             if axis.values.is_empty() {
                 return err(format!("sweep axis `{}` has no values", axis.param.id()));
             }
+            if axis.param == Param::N {
+                if let Some(v) = axis.values.iter().find(|v| v.is_nan() || v.round() < 2.0) {
+                    return err(format!("swept n={v} is below 2"));
+                }
+            }
         }
         Ok(())
     }
