@@ -27,16 +27,31 @@ impl EdgeMegParams {
     /// Convenience constructor fixing the stationary edge probability `p̂` and
     /// the death rate `q`: sets `p = q·p̂/(1−p̂)` so that `p/(p+q) = p̂`.
     ///
-    /// Panics if `p̂ ∈ (0, 1)` does not hold or the implied `p` exceeds 1.
+    /// Panics where [`EdgeMegParams::try_with_stationary`] returns an error.
     pub fn with_stationary(n: usize, p_hat: f64, q: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p_hat) && p_hat > 0.0,
-            "p̂ must lie in (0, 1)"
-        );
-        assert!(q > 0.0 && q <= 1.0, "death rate must lie in (0, 1]");
+        EdgeMegParams::try_with_stationary(n, p_hat, q).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`EdgeMegParams::with_stationary`], or an error naming the first
+    /// precondition it breaks: `n ≥ 2`, `q ∈ (0, 1]`, `p̂ ∈ (0, 1)`, and the
+    /// implied birth rate `p ≤ 1`.
+    pub fn try_with_stationary(n: usize, p_hat: f64, q: f64) -> Result<Self, String> {
+        if n < 2 {
+            return Err(format!("need at least two nodes, got n={n}"));
+        }
+        if !(q > 0.0 && q <= 1.0) {
+            return Err(format!("death rate q={q} outside (0, 1]"));
+        }
+        if !(p_hat > 0.0 && p_hat < 1.0) {
+            return Err(format!("p_hat={p_hat} outside (0, 1)"));
+        }
         let p = q * p_hat / (1.0 - p_hat);
-        assert!(p <= 1.0, "implied birth rate {p} exceeds 1; lower q or p̂");
-        EdgeMegParams::new(n, p, q)
+        if p > 1.0 {
+            return Err(format!(
+                "implied birth rate p={p} exceeds 1 (q={q}, p_hat={p_hat}); lower q or p_hat"
+            ));
+        }
+        Ok(EdgeMegParams::new(n, p, q))
     }
 
     /// The time-independent special case `q = 1 − p` (each snapshot is an
@@ -157,5 +172,15 @@ mod tests {
     #[should_panic]
     fn implied_birth_rate_above_one_rejected() {
         EdgeMegParams::with_stationary(10, 0.9, 1.0);
+    }
+
+    #[test]
+    fn try_with_stationary_rejects_fewer_than_two_nodes() {
+        let err = EdgeMegParams::try_with_stationary(1, 0.2, 0.5).unwrap_err();
+        assert!(err.contains("n=1"), "{err}");
+        assert_eq!(
+            EdgeMegParams::try_with_stationary(10, 0.2, 0.5),
+            Ok(EdgeMegParams::with_stationary(10, 0.2, 0.5))
+        );
     }
 }

@@ -254,7 +254,7 @@ pub fn run_sharded<F: FnMut(usize, &str)>(
     let mut worker_metrics = Vec::new();
     if opts.workers == 0 {
         let jobs = scenario_jobs(scenario, &cells, master_seed, todo.iter().copied());
-        sched::run_rows(
+        sched::run_sweep(
             scenario,
             &jobs,
             meg_stats::trial_threads(),

@@ -477,8 +477,8 @@ fn resolve_cell(
             stepping,
         } => {
             let p_hat = p_hat.resolve(n, q);
-            let params = edge_params(n, p_hat, q)
-                .map_err(|e| ScenarioError(format!("cell {index}: {}", e.0)))?;
+            let params = EdgeMegParams::try_with_stationary(n, p_hat, q)
+                .map_err(|e| ScenarioError(format!("cell {index}: {e}")))?;
             ResolvedSubstrate::Edge {
                 engine,
                 params,
@@ -553,26 +553,6 @@ fn resolve_cell(
         trials,
         round_budget: scenario.round_budget,
     })
-}
-
-/// The edge-MEG parameters `M(n, p, q)` with stationary edge probability
-/// `p̂`, or an error naming the first precondition of
-/// [`EdgeMegParams::with_stationary`] a resolved cell breaks: q in (0, 1],
-/// p̂ in (0, 1), and the implied birth rate `p = q·p̂/(1−p̂)` at most 1.
-fn edge_params(n: usize, p_hat: f64, q: f64) -> Result<EdgeMegParams, ScenarioError> {
-    if !(q > 0.0 && q <= 1.0) {
-        return Err(ScenarioError(format!("death rate q={q} outside (0, 1]")));
-    }
-    if !(p_hat > 0.0 && p_hat < 1.0) {
-        return Err(ScenarioError(format!("p_hat={p_hat} outside (0, 1)")));
-    }
-    let p = q * p_hat / (1.0 - p_hat);
-    if p > 1.0 {
-        return Err(ScenarioError(format!(
-            "implied birth rate p={p} exceeds 1 (q={q}, p_hat={p_hat})"
-        )));
-    }
-    Ok(EdgeMegParams::with_stationary(n, p_hat, q))
 }
 
 /// Outcome of a single trial: the cell observable (`value` is the completion
@@ -1092,12 +1072,18 @@ fn run_scenario_on<F: FnMut(&Row)>(
     let cells = resolve_cells(scenario)?;
     let jobs = scenario_jobs(scenario, &cells, master_seed, 0..cells.len());
     let mut rows = Vec::with_capacity(cells.len());
-    let Ok(()) =
-        sched::run_rows::<Infallible, _, _>(scenario, &jobs, threads, None, execute_trial, |row| {
+    let Ok(()) = sched::run_sweep::<Infallible, _, _>(
+        scenario,
+        &jobs,
+        threads,
+        None,
+        execute_trial,
+        |row| {
             on_row(&row);
             rows.push(row);
             Ok(())
-        });
+        },
+    );
     Ok(rows)
 }
 
@@ -1685,20 +1671,23 @@ mod tests {
         assert_eq!(resolve_cells(&s).unwrap()[0].substrate.params()[0].1, 4.0);
     }
 
+    // `PHatSpec::resolve` clamps p̂ into range for the cell's q, so no
+    // scenario reaches the next two errors; they pin the constructor whose
+    // error `resolve_cell` reports.
     #[test]
     fn a_stationary_probability_outside_the_open_unit_interval_is_an_error() {
         for p_hat in [0.0, 1.0, 1.5, f64::NAN] {
-            let err = edge_params(10, p_hat, 0.5).unwrap_err();
-            assert!(err.0.contains("p_hat"), "{err}");
+            let err = EdgeMegParams::try_with_stationary(10, p_hat, 0.5).unwrap_err();
+            assert!(err.contains("p_hat"), "{err}");
         }
-        assert!(edge_params(10, 0.2, 0.5).is_ok());
+        assert!(EdgeMegParams::try_with_stationary(10, 0.2, 0.5).is_ok());
     }
 
     #[test]
     fn an_implied_birth_rate_above_one_is_an_error() {
         // p = q·p̂/(1−p̂) = 0.5·0.9/0.1 = 4.5.
-        let err = edge_params(10, 0.9, 0.5).unwrap_err();
-        assert!(err.0.contains("birth rate"), "{err}");
+        let err = EdgeMegParams::try_with_stationary(10, 0.9, 0.5).unwrap_err();
+        assert!(err.contains("birth rate"), "{err}");
     }
 
     #[test]

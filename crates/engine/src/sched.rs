@@ -6,8 +6,10 @@
 //! parts, shared by the in-process trial threads ([`run_jobs`]) and the
 //! worker pool of [`crate::dist`]:
 //!
-//! * [`WorkQueue`] holds [`WorkItem`]s in cell-major order: `(cell, trial)`
+//! * [`WorkQueue`] holds [`WorkItem`]s first in, first out: `(cell, trial)`
 //!   units for trial threads, trial batches or whole cells for a pool.
+//!   Every cell's first units are queued in cell order when it opens, so a
+//!   fixed-trials sweep runs cell-major.
 //!   Lanes (scoped threads) pop an item, execute it and send the reply to
 //!   the calling thread. A lane holds one item at a time, so at most
 //!   `lanes` trials are in flight.
@@ -18,8 +20,7 @@
 //! * [`OrderedEmitter`] releases finished rows in ascending cell order.
 //!
 //! Lanes pull work across cell boundaries, so no thread idles while another
-//! finishes the last trial of a cell. A sweep on one trial thread runs its
-//! units on the calling thread instead, between control-loop steps. Trial `i` of a cell always draws
+//! finishes the last trial of a cell. Trial `i` of a cell always draws
 //! `trial_rng(cell_seed, i)`, and a checkpoint is decided only on the
 //! complete prefix of outcomes, so neither the number of lanes nor the
 //! order in which they finish can change a row byte. A lane that panics
@@ -34,13 +35,12 @@ use meg_obs as obs;
 use meg_stats::precision_checkpoints;
 use meg_stats::seeds::trial_rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-/// One unit of work a lane takes off the queue. Items order by cell, then
-/// first trial, which is the order the queue hands them out in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// One unit of work a lane takes off the queue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WorkItem {
     /// Run a whole cell and answer with its canonical row line (a pool's
     /// fixed-trials requests).
@@ -102,7 +102,7 @@ pub(crate) struct WorkQueue {
 }
 
 struct QueueState {
-    items: BTreeSet<WorkItem>,
+    items: VecDeque<WorkItem>,
     open_cells: usize,
     shutdown: bool,
 }
@@ -111,7 +111,7 @@ impl WorkQueue {
     pub(crate) fn new() -> WorkQueue {
         WorkQueue {
             state: Mutex::new(QueueState {
-                items: BTreeSet::new(),
+                items: VecDeque::new(),
                 open_cells: 0,
                 shutdown: false,
             }),
@@ -119,15 +119,15 @@ impl WorkQueue {
         }
     }
 
-    /// Takes the first item in cell-major order, blocking while the queue is
-    /// empty but cells remain open. Returns `None` when drained or shut down.
+    /// Takes the oldest item, blocking while the queue is empty but cells
+    /// remain open. Returns `None` when drained or shut down.
     pub(crate) fn pop(&self) -> Option<WorkItem> {
         let mut st = self.state.lock().expect("queue lock");
         loop {
             if st.shutdown {
                 return None;
             }
-            if let Some(item) = st.items.pop_first() {
+            if let Some(item) = st.items.pop_front() {
                 obs::sample(obs::Gauge::QueueDepth, st.items.len() as u64);
                 return Some(item);
             }
@@ -513,13 +513,18 @@ pub(crate) struct Job<'a> {
     pub(crate) plan: Plan,
 }
 
-/// Runs `jobs` (distinct cells) on `threads` trial threads, capped at the
-/// most trials the jobs can run, and passes each job's outcomes to
-/// `on_done` as it finishes (completion order). One trial thread is the
-/// calling thread itself. `trial(cell, i, rng)` runs trial `i` of `cell` on
+/// The trial threads `jobs` run on: `threads`, capped at the most trials
+/// the jobs can run.
+fn trial_threads(jobs: &[Job<'_>], threads: usize) -> usize {
+    let budget: usize = jobs.iter().map(|j| j.plan.budget()).sum();
+    threads.clamp(1, budget.max(1))
+}
+
+/// Runs `jobs` (distinct cells) on [`trial_threads`] scoped threads and
+/// passes each job's outcomes to `on_done` as it finishes (completion
+/// order). `trial(cell, i, rng)` runs trial `i` of `cell` on
 /// `rng = trial_rng(seed, i)`. With a journal, checkpoint doublings are
-/// marked on lane 0. Records one `sweep` span and one `trial_threads`
-/// sample.
+/// marked on lane 0.
 pub(crate) fn run_jobs<E, T, D>(
     jobs: &[Job<'_>],
     threads: usize,
@@ -532,39 +537,11 @@ where
     T: Fn(&Cell, usize, &mut ChaCha8Rng) -> TrialOutcome + Sync,
     D: FnMut(&Job<'_>, Vec<TrialOutcome>, Instant) -> Result<(), E>,
 {
-    let _sweep = obs::span("sweep");
     let by_cell: BTreeMap<usize, &Job<'_>> = jobs.iter().map(|j| (j.cell.index, j)).collect();
     let queue = WorkQueue::new();
     let mut control = Control::new(&queue, true, journal.map(|j| (j, 0)));
     for job in jobs {
         control.open(job.cell.index, job.plan.clone());
-    }
-    let budget: usize = jobs.iter().map(|j| j.plan.budget()).sum();
-    let threads = threads.clamp(1, budget.max(1));
-    obs::sample(obs::Gauge::TrialThreads, threads as u64);
-    // One unit: its trials in order, each on its own stream.
-    let run_unit = |cell: usize, start: usize, count: usize| -> Vec<TrialOutcome> {
-        let job = by_cell[&cell];
-        (start..start + count)
-            .map(|i| trial(job.cell, i, &mut trial_rng(job.seed, i as u64)))
-            .collect()
-    };
-    if threads == 1 {
-        // One trial thread: run the units on the calling thread, with the
-        // control loop between them, so follow-up units are queued before
-        // the next pop. A worker serving one request at a time thereby keeps
-        // one warm thread, and its allocator state, across requests.
-        while let Some(item) = queue.pop() {
-            let started = Instant::now();
-            let WorkItem::Batch { cell, start, count } = item else {
-                unreachable!("trial threads are fed trial units");
-            };
-            let outcomes = run_unit(cell, start, count);
-            if let Some((outcomes, first)) = control.absorb(cell, start, outcomes, started) {
-                on_done(by_cell[&cell], outcomes, first)?;
-            }
-        }
-        return Ok(());
     }
     let lane = |_lane: usize, replies: &Replies<E>| {
         while let Some(item) = queue.pop() {
@@ -572,9 +549,13 @@ where
             let WorkItem::Batch { cell, start, count } = item else {
                 unreachable!("trial threads are fed trial units");
             };
+            let job = by_cell[&cell];
+            let outcomes = (start..start + count)
+                .map(|i| trial(job.cell, i, &mut trial_rng(job.seed, i as u64)))
+                .collect();
             let reply = Reply {
                 item,
-                body: WorkReply::Batch(run_unit(cell, start, count)),
+                body: WorkReply::Batch(outcomes),
                 started,
             };
             if replies.send(Ok(reply)).is_err() {
@@ -586,7 +567,7 @@ where
         &queue,
         &mut control,
         jobs.len(),
-        threads,
+        trial_threads(jobs, threads),
         lane,
         |cell, finished, started| match finished {
             Finished::Outcomes(outcomes) => on_done(by_cell[&cell], outcomes, started),
@@ -624,4 +605,29 @@ where
         let row = aggregate_row(scenario, job.cell, job.seed, &outcomes);
         emitter.offer(job.cell.index, (row, started))
     })
+}
+
+/// [`run_rows`] as one whole in-process sweep, which alone records the
+/// `sweep` span and a `trial_threads` sample: a pool worker serves its
+/// `cell` and `batch` requests through [`run_rows`] and [`run_jobs`]
+/// directly, so a pool's metrics report no in-process sweep.
+pub(crate) fn run_sweep<E, T, F>(
+    scenario: &Scenario,
+    jobs: &[Job<'_>],
+    threads: usize,
+    journal: Option<&TraceJournal>,
+    trial: T,
+    on_row: F,
+) -> Result<(), E>
+where
+    E: Send,
+    T: Fn(&Cell, usize, &mut ChaCha8Rng) -> TrialOutcome + Sync,
+    F: FnMut(Row) -> Result<(), E>,
+{
+    let _sweep = obs::span("sweep");
+    obs::sample(
+        obs::Gauge::TrialThreads,
+        trial_threads(jobs, threads) as u64,
+    );
+    run_rows(scenario, jobs, threads, journal, trial, on_row)
 }

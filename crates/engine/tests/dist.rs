@@ -375,6 +375,39 @@ fn cli_full_observability_stack_keeps_stdout_identical() {
 }
 
 #[test]
+fn cli_metrics_report_counts_the_in_process_sweep_but_no_pool_request() {
+    // The `sweep` span count in a `--metrics report`, and whether the
+    // report derives a trial-thread utilization from it.
+    let sweeps = |extra: &[&str]| {
+        let out = meg_lab()
+            .args(
+                [
+                    &["run", "quick_smoke"][..],
+                    CLI_SCALE,
+                    &["--metrics", "report"],
+                    extra,
+                ]
+                .concat(),
+            )
+            .output()
+            .expect("meg-lab runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "observed run failed: {stderr}");
+        let count: u64 = stderr
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix("sweep "))
+            .and_then(|rest| rest.split_whitespace().next())
+            .expect("sweep span in report")
+            .parse()
+            .expect("span count");
+        (count, stderr.contains("trial-thread utilization"))
+    };
+    assert_eq!(sweeps(&[]), (1, true));
+    // Workers serve cell requests, not sweeps; the merged report says so.
+    assert_eq!(sweeps(&["--workers", "2"]), (0, false));
+}
+
+#[test]
 fn cli_limit_exits_3_and_resume_completes() {
     let reference = cli_unsharded_json();
     let dir = tmp("cli-resume");

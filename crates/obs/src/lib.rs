@@ -177,8 +177,9 @@ impl Gauge {
 
 /// The fixed span vocabulary. [`span`] names outside this list are ignored
 /// (with a debug assertion to catch typos). `sweep` is one in-process sweep
-/// from its first queued trial to its last released row; `cell` runs from a
-/// cell's first trial start to its row's release.
+/// from its first queued trial to its last released row (a pool worker's
+/// requests record none); `cell` runs from a cell's first trial start to its
+/// row's release.
 pub const SPAN_NAMES: [&str; 5] = ["advance", "trial", "cell", "worker_round_trip", "sweep"];
 
 /// Buckets in each span's log2 latency histogram. Bucket 0 holds sub-ns
