@@ -35,23 +35,14 @@ impl EdgeMegParams {
     /// [`EdgeMegParams::with_stationary`], or an error naming the first
     /// precondition it breaks: `n ≥ 2`, `q ∈ (0, 1]`, `p̂ ∈ (0, 1)`, and the
     /// implied birth rate `p ≤ 1`.
+    #[inline]
     pub fn try_with_stationary(n: usize, p_hat: f64, q: f64) -> Result<Self, String> {
-        if n < 2 {
-            return Err(format!("need at least two nodes, got n={n}"));
-        }
-        if !(q > 0.0 && q <= 1.0) {
-            return Err(format!("death rate q={q} outside (0, 1]"));
-        }
-        if !(p_hat > 0.0 && p_hat < 1.0) {
-            return Err(format!("p_hat={p_hat} outside (0, 1)"));
-        }
         let p = q * p_hat / (1.0 - p_hat);
-        if p > 1.0 {
-            return Err(format!(
-                "implied birth rate p={p} exceeds 1 (q={q}, p_hat={p_hat}); lower q or p_hat"
-            ));
+        if n >= 2 && q > 0.0 && q <= 1.0 && p_hat > 0.0 && p_hat < 1.0 && p <= 1.0 {
+            Ok(EdgeMegParams { n, p, q })
+        } else {
+            Err(stationary_error(n, p_hat, q, p))
         }
-        Ok(EdgeMegParams::new(n, p, q))
     }
 
     /// The time-independent special case `q = 1 − p` (each snapshot is an
@@ -111,6 +102,23 @@ impl EdgeMegParams {
 
 /// Re-export of the initial-distribution selector used by both engines.
 pub type EdgeInit = InitialDistribution;
+
+/// The first precondition of [`EdgeMegParams::try_with_stationary`] that
+/// `(n, p̂, q)` breaks. Out of line and cold, so resolving valid parameters
+/// runs only the comparisons.
+#[cold]
+#[inline(never)]
+fn stationary_error(n: usize, p_hat: f64, q: f64, p: f64) -> String {
+    if n < 2 {
+        format!("need at least two nodes, got n={n}")
+    } else if !(q > 0.0 && q <= 1.0) {
+        format!("death rate q={q} outside (0, 1]")
+    } else if !(p_hat > 0.0 && p_hat < 1.0) {
+        format!("p_hat={p_hat} outside (0, 1)")
+    } else {
+        format!("implied birth rate p={p} exceeds 1 (q={q}, p_hat={p_hat}); lower q or p_hat")
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1241,7 +1241,8 @@ impl Scenario {
                 return err(format!("sweep axis `{}` has no values", axis.param.id()));
             }
             if axis.param == Param::N {
-                if let Some(v) = axis.values.iter().find(|v| v.is_nan() || v.round() < 2.0) {
+                // Below 1.5 (or NaN) rounds to a node count below 2.
+                if let Some(v) = axis.values.iter().find(|&&v| v.is_nan() || v < 1.5) {
                     return err(format!("swept n={v} is below 2"));
                 }
             }
