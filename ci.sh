@@ -383,8 +383,11 @@ print(f"overhead: off {m['off_median_ms']:.2f} ms vs on {m['on_median_ms']:.2f} 
 assert m["ratio"] <= 1.05, f"metrics overhead {m['ratio']:.4f} exceeds the 5% budget"
 PYEOF
 
-    step "bench compile check"
-    cargo check -q --workspace --benches --offline
+    step "perfbench tests (the benchmark package builds against today's APIs and its lockfile)"
+    # perfbench/ is a package of its own with a committed Cargo.lock: removing
+    # an API it imports, or a dependency edge its lockfile pins, must fail
+    # here rather than in the benchmark run.
+    cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 fi
 
 printf '\n\033[1;32mCI gate passed (%s mode).\033[0m\n' "$MODE"

@@ -32,12 +32,20 @@ impl NodeState for FloodState {
     }
 }
 
-/// The (probabilistic) flooding machine.
+/// The (probabilistic) flooding machine — the repository's one flooding
+/// round.
 ///
 /// Each round every informed node broadcasts to its whole current
 /// neighborhood with probability β (always, when β = 1 — in which case the
-/// machine draws **no** randomness, byte-compatible with the historical
-/// plain-flooding path). Completion: every node informed.
+/// machine draws **no** randomness). Completion: every node informed.
+///
+/// Because the topology changes every round, the frontier optimisation of
+/// static BFS is unsound (a node informed long ago can gain a brand-new
+/// uninformed neighbor at any later round), so a round scans a whole side of
+/// the cut. At β = 1 it scans whichever side is smaller: the informed nodes
+/// while `|I| ≤ n/2`, the uninformed ones after. Messages are counted as
+/// `Σ_{u∈I} deg(u)` on both sides of the switch. At β < 1 the round always
+/// scans the informed nodes in ascending order, one `gen_bool(β)` draw each.
 pub struct FloodMachine {
     beta: f64,
     informed: NodeSet,
@@ -88,19 +96,36 @@ impl ProtocolMachine for FloodMachine {
             messages,
             ..
         } = self;
+        let n = informed.universe();
         newly.clear();
-        for u in informed.iter() {
-            // β = 1 must not consume randomness (plain flooding is
-            // RNG-free); `gen_bool` is only reached when β < 1.
-            if beta < 1.0 && !rng.gen_bool(beta) {
-                continue;
+        if beta < 1.0 || informed.len() * 2 <= n {
+            // Scan the informed side in ascending order. β = 1 must not
+            // consume randomness (plain flooding is RNG-free); `gen_bool` is
+            // only reached when β < 1.
+            for u in informed.iter() {
+                if beta < 1.0 && !rng.gen_bool(beta) {
+                    continue;
+                }
+                *messages += g.degree(u) as u64;
+                visit_neighbors(g, u, |v| {
+                    if !informed.contains(v) {
+                        newly.push(v);
+                    }
+                });
             }
-            visit_neighbors(g, u, |v| {
-                *messages += 1;
-                if !informed.contains(v) {
+        } else {
+            // Plain flooding past n/2 (the second phase of Lemma 2.4): the
+            // uninformed side is the smaller one, so scan it and stop each
+            // scan at the first informed neighbor. Every informed node still
+            // sends to its whole neighborhood, so the message count is the
+            // informed side's degree sum either way.
+            for v in 0..n as Node {
+                if informed.contains(v) {
+                    *messages += g.degree(v) as u64;
+                } else if has_neighbor_in(g, v, informed) {
                     newly.push(v);
                 }
-            });
+            }
         }
         for &v in newly.iter() {
             informed.insert(v);
@@ -117,6 +142,19 @@ impl ProtocolMachine for FloodMachine {
 
     fn messages_sent(&self) -> u64 {
         self.messages
+    }
+}
+
+/// Does `v` have a neighbor in `set`? Stops at the first hit when the
+/// snapshot exposes a contiguous neighbor slice.
+fn has_neighbor_in<G: Graph + ?Sized>(g: &G, v: Node, set: &NodeSet) -> bool {
+    match g.neighbor_slice(v) {
+        Some(slice) => slice.iter().any(|&w| set.contains(w)),
+        None => {
+            let mut hit = false;
+            g.for_each_neighbor(v, &mut |w| hit |= set.contains(w));
+            hit
+        }
     }
 }
 
@@ -204,13 +242,14 @@ pub(crate) mod legacy {
 mod tests {
     use super::*;
     use crate::evolving::{FrozenGraph, ScheduledGraph};
-    use crate::flooding::flood_static;
-    use meg_graph::{generators, AdjacencyList};
+    use meg_graph::{bfs, generators, AdjacencyList};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn beta_one_matches_plain_flooding() {
+        // Independent reference: on a static graph I_t is the BFS ball of
+        // radius t around the source.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for g in [
             generators::path(10),
@@ -218,39 +257,65 @@ mod tests {
             generators::grid2d(4, 5),
             generators::complete(8),
         ] {
-            let plain = flood_static(&g, 0);
+            let balls: Vec<usize> = bfs::level_sizes(&g, 0)
+                .iter()
+                .scan(0, |ball, &level| {
+                    *ball += level;
+                    Some(*ball)
+                })
+                .collect();
             let mut meg = FrozenGraph::new(g);
             let prob = probabilistic_flood(&mut meg, 0, 1.0, 500, &mut rng);
             assert!(prob.completed);
-            assert_eq!(Some(prob.rounds), plain.flooding_time());
-            assert_eq!(prob.informed_per_round, plain.informed_per_round);
+            assert_eq!(prob.informed_per_round, balls);
         }
     }
 
     #[test]
     fn machine_is_byte_identical_to_the_legacy_loop() {
-        // Differential check at the core level: the machine and the
-        // pre-refactor reference produce the same trace from the same RNG
-        // stream, including the β < 1 draw-order-sensitive path.
-        for beta in [1.0, 0.7, 0.3] {
-            for seed in 0..8u64 {
-                let a = AdjacencyList::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-                let b = AdjacencyList::from_edges(5, [(2, 3), (0, 4)]);
-                let mut meg_new = ScheduledGraph::new(vec![a.clone(), b.clone()]);
-                let mut meg_old = ScheduledGraph::new(vec![a, b]);
-                let mut rng_new = ChaCha8Rng::seed_from_u64(seed);
-                let mut rng_old = ChaCha8Rng::seed_from_u64(seed);
-                let new = probabilistic_flood(&mut meg_new, 0, beta, 40, &mut rng_new);
-                let old =
-                    legacy::probabilistic_flood_reference(&mut meg_old, 0, beta, 40, &mut rng_old);
-                assert_eq!(new, old, "beta={beta} seed={seed}");
+        // Differential check at the core level: the machine and the verbatim
+        // pre-refactor loop produce the same informed trace, message count
+        // and RNG cursor on random schedules — at β = 1, whose rounds switch
+        // to the uninformed side once |I| > n/2, and on the
+        // draw-order-sensitive β < 1 path.
+        let mut switched = 0;
+        for case in 0..40u64 {
+            let mut gen = ChaCha8Rng::seed_from_u64(case);
+            let n = gen.gen_range(6..48usize);
+            let len = gen.gen_range(1..5usize);
+            let schedule: Vec<AdjacencyList> = (0..len)
+                .map(|_| generators::erdos_renyi(n, 2.5 / n as f64, &mut gen))
+                .collect();
+            let source = gen.gen_range(0..n as Node);
+            for beta in [1.0, 0.7, 0.3] {
+                let mut rng_new = ChaCha8Rng::seed_from_u64(!case);
+                let mut rng_old = rng_new.clone();
+                let mut meg_new = ScheduledGraph::new(schedule.clone());
+                let mut meg_old = ScheduledGraph::new(schedule.clone());
+                let new = probabilistic_flood(&mut meg_new, source, beta, 60, &mut rng_new);
+                let old = legacy::probabilistic_flood_reference(
+                    &mut meg_old,
+                    source,
+                    beta,
+                    60,
+                    &mut rng_old,
+                );
+                assert_eq!(new, old, "case={case} beta={beta}");
                 assert_eq!(
                     rng_new.gen::<u64>(),
                     rng_old.gen::<u64>(),
                     "RNG cursor drifted"
                 );
+                let round_starts = &new.informed_per_round[..new.informed_per_round.len() - 1];
+                if beta == 1.0 && round_starts.iter().any(|&c| 2 * c > n) {
+                    switched += 1;
+                }
             }
         }
+        assert!(
+            switched >= 30,
+            "only {switched} of 40 β = 1 runs scanned the uninformed side"
+        );
     }
 
     #[test]

@@ -5,9 +5,12 @@ use meg_core::adversarial::RotatingStar;
 use meg_core::bounds::{EdgeBounds, GeometricBounds};
 use meg_core::evolving::{EvolvingGraph, FrozenGraph, ScheduledGraph};
 use meg_core::expansion::ExpanderSequence;
-use meg_core::flooding::{flood, flood_static, FloodingOutcome};
-use meg_core::protocols::{parsimonious_flood, probabilistic_flood, push_pull_gossip};
-use meg_graph::{generators, AdjacencyList, Graph};
+use meg_core::flooding::{flood, flood_static};
+use meg_core::protocols::{
+    parsimonious_flood, probabilistic_flood, push_pull_gossip, run_machine, FloodMachine,
+    FloodState, ProtocolMachine,
+};
+use meg_graph::{bfs, generators, AdjacencyList, Graph};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -27,9 +30,9 @@ proptest! {
         let g = AdjacencyList::from_edges(n, edges);
         let s = s % n as u32;
         let result = flood_static(&g, s);
-        if let Some(t) = result.flooding_time() {
+        if let Some(t) = result.completion_time() {
             prop_assert!(t <= (n - 1) as u64);
-            prop_assert_eq!(result.informed.len(), n);
+            prop_assert_eq!(result.informed_count(), n);
         }
     }
 
@@ -45,30 +48,42 @@ proptest! {
             edges_b.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)),
         );
         let mut meg = ScheduledGraph::new(vec![a, b]);
-        let result = flood(&mut meg, s % n as u32, 4 * n as u64);
-        for w in result.informed_per_round.windows(2) {
+        let s = s % n as u32;
+        let mut machine = FloodMachine::new(n, s, 1.0);
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let result = run_machine(&mut meg, &mut machine, 4 * n as u64, &mut rng);
+        for w in result.coverage_per_round.windows(2) {
             prop_assert!(w[0] <= w[1]);
         }
-        prop_assert!(result.informed.contains(s % n as u32));
-        prop_assert_eq!(
-            result.outcome == FloodingOutcome::Completed,
-            result.informed.len() == n
-        );
+        prop_assert_eq!(machine.state_of(s), FloodState::Informed);
+        prop_assert_eq!(machine.is_complete(), machine.coverage() == n);
     }
 
     #[test]
     fn probabilistic_flooding_with_beta_one_equals_flooding((n, edges) in edges_strategy(40), s in 0u32..40, seed in 0u64..100) {
+        // Independent reference: on a static graph I_t is the BFS ball of
+        // radius t, and a node at distance d sends deg(v) messages in each of
+        // rounds d+1 ..= T.
         let g = AdjacencyList::from_edges(n, edges);
         let s = s % n as u32;
-        let plain = flood_static(&g, s);
+        let dist = bfs::distances(&g, s);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut frozen = FrozenGraph::new(g);
+        let mut frozen = FrozenGraph::new(g.clone());
         let prob = probabilistic_flood(&mut frozen, s, 1.0, (2 * n) as u64, &mut rng);
-        prop_assert_eq!(prob.informed_per_round.last(), plain.informed_per_round.last());
-        if let Some(t) = plain.flooding_time() {
-            prop_assert!(prob.completed);
-            prop_assert_eq!(prob.rounds, t);
+        for (t, &informed) in prob.informed_per_round.iter().enumerate() {
+            let ball = dist.iter().filter(|&&d| d as usize <= t).count();
+            prop_assert_eq!(informed, ball, "round {}", t);
         }
+        let reachable = dist.iter().filter(|&&d| d != bfs::UNREACHABLE).count();
+        prop_assert_eq!(prob.completed, reachable == n);
+        if prob.completed {
+            prop_assert_eq!(Some(prob.rounds as u32), dist.iter().copied().max());
+        }
+        let messages: u64 = (0..n as u32)
+            .filter(|&v| (dist[v as usize] as u64) < prob.rounds)
+            .map(|v| g.degree(v) as u64 * (prob.rounds - dist[v as usize] as u64))
+            .sum();
+        prop_assert_eq!(prob.messages_sent, messages);
     }
 
     #[test]
@@ -84,7 +99,7 @@ proptest! {
         let mut frozen = FrozenGraph::new(g);
         let pars = parsimonious_flood(&mut frozen, s, k, budget);
         // On static graphs parsimonious flooding reaches exactly the same set.
-        prop_assert_eq!(pars.informed_count(), plain.informed.len());
+        prop_assert_eq!(pars.informed_count(), plain.informed_count());
     }
 
     #[test]
@@ -104,7 +119,7 @@ proptest! {
         let mut star = RotatingStar::new(n, offset);
         let source = star.worst_source();
         let predicted = star.predicted_worst_flooding_time();
-        let measured = flood(&mut star, source, (4 * n) as u64).flooding_time();
+        let measured = flood(&mut star, source, (4 * n) as u64).completion_time();
         prop_assert_eq!(measured, Some(predicted));
     }
 

@@ -307,7 +307,7 @@ impl EvolvingGraph for DenseEdgeMeg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meg_core::flooding::{flood, FloodingOutcome};
+    use meg_core::flooding::flood;
     use meg_graph::{degree, Graph};
 
     /// The alive pairs as endpoint tuples in index order (the private-state
@@ -466,8 +466,8 @@ mod tests {
         let params = EdgeMegParams::with_stationary(200, 0.08, 0.5);
         let mut meg = DenseEdgeMeg::stationary(params, 11);
         let result = flood(&mut meg, 0, 1_000);
-        assert_eq!(result.outcome, FloodingOutcome::Completed);
-        assert!(result.flooding_time().unwrap() <= 10);
+        assert!(result.completed);
+        assert!(result.completion_time().unwrap() <= 10);
     }
 
     #[test]

@@ -38,10 +38,10 @@
 //! let params = EdgeMegParams::with_stationary(n, p_hat, 0.5);
 //!
 //! let dense_time = flood(&mut DenseEdgeMeg::stationary(params, 7), 0, 10_000)
-//!     .flooding_time()
+//!     .completion_time()
 //!     .expect("dense engine floods");
 //! let sparse_time = flood(&mut SparseEdgeMeg::stationary(params, 7), 0, 10_000)
-//!     .flooding_time()
+//!     .completion_time()
 //!     .expect("sparse engine floods");
 //! // Same model ⇒ same order of magnitude (a few rounds above threshold).
 //! assert!(dense_time <= 20 && sparse_time <= 20);

@@ -434,7 +434,7 @@ impl EvolvingGraph for SparseEdgeMeg {
 mod tests {
     use super::*;
     use crate::dense::DenseEdgeMeg;
-    use meg_core::flooding::{flood, FloodingOutcome};
+    use meg_core::flooding::flood;
     use meg_graph::{degree, Graph};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -627,8 +627,8 @@ mod tests {
         let params = EdgeMegParams::with_stationary(n, phat, 0.5);
         let mut meg = SparseEdgeMeg::stationary(params, 33);
         let result = flood(&mut meg, 0, 10_000);
-        assert_eq!(result.outcome, FloodingOutcome::Completed);
-        let t = result.flooding_time().unwrap();
+        assert!(result.completed);
+        let t = result.completion_time().unwrap();
         assert!((2..=30).contains(&t), "flooding time {t}");
     }
 
@@ -643,11 +643,11 @@ mod tests {
         let params = EdgeMegParams::with_stationary(n, phat, q);
         let mut stationary = SparseEdgeMeg::stationary(params, 44);
         let stat_time = flood(&mut stationary, 0, 100_000)
-            .flooding_time()
+            .completion_time()
             .expect("stationary flooding completes");
         let mut empty = SparseEdgeMeg::new(params, InitialDistribution::Empty, 45);
         let empty_time = flood(&mut empty, 0, 100_000)
-            .flooding_time()
+            .completion_time()
             .expect("worst-case flooding completes eventually");
         assert!(
             empty_time > 4 * stat_time,

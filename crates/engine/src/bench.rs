@@ -1,11 +1,9 @@
-//! `meg-lab bench` — the workspace's trustworthy wall-time measurement
-//! harness.
+//! `meg-lab bench` — the workspace's wall-time measurement harness.
 //!
-//! The vendored criterion shim only smoke-runs benches with tiny fixed
-//! iteration counts, so its numbers cannot be trusted for perf work. This
-//! module is the replacement the ROADMAP gates hot-path optimisation on:
-//! a small registry of **named benchmark workloads** (each a deterministic,
-//! seeded end-to-end run over the real substrates), timed with warm-up
+//! The ROADMAP gates hot-path optimisation on it: a small registry of
+//! **named benchmark workloads** (each a deterministic, seeded end-to-end
+//! run over the real substrates and the engine's own flooding kernel,
+//! `FloodMachine` through [`flood`]), timed with warm-up
 //! repetitions followed by `R` measured repetitions, and summarised as
 //! **median / IQR / min** wall time so one noisy repetition cannot skew a
 //! reported speedup.
@@ -257,7 +255,7 @@ fn dense_flood_ab(n: usize, stepping: Stepping) -> (Vec<(String, f64)>, f64) {
         for f in 0..DENSE_AB_FLOODS {
             let source = (f * n / DENSE_AB_FLOODS) as u32;
             let r = flood(&mut meg, source, 100_000);
-            sum += r.rounds as f64 + r.informed.len() as f64;
+            sum += r.rounds as f64 + r.informed_count() as f64;
         }
     }
     (
@@ -284,7 +282,7 @@ fn sparse_flood_ab(n: usize, stepping: Stepping) -> (Vec<(String, f64)>, f64) {
     let r = flood(&mut meg, 0, 100_000);
     (
         vec![("n".into(), n as f64), ("trials".into(), 1.0)],
-        r.rounds as f64 + r.informed.len() as f64,
+        r.rounds as f64 + r.informed_count() as f64,
     )
 }
 
@@ -319,7 +317,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
             for (i, source) in [0u32, 1, 2].into_iter().enumerate() {
                 let mut meg = geo_meg(n, 1.2, BENCH_SEED + i as u64);
                 let r = flood(&mut meg, source % n as u32, 100_000);
-                sum += r.rounds as f64 + r.informed.len() as f64;
+                sum += r.rounds as f64 + r.informed_count() as f64;
             }
             Some((vec![("n".into(), n as f64), ("trials".into(), 3.0)], sum))
         }
@@ -351,7 +349,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
             let r = flood(&mut meg, 0, 100_000);
             Some((
                 vec![("n".into(), n as f64)],
-                r.rounds as f64 + r.informed.len() as f64,
+                r.rounds as f64 + r.informed_count() as f64,
             ))
         }
         // Sparse edge-MEG in the paper's sparse connected regime.
@@ -363,7 +361,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
             for i in 0..3u64 {
                 let mut meg = SparseEdgeMeg::stationary(params, BENCH_SEED + i);
                 let r = flood(&mut meg, 0, 100_000);
-                sum += r.rounds as f64 + r.informed.len() as f64;
+                sum += r.rounds as f64 + r.informed_count() as f64;
             }
             Some((vec![("n".into(), n as f64), ("trials".into(), 3.0)], sum))
         }
@@ -377,7 +375,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
                 let mut meg =
                     DenseEdgeMeg::new(params, InitialDistribution::Stationary, BENCH_SEED + i);
                 let r = flood(&mut meg, 0, 100_000);
-                sum += r.rounds as f64 + r.informed.len() as f64;
+                sum += r.rounds as f64 + r.informed_count() as f64;
             }
             Some((vec![("n".into(), n as f64), ("trials".into(), 3.0)], sum))
         }

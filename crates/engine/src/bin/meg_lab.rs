@@ -100,14 +100,99 @@ const USAGE: &str = "usage:
           [--scale F] [--label STR] [--out FILE] [--counters] [--overhead] \\
           [--baseline FILE] [--baseline-threshold F]
 
-Environment defaults: MEG_SEED, MEG_TRIALS, MEG_SCALE, MEG_OUTPUT,
-MEG_METRICS. Flags win over the environment.";
+Environment defaults for `run`: MEG_SEED, MEG_TRIALS, MEG_SCALE, MEG_OUTPUT,
+MEG_METRICS, MEG_TARGET_STDERR, MEG_MIN_TRIALS, MEG_MAX_TRIALS. Flags win over
+the environment; a value its flag would reject exits 2.";
 
 fn fail(msg: &str) -> ! {
     eprintln!("meg-lab: {msg}");
     eprintln!("{USAGE}");
     std::process::exit(2);
 }
+
+/// One validation rule per `run` knob: the `--flag` and its `MEG_*`
+/// environment default go through the same parser, so a value the flag
+/// rejects exits 2 from the environment too, with a message naming the
+/// variable.
+struct Knob<T> {
+    flag: &'static str,
+    var: &'static str,
+    must_be: &'static str,
+    parse: fn(&str) -> Option<T>,
+}
+
+impl<T> Knob<T> {
+    fn parse_or_fail(&self, name: &str, value: &str) -> T {
+        (self.parse)(value)
+            .unwrap_or_else(|| fail(&format!("{name} must be {}, not `{value}`", self.must_be)))
+    }
+
+    /// The flag's value.
+    fn flag(&self, value: &str) -> T {
+        self.parse_or_fail(self.flag, value)
+    }
+
+    /// The flag's value if given, else the environment default if set.
+    fn or_env(&self, flag: Option<T>) -> Option<T> {
+        flag.or_else(|| {
+            let value = std::env::var(self.var).ok()?;
+            Some(self.parse_or_fail(self.var, &value))
+        })
+    }
+}
+
+fn positive_integer(s: &str) -> Option<usize> {
+    s.parse().ok().filter(|&t| t >= 1)
+}
+
+const SEED: Knob<u64> = Knob {
+    flag: "--seed",
+    var: "MEG_SEED",
+    must_be: "a u64",
+    parse: |s| s.parse().ok(),
+};
+const TRIALS: Knob<usize> = Knob {
+    flag: "--trials",
+    var: "MEG_TRIALS",
+    must_be: "a positive integer",
+    parse: positive_integer,
+};
+const SCALE: Knob<f64> = Knob {
+    flag: "--scale",
+    var: "MEG_SCALE",
+    must_be: "a positive number",
+    parse: |s| s.parse().ok().filter(|&f: &f64| f > 0.0),
+};
+const FORMAT: Knob<OutputFormat> = Knob {
+    flag: "--format",
+    var: "MEG_OUTPUT",
+    must_be: "table, json or csv",
+    parse: |s| s.parse().ok(),
+};
+const METRICS: Knob<MetricsMode> = Knob {
+    flag: "--metrics",
+    var: "MEG_METRICS",
+    must_be: "report or jsonl",
+    parse: |s| s.parse().ok(),
+};
+const TARGET_STDERR: Knob<f64> = Knob {
+    flag: "--target-stderr",
+    var: "MEG_TARGET_STDERR",
+    must_be: "a finite number ≥ 0",
+    parse: |s| s.parse().ok().filter(|e: &f64| *e >= 0.0 && e.is_finite()),
+};
+const MIN_TRIALS: Knob<usize> = Knob {
+    flag: "--min-trials",
+    var: "MEG_MIN_TRIALS",
+    must_be: "a positive integer",
+    parse: positive_integer,
+};
+const MAX_TRIALS: Knob<usize> = Knob {
+    flag: "--max-trials",
+    var: "MEG_MAX_TRIALS",
+    must_be: "a positive integer",
+    parse: positive_integer,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -209,71 +294,21 @@ fn cmd_run(args: &[String]) {
         };
         match arg.as_str() {
             "--file" => file = Some(flag_value("--file")),
-            "--seed" => {
-                seed = Some(
-                    flag_value("--seed")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--seed must be a u64")),
-                )
-            }
-            "--trials" => {
-                trials = Some(
-                    flag_value("--trials")
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&t| t >= 1)
-                        .unwrap_or_else(|| fail("--trials must be a positive integer")),
-                )
-            }
-            "--scale" => {
-                scale = Some(
-                    flag_value("--scale")
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|&f| f > 0.0)
-                        .unwrap_or_else(|| fail("--scale must be a positive number")),
-                )
-            }
+            "--seed" => seed = Some(SEED.flag(&flag_value("--seed"))),
+            "--trials" => trials = Some(TRIALS.flag(&flag_value("--trials"))),
+            "--scale" => scale = Some(SCALE.flag(&flag_value("--scale"))),
             "--stepping" => {
                 stepping = Some(
                     SteppingKind::from_id(&flag_value("--stepping"))
                         .unwrap_or_else(|_| fail("--stepping must be per_pair or transitions")),
                 )
             }
-            "--format" => {
-                format = Some(
-                    flag_value("--format")
-                        .parse()
-                        .unwrap_or_else(|e: String| fail(&e)),
-                )
-            }
+            "--format" => format = Some(FORMAT.flag(&flag_value("--format"))),
             "--target-stderr" => {
-                target_stderr = Some(
-                    flag_value("--target-stderr")
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|e| *e >= 0.0 && e.is_finite())
-                        .unwrap_or_else(|| fail("--target-stderr must be a finite number ≥ 0")),
-                )
+                target_stderr = Some(TARGET_STDERR.flag(&flag_value("--target-stderr")))
             }
-            "--min-trials" => {
-                min_trials = Some(
-                    flag_value("--min-trials")
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&t| t >= 1)
-                        .unwrap_or_else(|| fail("--min-trials must be a positive integer")),
-                )
-            }
-            "--max-trials" => {
-                max_trials = Some(
-                    flag_value("--max-trials")
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&t| t >= 1)
-                        .unwrap_or_else(|| fail("--max-trials must be a positive integer")),
-                )
-            }
+            "--min-trials" => min_trials = Some(MIN_TRIALS.flag(&flag_value("--min-trials"))),
+            "--max-trials" => max_trials = Some(MAX_TRIALS.flag(&flag_value("--max-trials"))),
             "--shard" => {
                 shard = Some(ShardSpec::parse(&flag_value("--shard")).unwrap_or_else(|e| fail(&e)))
             }
@@ -309,13 +344,7 @@ fn cmd_run(args: &[String]) {
                         .unwrap_or_else(|| fail("--worker-fail-after must be ≥ 1")),
                 )
             }
-            "--metrics" => {
-                metrics = Some(
-                    flag_value("--metrics")
-                        .parse()
-                        .unwrap_or_else(|e: String| fail(&e)),
-                )
-            }
+            "--metrics" => metrics = Some(METRICS.flag(&flag_value("--metrics"))),
             "--trace" => trace = Some(PathBuf::from(flag_value("--trace"))),
             "--progress" => progress = true,
             "--verbose" => verbose = true,
@@ -341,14 +370,11 @@ fn cmd_run(args: &[String]) {
         }
     };
 
-    // Environment first, explicit flags last: --scale replaces the env
-    // factor (scaling is not composable — it always starts from the pristine
+    // Explicit flags win over the environment: --scale replaces MEG_SCALE
+    // (scaling is not composable — it always starts from the pristine
     // definition), --trials wins over MEG_TRIALS.
-    let mut scenario = match scale {
-        Some(f) => pristine.scaled(f),
-        None => pristine.scaled(harness::scale_from_env()),
-    };
-    if let Some(t) = trials.or_else(harness::trials_from_env) {
+    let mut scenario = pristine.scaled(SCALE.or_env(scale).unwrap_or(1.0));
+    if let Some(t) = TRIALS.or_env(trials) {
         scenario.trials = t;
     }
     if let Some(mode) = stepping {
@@ -360,24 +386,24 @@ fn cmd_run(args: &[String]) {
             }
         }
     }
-    match target_stderr.or_else(harness::target_stderr_from_env) {
+    // The adaptive budget's environment defaults are validated even when
+    // no target is set, like every other knob.
+    let adaptive_min = MIN_TRIALS.or_env(min_trials);
+    let adaptive_max = MAX_TRIALS.or_env(max_trials);
+    match TARGET_STDERR.or_env(target_stderr) {
         Some(eps) => {
-            scenario.precision = harness::resolve_target_stderr(
-                eps,
-                min_trials.or_else(harness::min_trials_from_env),
-                max_trials.or_else(harness::max_trials_from_env),
-                scenario.trials,
-            )
-            .unwrap_or_else(|e| fail(&e));
+            scenario.precision =
+                harness::resolve_target_stderr(eps, adaptive_min, adaptive_max, scenario.trials)
+                    .unwrap_or_else(|e| fail(&e));
         }
         None if min_trials.is_some() || max_trials.is_some() => {
             fail("--min-trials/--max-trials shape the adaptive budget; pass --target-stderr EPS")
         }
         None => {}
     }
-    let seed = seed.unwrap_or_else(harness::master_seed_from_env);
-    let format = format.unwrap_or_else(meg_engine::sink::format_from_env);
-    let metrics = metrics.or_else(harness::metrics_from_env);
+    let seed = SEED.or_env(seed).unwrap_or(2009);
+    let format = FORMAT.or_env(format).unwrap_or_default();
+    let metrics = METRICS.or_env(metrics);
 
     let distributed = shard.is_some()
         || strategy.is_some()

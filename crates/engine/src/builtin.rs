@@ -1,8 +1,7 @@
 //! Built-in named scenarios.
 //!
-//! These reproduce **all twelve** pre-engine experiment binaries as data —
-//! every `exp_*` binary in `meg-bench` is now a thin wrapper over a
-//! scenario in this registry — plus a `quick_smoke` scenario sized for CI.
+//! These reproduce **all twelve** of the paper's experiments as data, plus
+//! the protocol-family scenarios and a `quick_smoke` scenario sized for CI.
 //! `meg-lab list` prints the registry; `meg-lab run <name>` executes one.
 //! `docs/EXPERIMENTS.md` maps each scenario to the paper section or theorem
 //! it reproduces, with a ready-to-run `meg-lab` invocation per row.
@@ -13,8 +12,7 @@ use crate::scenario::{
 };
 
 /// Round budget used by flooding scenarios: generous enough that only
-/// genuinely disconnected regimes fail to complete (mirrors
-/// `meg_bench::ROUND_BUDGET`).
+/// genuinely disconnected regimes fail to complete.
 pub const FLOOD_BUDGET: u64 = 2_000_000;
 
 /// Names of all built-in scenarios, in registry order.
@@ -176,7 +174,7 @@ pub fn protocol_variants() -> Scenario {
 /// radius (and at a 2.5× denser one), with `r = R/2`, and check the measured
 /// flooding time scales like `Θ(√n / R)`. Because both radii are
 /// [`RadiusSpec::ThresholdFactor`] specs, they re-resolve against each swept
-/// `n` — the coupling the legacy `exp_geo_vs_n` binary computed by hand.
+/// `n`.
 pub fn geo_vs_n() -> Scenario {
     Scenario {
         name: "geo_vs_n".into(),
@@ -208,8 +206,8 @@ pub fn geo_vs_n() -> Scenario {
 /// from just above the connectivity threshold (`2·ln n/n` at the default
 /// constant) into the dense regime. Flooding time must fall as `np̂` grows
 /// and stay sandwiched between the paper's lower bound and upper shape. The
-/// [`Param::PHatFactor`] axis values are the legacy `exp_edge_vs_density`
-/// threshold multiples `[1.5, 3, 6, 15, 40, 120]` times that constant.
+/// [`Param::PHatFactor`] axis values are the threshold multiples
+/// `[1.5, 3, 6, 15, 40, 120]` times that constant.
 pub fn edge_vs_density() -> Scenario {
     Scenario {
         name: "edge_vs_density".into(),

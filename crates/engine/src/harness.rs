@@ -1,65 +1,13 @@
-//! Environment-driven experiment harness.
+//! Run-and-emit helpers behind the `meg-lab` CLI: metrics sinks, the
+//! adaptive-precision defaulting rule, and the streaming row printer.
 //!
-//! Shared by the `meg-lab` CLI and the thin `exp_*` wrapper binaries in
-//! `meg-bench`: reads the workspace's standard environment knobs, applies
-//! them to a scenario, runs it, and emits rows through the configured
-//! [`OutputFormat`] sink.
-//!
-//! Environment knobs (all optional):
-//!
-//! * `MEG_SEED` — master seed (default 2009);
-//! * `MEG_TRIALS` — overrides every cell's trial count;
-//! * `MEG_SCALE` — node-count multiplier (the examples' separate
-//!   `MEG_EXAMPLE_SCALE` knob deliberately does **not** apply here, so
-//!   tuning one surface never silently changes the other);
-//! * `MEG_OUTPUT` — `table` (default) | `json` | `csv`;
-//! * `MEG_TARGET_STDERR` — switch to adaptive precision with this target
-//!   standard error (`meg-lab run --target-stderr`), with
-//!   `MEG_MIN_TRIALS` / `MEG_MAX_TRIALS` shaping the per-cell budget
-//!   (defaults: the trial count, and 32 × min);
-//! * `MEG_METRICS` — `report` | `jsonl`: install the `meg-obs` recorder for
-//!   the run and emit the metrics summary to **stderr** (stdout stays the
-//!   byte-identical row stream).
+//! Metrics always land on **stderr**: stdout is the byte-identical row
+//! stream.
 
 use crate::run::{run_scenario_streaming, Row};
 use crate::scenario::{Precision, Scenario, ScenarioError};
-use crate::sink::{format_from_env, render_rows, rows_to_table, OutputFormat, CSV_HEADER};
+use crate::sink::{render_rows, rows_to_table, OutputFormat, CSV_HEADER};
 use meg_obs as obs;
-
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|s| s.parse().ok())
-}
-
-/// Master seed from `MEG_SEED` (default 2009, the paper's publication year).
-pub fn master_seed_from_env() -> u64 {
-    env_parse("MEG_SEED").unwrap_or(2009)
-}
-
-/// Scale factor from `MEG_SCALE` (default 1.0, floor 0.01).
-pub fn scale_from_env() -> f64 {
-    env_parse::<f64>("MEG_SCALE").unwrap_or(1.0).max(0.01)
-}
-
-/// Trial-count override from `MEG_TRIALS` (minimum 1 when set).
-pub fn trials_from_env() -> Option<usize> {
-    env_parse::<usize>("MEG_TRIALS").map(|t| t.max(1))
-}
-
-/// Adaptive-precision target from `MEG_TARGET_STDERR` (rejects negative and
-/// non-finite values).
-pub fn target_stderr_from_env() -> Option<f64> {
-    env_parse::<f64>("MEG_TARGET_STDERR").filter(|e| *e >= 0.0 && e.is_finite())
-}
-
-/// Adaptive minimum trial count from `MEG_MIN_TRIALS` (minimum 1 when set).
-pub fn min_trials_from_env() -> Option<usize> {
-    env_parse::<usize>("MEG_MIN_TRIALS").map(|t| t.max(1))
-}
-
-/// Adaptive per-cell trial budget from `MEG_MAX_TRIALS` (minimum 1 when set).
-pub fn max_trials_from_env() -> Option<usize> {
-    env_parse::<usize>("MEG_MAX_TRIALS").map(|t| t.max(1))
-}
 
 /// Which metrics sink a run should drive (`--metrics` / `MEG_METRICS`).
 ///
@@ -85,11 +33,6 @@ impl std::str::FromStr for MetricsMode {
             )),
         }
     }
-}
-
-/// Metrics sink from `MEG_METRICS` (`report` | `jsonl`).
-pub fn metrics_from_env() -> Option<MetricsMode> {
-    env_parse("MEG_METRICS")
 }
 
 /// Emits one per-cell counter-delta JSON line to stderr (jsonl mode only)
@@ -187,45 +130,12 @@ pub fn resolve_target_stderr(
     })
 }
 
-/// Applies the environment knobs (scale, trials, adaptive precision) to a
-/// scenario.
-pub fn apply_env(scenario: &Scenario) -> Scenario {
-    let mut s = scenario.scaled(scale_from_env());
-    if let Some(trials) = trials_from_env() {
-        s.trials = trials;
-    }
-    if let Some(eps) = target_stderr_from_env() {
-        s.precision =
-            resolve_target_stderr(eps, min_trials_from_env(), max_trials_from_env(), s.trials)
-                .unwrap_or_else(|_| {
-                    // The environment has no error channel: an explicit
-                    // inconsistent pair clamps the budget up to the minimum.
-                    let min = min_trials_from_env().expect("inconsistency implies an explicit min");
-                    Precision::TargetStderr {
-                        eps,
-                        min_trials: min,
-                        max_trials: min,
-                    }
-                });
-    }
-    s
-}
-
 /// Runs a scenario with streaming output to stdout in `format`, returning the
 /// rows. JSON and CSV rows are printed as they are produced; the table is
-/// rendered once at the end (column widths need the full batch). Honors
-/// `MEG_METRICS` (see [`run_and_emit_observed`]).
-pub fn run_and_emit(
-    scenario: &Scenario,
-    master_seed: u64,
-    format: OutputFormat,
-) -> Result<Vec<Row>, ScenarioError> {
-    run_and_emit_observed(scenario, master_seed, format, metrics_from_env())
-}
-
-/// [`run_and_emit`] with an explicit metrics sink: when `metrics` is set the
-/// `meg-obs` recorder is (re)installed for the run and the summary lands on
-/// stderr afterwards — stdout's row bytes are identical either way.
+/// rendered once at the end (column widths need the full batch). When
+/// `metrics` is set the `meg-obs` recorder is (re)installed for the run and
+/// the summary lands on stderr afterwards — stdout's row bytes are identical
+/// either way.
 pub fn run_and_emit_observed(
     scenario: &Scenario,
     master_seed: u64,
@@ -262,37 +172,7 @@ pub fn run_and_emit_observed(
     Ok(rows)
 }
 
-/// Entry point for the thin `exp_*` wrapper binaries: run the named built-in
-/// scenario under the environment knobs and print `epilogue` (the
-/// expected-shape commentary) afterwards — unless machine-readable output was
-/// requested, which must stay clean.
-///
-/// Exits the process with status 2 on an unknown scenario name or an invalid
-/// configuration.
-pub fn run_builtin_experiment(name: &str, epilogue: &str) {
-    let Some(scenario) = crate::builtin::builtin(name) else {
-        eprintln!(
-            "unknown built-in scenario `{name}` (available: {})",
-            crate::builtin::builtin_names().join(", ")
-        );
-        std::process::exit(2);
-    };
-    let scenario = apply_env(&scenario);
-    let format = format_from_env();
-    match run_and_emit(&scenario, master_seed_from_env(), format) {
-        Ok(_) => {
-            if format == OutputFormat::Table && !epilogue.is_empty() {
-                println!("\n{epilogue}");
-            }
-        }
-        Err(e) => {
-            eprintln!("scenario `{name}` failed: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Non-printing variant used by tests: runs under the environment knobs and
+/// Non-printing variant used by tests and examples: runs the scenario and
 /// returns the rendered output instead of writing to stdout.
 pub fn render_scenario(
     scenario: &Scenario,
@@ -308,12 +188,6 @@ pub fn render_scenario(
 mod tests {
     use super::*;
     use crate::builtin::quick_smoke;
-
-    #[test]
-    fn env_defaults_are_sane() {
-        assert!(master_seed_from_env() > 0 || std::env::var("MEG_SEED").is_ok());
-        assert!(scale_from_env() > 0.0);
-    }
 
     #[test]
     fn render_scenario_is_deterministic() {

@@ -36,7 +36,6 @@ use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
 use meg_geometric::{GeometricMeg, GeometricMegParams};
 use meg_graph::expansion::{min_expansion_sampled, SamplingStrategy};
 use meg_graph::generators;
-use meg_graph::Graph;
 use meg_mobility::{Billiard, RandomWaypoint, TorusWalkers};
 use meg_obs as obs;
 use meg_stats::seeds::{derive_seed, labeled_seed};
@@ -731,15 +730,10 @@ fn probe_trial<M: EvolvingGraph>(
             ))
         }
         Protocol::DiameterProbe => {
-            // Freeze the snapshot through the duplicate-dropping CSR
-            // constructor: the n-source BFS sweep assumes a simple graph
-            // (duplicate edges would double-visit neighbors), and the
-            // diameter is invariant to the neighbor reordering a freeze
-            // implies. Every in-tree substrate already produces simple
-            // snapshots, so this is a guard, not a behaviour change.
-            let snapshot = meg.advance();
-            let frozen = meg_graph::Csr::from_edges_dedup(snapshot.num_nodes(), &snapshot.edges());
-            match meg_graph::diameter::exact(&frozen).finite() {
+            // The n-source BFS sweep runs on the snapshot buffer as it is:
+            // distances depend neither on neighbor order nor on a repeated
+            // entry, because BFS only enqueues a node it has not reached.
+            match meg_graph::diameter::exact(meg.advance()).finite() {
                 Some(d) => TrialOutcome::measured(d as f64),
                 None => TrialOutcome::failed(),
             }

@@ -1,17 +1,12 @@
 //! Output sinks: one result stream, three renderings.
 //!
-//! Every engine run (and, through [`render_table`], every legacy `meg-bench`
-//! table) can be emitted as
+//! Every engine run can be emitted as
 //!
 //! * [`OutputFormat::Table`] — aligned ASCII for terminals;
 //! * [`OutputFormat::Json`] — JSON-lines, one object per row, for machine
 //!   consumption (the perf-trajectory format the ROADMAP asks for);
 //! * [`OutputFormat::Csv`] — flat CSV for spreadsheets and plotting.
-//!
-//! The `MEG_OUTPUT` environment variable selects the format for binaries
-//! that do not take a `--format` flag.
 
-use crate::json::Json;
 use crate::run::Row;
 use meg_stats::table::fmt_f64;
 use meg_stats::Table;
@@ -42,16 +37,6 @@ impl FromStr for OutputFormat {
             )),
         }
     }
-}
-
-/// Reads the output format from `MEG_OUTPUT` (default [`OutputFormat::Table`];
-/// unknown values fall back to the default so legacy binaries never fail on
-/// env contents).
-pub fn format_from_env() -> OutputFormat {
-    std::env::var("MEG_OUTPUT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_default()
 }
 
 /// Fixed CSV header for engine result rows.
@@ -177,42 +162,10 @@ pub fn render_rows(caption: &str, rows: &[Row], format: OutputFormat) -> String 
     }
 }
 
-/// Renders a legacy `meg_stats::Table` in the given format. This is what
-/// routes the pre-engine experiment binaries through the same sink enum:
-/// `Json` emits one object per table row keyed by the column headers.
-pub fn render_table(table: &Table, format: OutputFormat) -> String {
-    match format {
-        OutputFormat::Table => table.render_ascii(),
-        OutputFormat::Csv => table.render_csv(),
-        OutputFormat::Json => {
-            let header = table.header();
-            let mut out = String::new();
-            for r in 0..table.num_rows() {
-                let mut pairs: Vec<(String, Json)> = Vec::with_capacity(header.len() + 1);
-                if !table.caption().is_empty() {
-                    pairs.push(("table".into(), Json::Str(table.caption().into())));
-                }
-                for (c, name) in header.iter().enumerate() {
-                    let cell = table.cell(r, c).unwrap_or_default();
-                    // Numbers pass through as JSON numbers when they parse
-                    // cleanly; everything else stays a string.
-                    let value = match cell.parse::<f64>() {
-                        Ok(x) if x.is_finite() => Json::Num(x),
-                        _ => Json::Str(cell.to_string()),
-                    };
-                    pairs.push((name.clone(), value));
-                }
-                out.push_str(&Json::Obj(pairs).render());
-                out.push('\n');
-            }
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use meg_stats::Summary;
 
     fn sample_row() -> Row {
@@ -292,19 +245,5 @@ mod tests {
         assert!(ascii.contains("edge-sparse"));
         assert!(ascii.contains("80%"));
         assert!(ascii.contains("3–5"));
-    }
-
-    #[test]
-    fn legacy_tables_render_in_all_formats() {
-        let mut t = Table::new("legacy", &["n", "mean T", "note"]);
-        t.push_row(&["100", "3.5", "has,comma"]);
-        assert!(render_table(&t, OutputFormat::Table).contains("legacy"));
-        assert!(render_table(&t, OutputFormat::Csv).contains("\"has,comma\""));
-        let json = render_table(&t, OutputFormat::Json);
-        let parsed = Json::parse(json.trim()).unwrap();
-        assert_eq!(parsed.get("table").unwrap().as_str(), Some("legacy"));
-        assert_eq!(parsed.get("n").unwrap().as_f64(), Some(100.0));
-        assert_eq!(parsed.get("mean T").unwrap().as_f64(), Some(3.5));
-        assert_eq!(parsed.get("note").unwrap().as_str(), Some("has,comma"));
     }
 }

@@ -408,6 +408,63 @@ fn cli_metrics_report_counts_the_in_process_sweep_but_no_pool_request() {
 }
 
 #[test]
+fn cli_environment_defaults_follow_their_flags_rules() {
+    // Each environment default goes through its flag's parser: a value the
+    // flag rejects exits 2 with a message naming the variable, instead of
+    // silently falling back to the built-in default.
+    for (var, flag, value) in [
+        ("MEG_SEED", "--seed", "abc"),
+        ("MEG_TRIALS", "--trials", "0"),
+        ("MEG_SCALE", "--scale", "0"),
+        ("MEG_OUTPUT", "--format", "jsn"),
+        ("MEG_METRICS", "--metrics", "verbose"),
+        ("MEG_TARGET_STDERR", "--target-stderr", "-1"),
+        ("MEG_MIN_TRIALS", "--min-trials", "0"),
+        ("MEG_MAX_TRIALS", "--max-trials", "many"),
+    ] {
+        let from_env = meg_lab()
+            .args(["run", "quick_smoke"])
+            .env(var, value)
+            .output()
+            .expect("meg-lab runs");
+        let stderr = String::from_utf8_lossy(&from_env.stderr);
+        assert_eq!(
+            from_env.status.code(),
+            Some(2),
+            "{var}={value} must exit 2: {stderr}"
+        );
+        assert!(stderr.contains(var), "the error must name {var}: {stderr}");
+        let from_flag = meg_lab()
+            .args(["run", "quick_smoke", flag, value])
+            .output()
+            .expect("meg-lab runs");
+        assert_eq!(
+            from_flag.status.code(),
+            Some(2),
+            "{flag} {value} must exit 2"
+        );
+    }
+
+    // A valid environment default applies exactly like its flag.
+    let out = meg_lab()
+        .args(["run", "quick_smoke"])
+        .envs([
+            ("MEG_SCALE", "0.25"),
+            ("MEG_TRIALS", "2"),
+            ("MEG_SEED", "2009"),
+            ("MEG_OUTPUT", "json"),
+        ])
+        .output()
+        .expect("meg-lab runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), cli_unsharded_json());
+}
+
+#[test]
 fn cli_limit_exits_3_and_resume_completes() {
     let reference = cli_unsharded_json();
     let dir = tmp("cli-resume");

@@ -95,30 +95,6 @@ impl CellPartition {
         counts
     }
 
-    /// Incrementally maintains an occupancy vector across a movement step:
-    /// `counts` must be the occupancy of `old_positions`, and each node is
-    /// re-binned from its old to its new cell. Only nodes that changed cell
-    /// touch `counts`, so tracking occupancy alongside a delta-maintained
-    /// snapshot costs one cell lookup per node instead of a fresh
-    /// [`occupancy`](CellPartition::occupancy) allocation per step.
-    pub fn occupancy_update(
-        &self,
-        counts: &mut [usize],
-        old_positions: &[Point],
-        new_positions: &[Point],
-    ) {
-        assert_eq!(counts.len(), self.num_cells());
-        assert_eq!(old_positions.len(), new_positions.len());
-        for (old, new) in old_positions.iter().zip(new_positions) {
-            let from = self.linear_index(self.cell_of(*old));
-            let to = self.linear_index(self.cell_of(*new));
-            if from != to {
-                counts[from] -= 1;
-                counts[to] += 1;
-            }
-        }
-    }
-
     /// Checks Claim 1: every cell holds between `R²/λ` and `λR²` nodes.
     /// Returns the smallest `λ ≥ 1` for which the claim holds, or `None` if
     /// some cell is empty (no finite `λ` works).
@@ -214,36 +190,6 @@ mod tests {
         let occ = p.occupancy(&pos);
         assert_eq!(occ.iter().sum::<usize>(), 5);
         assert_eq!(occ, vec![2, 1, 1, 1]);
-    }
-
-    #[test]
-    fn occupancy_update_tracks_full_recount() {
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
-        let p = CellPartition::with_cells(8.0, 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut pos: Vec<Point> = (0..60)
-            .map(|_| (rng.gen_range(0.0..8.0), rng.gen_range(0.0..8.0)))
-            .collect();
-        let mut counts = p.occupancy(&pos);
-        for _ in 0..20 {
-            let new_pos: Vec<Point> = pos
-                .iter()
-                .map(|&(x, y)| {
-                    if rng.gen_bool(0.3) {
-                        (
-                            (x + rng.gen_range(-2.0f64..2.0)).rem_euclid(8.0),
-                            (y + rng.gen_range(-2.0f64..2.0)).rem_euclid(8.0),
-                        )
-                    } else {
-                        (x, y)
-                    }
-                })
-                .collect();
-            p.occupancy_update(&mut counts, &pos, &new_pos);
-            pos = new_pos;
-            assert_eq!(counts, p.occupancy(&pos));
-        }
     }
 
     #[test]

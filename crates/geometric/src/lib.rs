@@ -31,7 +31,7 @@
 //! let params = GeometricMegParams::new(n, radius / 2.0, radius);
 //! let mut meg = GeometricMeg::from_params(params, 2009);
 //! let result = flood(&mut meg, 0, 10_000);
-//! let time = result.flooding_time().expect("connected regime floods");
+//! let time = result.completion_time().expect("connected regime floods");
 //! assert!(time >= 1);
 //! ```
 

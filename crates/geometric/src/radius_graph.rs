@@ -19,14 +19,10 @@
 //! `docs/PERF.md`).
 //! [`radius_graph`] is the one-shot allocating wrapper over the same core
 //! (identical edge order), kept for single-snapshot sampling and tests.
-//!
-//! When only some nodes move between steps, [`radius_graph_update`] skips
-//! the full candidate scan: it re-derives the edge delta of the moved set
-//! from the bucket index and patches the standing snapshot through
-//! [`SnapshotBuf::apply_delta`] — the geometric twin of the edge-MEG
-//! transitions stepping path.
+//! Every geometric node moves every round, so each snapshot is a full
+//! rebuild.
 
-use meg_graph::{AdjacencyList, Graph, Node, SnapshotBuf};
+use meg_graph::{AdjacencyList, Node, SnapshotBuf};
 use meg_mobility::space::{Point, Region};
 use meg_obs as obs;
 
@@ -56,14 +52,6 @@ pub struct RadiusGraphWorkspace {
     /// plus flag add is far cheaper, and keeping the accept test branch-free
     /// is what lets LLVM vectorize it).
     hits: Vec<usize>,
-    /// Moved-node mask for [`radius_graph_update`]: lets a pair whose two
-    /// endpoints both moved be emitted exactly once.
-    flags: Vec<bool>,
-    /// Edge births of the last [`radius_graph_update`] call, as `(min, max)`
-    /// pairs — reused scratch, readable by the caller until the next call.
-    pub births: Vec<(Node, Node)>,
-    /// Edge deaths of the last [`radius_graph_update`] call, same layout.
-    pub deaths: Vec<(Node, Node)>,
 }
 
 /// Squared-distance test over flat coordinate values — the single distance
@@ -401,158 +389,11 @@ pub fn radius_graph_into(
     ws: &mut RadiusGraphWorkspace,
     out: &mut SnapshotBuf,
 ) {
-    radius_graph_into_with_slack(positions, radius, region, ws, out, 0);
-}
-
-/// Like [`radius_graph_into`], but finishes the buffer with `slack` spare
-/// slots per row (see [`SnapshotBuf::build_with_slack`]) so subsequent
-/// [`radius_graph_update`] calls can apply edge births in place instead of
-/// falling back to a row rebuild.
-pub fn radius_graph_into_with_slack(
-    positions: &[Point],
-    radius: f64,
-    region: Region,
-    ws: &mut RadiusGraphWorkspace,
-    out: &mut SnapshotBuf,
-    slack: u32,
-) {
     out.begin(positions.len());
     radius_graph_core(positions, radius, region, ws, &mut |u, v| {
         out.push_edge(u, v)
     });
-    out.build_with_slack(slack);
-}
-
-/// Updates `out` — the radius graph of the *previous* positions — to the
-/// radius graph of `positions`, touching only edges incident to `moved`
-/// nodes.
-///
-/// `moved` lists the nodes whose position changed since `out` was last
-/// built or updated (no duplicates). Deaths are found by rescanning the
-/// stale neighbor rows of moved nodes under the new geometry; births by
-/// scanning the 3×3 bucket neighborhood of each moved node's new position;
-/// both land through [`SnapshotBuf::apply_delta`]. The work is bucket-local
-/// — proportional to the moved set and its candidate neighborhoods, not to
-/// `n²` or the full edge count — so maintaining a snapshot across steps that
-/// move few nodes is much cheaper than a rebuild. (The bucket index itself
-/// is recounted from `positions`, an `O(n)` flat pass.)
-///
-/// Build `out` with [`radius_graph_into_with_slack`] so births append in
-/// place; with zero slack every birth round degrades to `apply_delta`'s full
-/// row-rebuild fallback. The applied delta is left in `ws.births` /
-/// `ws.deaths` as `(min, max)` pairs until the next call. The whole call
-/// performs zero heap allocations once all capacities have warmed up.
-/// Returns the `(birth, death)` counts.
-///
-/// Rows of `out` end up in maintenance order, not the scan order
-/// [`radius_graph_into`] produces — the edge *set* is identical, the
-/// within-row order is not.
-pub fn radius_graph_update(
-    positions: &[Point],
-    moved: &[Node],
-    radius: f64,
-    region: Region,
-    ws: &mut RadiusGraphWorkspace,
-    out: &mut SnapshotBuf,
-) -> (usize, usize) {
-    ws.births.clear();
-    ws.deaths.clear();
-    let n = positions.len();
-    debug_assert_eq!(out.num_nodes(), n, "snapshot/positions node-count mismatch");
-    if n == 0 || moved.is_empty() || radius <= 0.0 {
-        return (0, 0);
-    }
-    let side = region.side();
-    let r2 = radius * radius;
-    let wrap = region.is_torus();
-    let k = grid_k(side, radius);
-    let bucket_side = side / k as f64;
-    build_bucket_index(positions, k, bucket_side, ws);
-
-    ws.flags.clear();
-    ws.flags.resize(n, false);
-    for &u in moved {
-        debug_assert!(!ws.flags[u as usize], "duplicate node {u} in moved list");
-        ws.flags[u as usize] = true;
-    }
-
-    // Not monomorphised (or lane-chunked) like the full-rebuild scan: this
-    // path processes |moved| nodes, not n², so the per-pair region branch is
-    // noise and scalar distance tests are plenty.
-    let close = |ax: f64, ay: f64, bx: f64, by: f64| -> bool {
-        if wrap {
-            within_torus(ax, ay, bx, by, r2, side)
-        } else {
-            within_square(ax, ay, bx, by, r2)
-        }
-    };
-
-    let mut visits = 0u64;
-    for &u in moved {
-        let (ux, uy) = positions[u as usize];
-        // Deaths: stale neighbors now beyond the radius. A pair whose two
-        // endpoints both moved is emitted by its lower-id endpoint only.
-        for &v in out.neighbors(u) {
-            if ws.flags[v as usize] && v < u {
-                continue;
-            }
-            let (vx, vy) = positions[v as usize];
-            if !close(ux, uy, vx, vy) {
-                ws.deaths.push((u.min(v), u.max(v)));
-            }
-        }
-        // Births: candidates in the (wrapped or clamped) 3×3 bucket
-        // neighborhood of the new position that are now within the radius
-        // and not already adjacent. On tiny grids wrapped offsets collide,
-        // so bucket ids are deduplicated before scanning.
-        let bx = ((ux / bucket_side) as usize).min(k - 1) as isize;
-        let by = ((uy / bucket_side) as usize).min(k - 1) as isize;
-        let m = k as isize;
-        let mut bucket_ids = [0usize; 9];
-        let mut nb_ct = 0usize;
-        for dy in -1isize..=1 {
-            for dx in -1isize..=1 {
-                let (nx, ny) = if wrap {
-                    (
-                        (bx + dx).rem_euclid(m) as usize,
-                        (by + dy).rem_euclid(m) as usize,
-                    )
-                } else {
-                    let nx = bx + dx;
-                    let ny = by + dy;
-                    if nx < 0 || ny < 0 || nx >= m || ny >= m {
-                        continue;
-                    }
-                    (nx as usize, ny as usize)
-                };
-                let b = ny * k + nx;
-                if !bucket_ids[..nb_ct].contains(&b) {
-                    bucket_ids[nb_ct] = b;
-                    nb_ct += 1;
-                }
-            }
-        }
-        for &b in &bucket_ids[..nb_ct] {
-            visits += (ws.starts[b + 1] - ws.starts[b]) as u64;
-            for j in ws.starts[b]..ws.starts[b + 1] {
-                let v = ws.nodes[j];
-                if v == u || (ws.flags[v as usize] && v < u) {
-                    continue;
-                }
-                if close(ux, uy, ws.xs[j], ws.ys[j]) && !out.has_edge(u, v) {
-                    ws.births.push((u.min(v), u.max(v)));
-                }
-            }
-        }
-    }
-    let outcome = out.apply_delta(&ws.births, &ws.deaths);
-    if obs::installed() {
-        obs::add(obs::Counter::EdgeBirths, ws.births.len() as u64);
-        obs::add(obs::Counter::EdgeDeaths, ws.deaths.len() as u64);
-        obs::add(obs::Counter::BucketScanVisits, visits);
-        obs::record_delta(outcome.is_rebuilt(), outcome.rebuild_bytes() as u64);
-    }
-    (ws.births.len(), ws.deaths.len())
+    out.build();
 }
 
 /// Builds the radius graph of `positions` under the metric of `region`
@@ -694,150 +535,6 @@ mod tests {
                 buf.capacities(),
             );
             assert_eq!(now, warm, "workspace capacity drifted after warm-up");
-        }
-    }
-
-    #[test]
-    fn movement_delta_matches_full_rebuild() {
-        // Rounds of random movement (sometimes a few nodes, sometimes half
-        // the population, crossing the torus seam freely) maintained through
-        // radius_graph_update must track the brute-force graph of the
-        // current positions exactly, as an edge set.
-        let side = 12.0;
-        for (region, seed) in [
-            (Region::Square { side }, 11u64),
-            (Region::Torus { side }, 12u64),
-        ] {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let n = 150usize;
-            let radius = 2.0;
-            let mut pos = random_positions(n, side, 31 * seed);
-            let mut ws = RadiusGraphWorkspace::default();
-            let mut snap = SnapshotBuf::new();
-            radius_graph_into_with_slack(&pos, radius, region, &mut ws, &mut snap, 4);
-            for round in 0..30 {
-                let movers: Vec<Node> = (0..n as Node)
-                    .filter(|_| rng.gen_bool(if round % 3 == 0 { 0.05 } else { 0.5 }))
-                    .collect();
-                for &u in &movers {
-                    let p = &mut pos[u as usize];
-                    p.0 = (p.0 + rng.gen_range(-1.5f64..1.5)).rem_euclid(side);
-                    p.1 = (p.1 + rng.gen_range(-1.5f64..1.5)).rem_euclid(side);
-                }
-                let (b, d) = radius_graph_update(&pos, &movers, radius, region, &mut ws, &mut snap);
-                assert_eq!((b, d), (ws.births.len(), ws.deaths.len()));
-                let reference = radius_graph_brute_force(&pos, radius, region);
-                assert_eq!(
-                    snap.num_edges(),
-                    reference.num_edges(),
-                    "{region:?} round {round}"
-                );
-                for u in 0..n as Node {
-                    let mut got = snap.neighbors(u).to_vec();
-                    got.sort_unstable();
-                    let mut want = reference.neighbors(u).to_vec();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "{region:?} round {round} node {u}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn movement_delta_tracks_a_seam_crossing() {
-        let region = Region::Torus { side: 10.0 };
-        let mut pos = vec![(5.0, 5.0), (5.9, 5.0), (0.3, 5.0)];
-        let mut ws = RadiusGraphWorkspace::default();
-        let mut snap = SnapshotBuf::new();
-        radius_graph_into_with_slack(&pos, 1.0, region, &mut ws, &mut snap, 2);
-        assert!(snap.has_edge(0, 1));
-        assert_eq!(snap.num_edges(), 1);
-        // Node 1 jumps across the seam: loses node 0, gains node 2 through
-        // the wrap-around metric.
-        pos[1] = (9.9, 5.0);
-        let (b, d) = radius_graph_update(&pos, &[1], 1.0, region, &mut ws, &mut snap);
-        assert_eq!((b, d), (1, 1));
-        assert!(snap.has_edge(1, 2));
-        assert!(!snap.has_edge(0, 1));
-        assert_eq!(snap.num_edges(), 1);
-    }
-
-    #[test]
-    fn movement_delta_degenerate_cases() {
-        let region = Region::Square { side: 5.0 };
-        let pos = random_positions(40, 5.0, 13);
-        let mut ws = RadiusGraphWorkspace::default();
-        let mut snap = SnapshotBuf::new();
-        radius_graph_into_with_slack(&pos, 1.0, region, &mut ws, &mut snap, 2);
-        let before: Vec<usize> = (0..40u32).map(|u| snap.degree(u)).collect();
-        // Empty moved list: no-op.
-        let out = radius_graph_update(&pos, &[], 1.0, region, &mut ws, &mut snap);
-        assert_eq!(out, (0, 0));
-        // "Movers" that did not actually change position: no delta either.
-        let out = radius_graph_update(&pos, &[0, 7, 39], 1.0, region, &mut ws, &mut snap);
-        assert_eq!(out, (0, 0));
-        let after: Vec<usize> = (0..40u32).map(|u| snap.degree(u)).collect();
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn movement_delta_is_allocation_free_after_warmup() {
-        // Small-move rounds with per-row slack must stop growing every
-        // buffer involved: the workspace index, the delta scratch, and the
-        // snapshot itself (in-place apply_delta, no rebuild).
-        let region = Region::Torus { side: 12.0 };
-        let n = 300usize;
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let mut pos = random_positions(n, 12.0, 17);
-        let mut ws = RadiusGraphWorkspace::default();
-        let mut snap = SnapshotBuf::new();
-        radius_graph_into_with_slack(&pos, 2.0, region, &mut ws, &mut snap, 8);
-        let mut movers = Vec::new();
-        let step = |pos: &mut Vec<Point>,
-                    movers: &mut Vec<Node>,
-                    ws: &mut RadiusGraphWorkspace,
-                    snap: &mut SnapshotBuf,
-                    rng: &mut ChaCha8Rng| {
-            movers.clear();
-            movers.extend((0..n as Node).filter(|_| rng.gen_bool(0.03)));
-            for &u in movers.iter() {
-                let p = &mut pos[u as usize];
-                p.0 = (p.0 + rng.gen_range(-0.4f64..0.4)).rem_euclid(12.0);
-                p.1 = (p.1 + rng.gen_range(-0.4f64..0.4)).rem_euclid(12.0);
-            }
-            radius_graph_update(pos, movers, 2.0, region, ws, snap);
-        };
-        // Warm-up: a high-churn round first (teleport half the population)
-        // to deterministically exercise apply_delta's rebuild fallback, so
-        // the staging buffer and regenerated row slack reach their
-        // high-water capacities before we start measuring.
-        movers.extend(0..(n / 2) as Node);
-        for &u in movers.iter() {
-            pos[u as usize] = (rng.gen_range(0.0..12.0), rng.gen_range(0.0..12.0));
-        }
-        radius_graph_update(&pos, &movers, 2.0, region, &mut ws, &mut snap);
-        for _ in 0..10 {
-            step(&mut pos, &mut movers, &mut ws, &mut snap, &mut rng);
-        }
-        let warm = (
-            ws.counts.capacity(),
-            ws.nodes.capacity(),
-            ws.flags.capacity(),
-            ws.births.capacity(),
-            ws.deaths.capacity(),
-            snap.capacities(),
-        );
-        for _ in 0..50 {
-            step(&mut pos, &mut movers, &mut ws, &mut snap, &mut rng);
-            let now = (
-                ws.counts.capacity(),
-                ws.nodes.capacity(),
-                ws.flags.capacity(),
-                ws.births.capacity(),
-                ws.deaths.capacity(),
-                snap.capacities(),
-            );
-            assert_eq!(now, warm, "delta-maintenance capacity drifted");
         }
     }
 

@@ -1,8 +1,8 @@
 //! Mutable adjacency-list representation of an undirected simple graph.
 //!
-//! Model crates rebuild the edge set on every time step; `AdjacencyList` is
-//! the representation they construct into. It can be frozen into a [`Csr`](crate::Csr)
-//! (`crate::csr`) when a snapshot is queried many times.
+//! Static graphs (generators, fixtures, frozen and scheduled evolving
+//! graphs) are built as an `AdjacencyList`; evolving-graph snapshots are
+//! copied into a flat [`SnapshotBuf`](crate::SnapshotBuf) for querying.
 
 use crate::{Graph, Node};
 

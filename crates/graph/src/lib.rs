@@ -10,8 +10,9 @@
 //!   neighborhoods;
 //! * [`PairBits`] — a word-packed bitset over the `n(n−1)/2` unordered node
 //!   pairs, the alive-flag representation of the dense edge-MEG;
-//! * [`AdjacencyList`] and [`Csr`] — mutable and frozen graph representations,
-//!   both implementing the [`Graph`] trait;
+//! * [`AdjacencyList`] and [`SnapshotBuf`] — a mutable adjacency list and
+//!   the reusable flat CSR buffer every evolving-graph snapshot is built
+//!   into, both implementing the [`Graph`] trait;
 //! * traversals and global metrics: [`bfs`], [`connectivity`], [`diameter`],
 //!   [`degree`], [`metrics`];
 //! * [`expansion`] — measurement of the parameterized `(h, k)`-node-expansion
@@ -47,7 +48,6 @@
 pub mod adjacency;
 pub mod bfs;
 pub mod connectivity;
-pub mod csr;
 pub mod degree;
 pub mod diameter;
 pub mod expansion;
@@ -58,7 +58,6 @@ pub mod pair_bits;
 pub mod snapshot_buf;
 
 pub use adjacency::AdjacencyList;
-pub use csr::Csr;
 pub use nodeset::NodeSet;
 pub use pair_bits::PairBits;
 pub use snapshot_buf::{DeltaOutcome, SnapshotBuf};
@@ -109,7 +108,7 @@ pub trait Graph {
     }
 
     /// Borrows the neighbors of `u` as a contiguous slice when the
-    /// representation stores them contiguously ([`AdjacencyList`], [`Csr`],
+    /// representation stores them contiguously ([`AdjacencyList`],
     /// [`SnapshotBuf`]); `None` otherwise.
     ///
     /// Hot loops should go through [`visit_neighbors`], which takes this fast

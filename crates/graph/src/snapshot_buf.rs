@@ -394,8 +394,7 @@ impl SnapshotBuf {
     }
 
     /// Returns every edge `{u, v}` with `u < v`, in CSR row order
-    /// (allocates; intended for tests and one-shot freezes, not the hot
-    /// path).
+    /// (allocates; intended for tests, not the hot path).
     pub fn edges(&self) -> Vec<(Node, Node)> {
         debug_assert!(self.built, "query before build");
         let mut out = Vec::with_capacity(self.num_edges());

@@ -19,7 +19,7 @@
 //!   (uniform stationary law).
 //!
 //! [`stationary`] provides the occupancy-uniformity diagnostics the
-//! `exp_mobility_models` experiment reports.
+//! `mobility_models` example reports.
 //!
 //! ## Example
 //!

@@ -4,7 +4,7 @@
 //! stationary distribution of node positions is (almost) uniform, so cell
 //! occupancies concentrate (Claim 1). These diagnostics quantify how uniform a
 //! model's empirical occupancy actually is, and are reported by the
-//! `exp_mobility_models` experiment for every model in this crate.
+//! `mobility_models` example for every model in this crate.
 
 use crate::space::Point;
 use crate::traits::Mobility;

@@ -60,8 +60,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Edges born this run (both edge-MEG flip sampling and geometric
-    /// movement deltas).
+    /// Edges born this run (edge-MEG stepping, both engines and modes).
     EdgeBirths,
     /// Edges that died this run.
     EdgeDeaths,

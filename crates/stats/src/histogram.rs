@@ -84,8 +84,8 @@ impl Histogram {
             .unwrap_or(0)
     }
 
-    /// Renders a compact ASCII bar chart (one line per bin), used by the
-    /// experiment binaries for quick visual inspection.
+    /// Renders a compact ASCII bar chart (one line per bin) for quick visual
+    /// inspection.
     pub fn render_ascii(&self, width: usize) -> String {
         let max_count = self.counts.iter().copied().max().unwrap_or(0).max(1);
         let mut out = String::new();

@@ -1,8 +1,9 @@
 //! Experiment table rendering.
 //!
-//! Every experiment binary produces one or more tables: a header row plus one
-//! row per parameter setting. Tables can be rendered as aligned ASCII (for the
-//! terminal, and pasted into EXPERIMENTS.md) or CSV (for external plotting).
+//! `meg-lab` and the examples print their results as tables: a header row
+//! plus one row per parameter setting, rendered as aligned ASCII (for the
+//! terminal, and pasted into EXPERIMENTS.md). Machine-readable output goes
+//! through the engine's JSON-lines and CSV row sinks instead.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,11 +38,6 @@ impl Table {
     /// The caption.
     pub fn caption(&self) -> &str {
         &self.caption
-    }
-
-    /// The column headers.
-    pub fn header(&self) -> &[String] {
-        &self.header
     }
 
     /// Appends a row of already-formatted cells.
@@ -99,32 +95,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (caption omitted, header included).
-    pub fn render_csv(&self) -> String {
-        let escape = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with a sensible number of digits for table cells.
@@ -177,19 +147,6 @@ mod tests {
         // all body lines have equal length
         assert_eq!(lines[1].len(), lines[3].len());
         assert_eq!(lines[1].len(), lines[4].len());
-    }
-
-    #[test]
-    fn csv_rendering_and_escaping() {
-        let mut t = Table::new("", &["name", "note"]);
-        t.push_row(&["a", "plain"]);
-        t.push_row(&["b", "has,comma"]);
-        t.push_row(&["c", "has\"quote"]);
-        let csv = t.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,note");
-        assert_eq!(lines[2], "b,\"has,comma\"");
-        assert_eq!(lines[3], "c,\"has\"\"quote\"");
     }
 
     #[test]

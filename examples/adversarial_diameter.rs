@@ -40,7 +40,7 @@ fn main() {
         let source = star.worst_source();
         let diameter = star.snapshot_diameter();
         let time = flood(&mut star, source, 10 * n as u64)
-            .flooding_time()
+            .completion_time()
             .expect("rotating star always completes");
         table.push_row(&[
             n.to_string(),
@@ -52,7 +52,7 @@ fn main() {
         let mut bridge = RotatingBridge::new(n);
         let diameter = bridge.snapshot_diameter();
         let time = flood(&mut bridge, 1, 10 * n as u64)
-            .flooding_time()
+            .completion_time()
             .expect("rotating bridge always completes");
         table.push_row(&[
             n.to_string(),
@@ -76,7 +76,7 @@ fn main() {
     let predicted = star.predicted_worst_flooding_time();
     let source = star.worst_source();
     let measured = flood(&mut star, source, 10 * n as u64)
-        .flooding_time()
+        .completion_time()
         .unwrap();
     println!("\nClosed-form check at n = {n}: predicted {predicted}, measured {measured}.");
     assert_eq!(predicted, measured);

@@ -46,11 +46,11 @@ fn main() {
         let params = EdgeMegParams::with_stationary(n, p_hat, q);
         let mut warm = SparseEdgeMeg::stationary(params, seed);
         let warm_time = flood(&mut warm, 0, 1_000_000)
-            .flooding_time()
+            .completion_time()
             .expect("stationary overlay floods");
         let mut cold = SparseEdgeMeg::new(params, InitialDistribution::Empty, seed + 1);
         let cold_time = flood(&mut cold, 0, 1_000_000)
-            .flooding_time()
+            .completion_time()
             .expect("cold start eventually floods");
         table.push_row(&[
             fmt_f64(q),

@@ -35,7 +35,7 @@ fn main() {
     let mut edge_meg = SparseEdgeMeg::stationary(params, seed);
     let result = flood(&mut edge_meg, 0, 100_000);
     let time = result
-        .flooding_time()
+        .completion_time()
         .expect("connected regime: flooding completes");
     let bounds = params.bounds();
     println!("  measured flooding time : {time} rounds");
@@ -64,7 +64,7 @@ fn main() {
     let mut geo_meg = GeometricMeg::from_params(geo_params, seed);
     let result = flood(&mut geo_meg, 0, 100_000);
     let time = result
-        .flooding_time()
+        .completion_time()
         .expect("connected regime: flooding completes");
     let bounds = GeometricBounds::new(n_geo, radius, move_radius);
     println!("  measured flooding time : {time} rounds");
@@ -79,7 +79,7 @@ fn main() {
         &mut meg::stats::seeds::labeled_rng(seed, "quickstart-static"),
     );
     let static_flooding = flood_static(&snapshot.graph, 0);
-    match static_flooding.flooding_time() {
+    match static_flooding.completion_time() {
         Some(t) => println!("  static snapshot flooding (≈ diameter): {t} rounds"),
         None => println!("  static snapshot was disconnected (rare at this R)"),
     }

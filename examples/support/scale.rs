@@ -3,8 +3,8 @@
 //!
 //! `MEG_EXAMPLE_SCALE` multiplies each example's nominal problem sizes; CI
 //! smoke-runs the examples with `MEG_EXAMPLE_SCALE=0.1` (see `ci.sh`). It is
-//! deliberately distinct from the experiment binaries' `MEG_SCALE` so tuning
-//! one surface never silently changes the other.
+//! deliberately distinct from `meg-lab`'s `MEG_SCALE` so tuning one surface
+//! never silently changes the other.
 
 #![allow(dead_code)]
 

@@ -9,7 +9,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`graph`] | static-graph substrate: adjacency/CSR structures, node sets, BFS, connectivity, diameter, expansion measurement, generators |
+//! | [`graph`] | static-graph substrate: adjacency lists, flat CSR snapshot buffers, node sets, BFS, connectivity, diameter, expansion measurement, generators |
 //! | [`markov`] | finite Markov chains: the two-state edge chain, random walks on support graphs, stationary laws, mixing diagnostics |
 //! | [`stats`] | experiment substrate: summaries, confidence intervals, scaling fits, tables, seeded parallel trial runner |
 //! | [`mobility`] | node-mobility models: grid random walk (the paper's model), walkers on a torus, random waypoint, billiard |
@@ -32,7 +32,7 @@
 //!
 //! // Flood from node 0 and compare with the paper's Theorem 4.3 shape.
 //! let result = flood(&mut evolving, 0, 10_000);
-//! let time = result.flooding_time().expect("connected regime floods");
+//! let time = result.completion_time().expect("connected regime floods");
 //! let bounds = params.bounds();
 //! assert!((time as f64) <= 10.0 * bounds.upper_shape());
 //! assert!(time >= 2);
@@ -57,10 +57,10 @@ pub mod prelude {
     pub use meg_core::bounds::{EdgeBounds, GeometricBounds};
     pub use meg_core::evolving::{EvolvingGraph, FrozenGraph, InitialDistribution, ScheduledGraph};
     pub use meg_core::expansion::ExpanderSequence;
-    pub use meg_core::flooding::{
-        flood, flood_static, FloodingOutcome, FloodingResult, FloodingState,
+    pub use meg_core::flooding::{flood, flood_static};
+    pub use meg_core::protocols::{
+        parsimonious_flood, probabilistic_flood, push_pull_gossip, ProtocolResult,
     };
-    pub use meg_core::protocols::{parsimonious_flood, probabilistic_flood, push_pull_gossip};
     pub use meg_core::spec;
     pub use meg_edge::init::AutoEdgeMeg;
     pub use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
@@ -68,7 +68,7 @@ pub mod prelude {
         builtin, run_scenario, OutputFormat, Param, Protocol, Scenario, Substrate, Sweep,
     };
     pub use meg_geometric::{GeometricMeg, GeometricMegParams};
-    pub use meg_graph::{AdjacencyList, Csr, Graph, Node, NodeSet};
+    pub use meg_graph::{AdjacencyList, Graph, Node, NodeSet};
     pub use meg_markov::TwoStateChain;
     pub use meg_mobility::{Billiard, GridWalk, Mobility, RandomWaypoint, TorusWalkers};
     pub use meg_stats::{ConfidenceInterval, Summary, Table};
@@ -83,6 +83,6 @@ mod tests {
         let params = EdgeMegParams::with_stationary(120, 0.1, 0.5);
         let mut meg = DenseEdgeMeg::stationary(params, 0);
         let r = flood(&mut meg, 3, 500);
-        assert_eq!(r.outcome, FloodingOutcome::Completed);
+        assert!(r.completed);
     }
 }

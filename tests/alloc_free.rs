@@ -5,7 +5,7 @@
 //! ([`meg::graph::SnapshotBuf`]) in place. After a warm-up phase — during
 //! which the buffer and workspace capacities grow to the run's high-water
 //! mark — stepping the dense-edge and geometric evolving graphs must perform
-//! **zero** heap allocations (the acceptance criterion of the
+//! **zero** heap allocations (the acceptance bar of the
 //! allocation-free snapshot pipeline refactor). Both stepping modes are
 //! covered: the per-pair reference path — which now steps 64 chains per
 //! round through the word-packed [`meg::graph::PairBits`] state (fixed words

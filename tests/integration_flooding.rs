@@ -18,7 +18,7 @@ fn stationary_edge_meg_respects_both_bounds() {
     for seed in 0..3u64 {
         let mut meg = SparseEdgeMeg::stationary(params, seed);
         let t = flood(&mut meg, 0, ROUND_BUDGET)
-            .flooding_time()
+            .completion_time()
             .expect("connected regime floods") as f64;
         assert!(
             t >= bounds.lower() * 0.99,
@@ -43,7 +43,7 @@ fn stationary_geometric_meg_respects_both_bounds() {
     for seed in 0..2u64 {
         let mut meg = GeometricMeg::from_params(params, seed);
         let t = flood(&mut meg, 0, ROUND_BUDGET)
-            .flooding_time()
+            .completion_time()
             .expect("connected regime floods") as f64;
         assert!(
             t >= bounds.lower() * 0.99,
@@ -70,7 +70,7 @@ fn denser_networks_flood_faster_on_average() {
         let trials = 3;
         for seed in 0..trials {
             let mut meg = SparseEdgeMeg::stationary(params, seed);
-            total += flood(&mut meg, 0, ROUND_BUDGET).flooding_time().unwrap() as f64;
+            total += flood(&mut meg, 0, ROUND_BUDGET).completion_time().unwrap() as f64;
         }
         total / trials as f64
     };
@@ -92,7 +92,7 @@ fn larger_radius_floods_faster_in_geometric_meg() {
         let mut total = 0.0;
         for seed in 0..trials {
             let mut meg = GeometricMeg::from_params(params, seed);
-            total += flood(&mut meg, 0, ROUND_BUDGET).flooding_time().unwrap() as f64;
+            total += flood(&mut meg, 0, ROUND_BUDGET).completion_time().unwrap() as f64;
         }
         total / trials as f64
     };
@@ -111,9 +111,9 @@ fn stationary_start_beats_empty_start_when_links_are_born_rarely() {
     let q = 0.005;
     let params = EdgeMegParams::with_stationary(n, p_hat, q);
     let mut warm = SparseEdgeMeg::stationary(params, 10);
-    let warm_time = flood(&mut warm, 0, ROUND_BUDGET).flooding_time().unwrap();
+    let warm_time = flood(&mut warm, 0, ROUND_BUDGET).completion_time().unwrap();
     let mut cold = SparseEdgeMeg::new(params, InitialDistribution::Empty, 11);
-    let cold_time = flood(&mut cold, 0, ROUND_BUDGET).flooding_time().unwrap();
+    let cold_time = flood(&mut cold, 0, ROUND_BUDGET).completion_time().unwrap();
     assert!(
         cold_time >= 3 * warm_time,
         "cold start ({cold_time}) should be much slower than warm start ({warm_time})"
@@ -126,14 +126,14 @@ fn adversarial_star_defeats_diameter_based_reasoning_at_scale() {
     let mut star = RotatingStar::new(n, 0);
     let worst = star.worst_source();
     let t = flood(&mut star, worst, 10 * n as u64)
-        .flooding_time()
+        .completion_time()
         .unwrap();
     assert_eq!(t, (n - 1) as u64);
     // Meanwhile a geometric-MEG of the same size with a healthy radius floods
     // in a tiny fraction of that.
     let radius = 2.0 * (n as f64).ln().sqrt();
     let mut geo = GeometricMeg::from_params(GeometricMegParams::new(n, radius / 2.0, radius), 1);
-    let geo_t = flood(&mut geo, 0, ROUND_BUDGET).flooding_time().unwrap();
+    let geo_t = flood(&mut geo, 0, ROUND_BUDGET).completion_time().unwrap();
     assert!(geo_t * 5 < t);
 }
 
