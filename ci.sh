@@ -117,7 +117,7 @@ if [ "$MODE" != "quick" ]; then
     fi
     echo "meg-lab emitted $ROWS well-formed JSON rows"
 
-    step "meg-lab sharded smoke (0/2 + 1/2 + merge, byte-identical to unsharded)"
+    step "meg-lab sharded smoke (0/2 + 1/2 + merge, byte-identical to unsharded, JSON and CSV)"
     MEG_LAB="cargo run -q --release --offline -p meg-engine --bin meg-lab --"
     DIST_DIR=$(mktemp -d)
     COMMON="--scale 0.1 --trials 2 --seed 2009 --format json"
@@ -133,7 +133,17 @@ if [ "$MODE" != "quick" ]; then
         rm -rf "$DIST_DIR"
         exit 1
     fi
-    echo "sharded run merged byte-identically ($(wc -l < "$DIST_DIR/merged.jsonl") rows)"
+    # The CSV leg: an unsharded CSV run equals the CSV merge of the shards.
+    # shellcheck disable=SC2086
+    $MEG_LAB run quick_smoke $COMMON --format csv > "$DIST_DIR/unsharded.csv"
+    $MEG_LAB merge "$DIST_DIR/parts" --format csv > "$DIST_DIR/merged.csv" 2> /dev/null
+    if ! cmp "$DIST_DIR/unsharded.csv" "$DIST_DIR/merged.csv"; then
+        diff -u "$DIST_DIR/unsharded.csv" "$DIST_DIR/merged.csv" >&2
+        echo "sharded+merged CSV differs from the unsharded CSV run" >&2
+        rm -rf "$DIST_DIR"
+        exit 1
+    fi
+    echo "sharded run merged byte-identically ($(wc -l < "$DIST_DIR/merged.jsonl") rows, JSON and CSV)"
     rm -rf "$DIST_DIR"
 
     step "meg-lab adaptive smoke (--target-stderr converges on every row)"

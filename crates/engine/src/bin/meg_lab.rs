@@ -5,7 +5,7 @@
 //! meg-lab show <name>               # print a scenario as JSON
 //! meg-lab run <name> [flags]        # run a built-in scenario
 //! meg-lab run --file scenario.json  # run a scenario from disk
-//! meg-lab worker [--fail-after N]   # cell-execution server (stdin/stdout)
+//! meg-lab worker [--fail-after N]   # trial-batch server (stdin/stdout)
 //! meg-lab merge <dir> [--format F]  # merge *.part.jsonl checkpoints
 //! meg-lab bench [names…] [flags]    # wall-time measurement harness
 //!
@@ -73,7 +73,7 @@
 //!   --out DIR             checkpoint completed rows to DIR/*.part.jsonl
 //!   --resume DIR          skip cells already checkpointed in DIR
 //!   --limit N             stop after N new cells (checkpoint stays valid)
-//!   --worker-fail-after N fault injection: workers abort after N cells
+//!   --worker-fail-after N fault injection: workers abort after N requests
 //! ```
 
 use meg_engine::dist::{merge_dir, run_sharded, worker, DistOptions, ShardSpec, ShardStrategy};
@@ -405,33 +405,6 @@ fn cmd_run(args: &[String]) {
     let format = FORMAT.or_env(format).unwrap_or_default();
     let metrics = METRICS.or_env(metrics);
 
-    let distributed = shard.is_some()
-        || strategy.is_some()
-        || workers.is_some()
-        || out_dir.is_some()
-        || resume_dir.is_some()
-        || limit.is_some()
-        || worker_fail_after.is_some()
-        || trace.is_some()
-        || progress;
-    if !distributed {
-        // Single-process, no checkpointing: the original streaming path.
-        match harness::run_and_emit_observed(&scenario, seed, format, metrics) {
-            Ok(rows) => {
-                if format == OutputFormat::Table {
-                    println!(
-                        "\n{} cells, seed {seed}; rerun any cell in isolation with the `seed` \
-                         column of its row.",
-                        rows.len()
-                    );
-                }
-            }
-            Err(e) => fail(&format!("scenario failed: {e}")),
-        }
-        return;
-    }
-
-    // Distributed path: shard, checkpoint, and/or worker subprocesses.
     if let (Some(out), Some(res)) = (&out_dir, &resume_dir) {
         // Compare lexically-normalized absolute paths so equivalent
         // spellings (`--out ./x --resume x`) are accepted even before the
@@ -487,25 +460,41 @@ fn cmd_run(args: &[String]) {
             harness::emit_cell_metrics(mode, cell, &mut prev);
         }
     })
-    .unwrap_or_else(|e| fail(&format!("sharded run failed: {e}")));
+    .unwrap_or_else(|e| fail(&format!("run failed: {e}")));
     if let Some(mode) = metrics {
         harness::emit_metrics_summary_merged(mode, &report.worker_metrics);
     }
 
     if format == OutputFormat::Table {
+        // A run of every cell without a checkpoint reads like one sweep; a
+        // shard or a checkpointed run also says what it executed and resumed.
+        let whole = opts.shard.count == 1 && opts.out_dir.is_none();
+        let shard_note = if whole {
+            String::new()
+        } else {
+            format!(", shard {}", opts.shard)
+        };
         let caption = format!(
-            "{}: {} (seed {seed}, shard {})",
-            scenario.name, scenario.description, opts.shard
+            "{}: {} (seed {seed}{shard_note})",
+            scenario.name, scenario.description
         );
         print!("{}", rows_to_table(&caption, &table_rows).render_ascii());
-        println!(
-            "\nshard {}: {} of {} cell(s) emitted ({} executed, {} resumed).",
-            opts.shard,
-            report.rows.len(),
-            report.assigned,
-            report.executed,
-            report.resumed
-        );
+        if whole {
+            println!(
+                "\n{} cells, seed {seed}; rerun any cell in isolation with the `seed` \
+                 column of its row.",
+                report.rows.len()
+            );
+        } else {
+            println!(
+                "\nshard {}: {} of {} cell(s) emitted ({} executed, {} resumed).",
+                opts.shard,
+                report.rows.len(),
+                report.assigned,
+                report.executed,
+                report.resumed
+            );
+        }
     }
     if !report.complete {
         let remaining = report.assigned - report.rows.len();

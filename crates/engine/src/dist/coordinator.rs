@@ -11,27 +11,29 @@
 //! 3. executes the remaining cells — in-process (`workers == 0`) on the
 //!    sweep-wide trial queue, where `meg_stats::trial_threads()` trial
 //!    threads pull `(cell, trial)` units across cell boundaries, or by
-//!    dispatching them to `workers` subprocesses speaking the
+//!    dispatching trial batches to `workers` subprocesses speaking the
 //!    [`worker`](super::worker) protocol. A worker that dies mid-run is
-//!    respawned and its in-flight cell retried, up to
+//!    respawned and its in-flight batch retried, up to
 //!    [`DistOptions::max_retries`] retries (i.e. `max_retries + 1` total
-//!    attempts) per cell. Both paths share one work queue, one adaptive
-//!    control loop and one ordered emitter;
+//!    attempts) per batch. Both paths share one work queue, one control
+//!    loop and one ordered emitter;
 //! 4. appends each completed row to the shard's part file the moment it
 //!    finishes, then streams rows to the caller in ascending global
 //!    cell-index order — so the emitted byte stream of shard `i/m` is
 //!    exactly the corresponding subsequence of an unsharded run's output.
 //!
-//! Under a [`Precision::TargetStderr`] scenario the **adaptive control
-//! loop** decides each cell's trial count — on trial units in-process, and
-//! instead of one-request-per-cell in the worker pool: each cell's
-//! first `min_trials` are dispatched as a batch, the returned outcomes'
-//! standard error is checked against `eps` at every checkpoint of the shared
-//! doubling schedule (`meg_stats::precision_checkpoints`), and incremental
-//! batches are re-dispatched until the target is met or `max_trials` is
-//! spent. Trial seeds depend only on `(cell seed, trial index)`, so the
-//! finished rows are byte-identical to an unsharded adaptive run — and, at
-//! `eps = 0`, to a fixed run of `max_trials` trials.
+//! In the worker pool the coordinator aggregates every row from the
+//! outcomes its workers return; a fixed-trials cell is one batch of all its
+//! trials. Under a
+//! [`Precision::TargetStderr`](crate::scenario::Precision::TargetStderr)
+//! scenario the **adaptive control loop** decides each cell's trial count:
+//! each cell's first `min_trials` are dispatched as a batch, the returned
+//! outcomes' standard error is checked against `eps` at every checkpoint of
+//! the shared doubling schedule (`meg_stats::precision_checkpoints`), and
+//! incremental batches are re-dispatched until the target is met or
+//! `max_trials` is spent. Trial seeds depend only on `(cell seed, trial
+//! index)`, so the finished rows are byte-identical to an unsharded run —
+//! and, at `eps = 0`, to a fixed run of `max_trials` trials.
 //!
 //! ## Example
 //!
@@ -76,15 +78,13 @@ use super::checkpoint::{self, PartHeader, PartWriter};
 use super::progress::{self, Progress};
 use super::shard::ShardSpec;
 use super::trace::{lane_names, TraceJournal};
-use super::worker::{batch_line, cell_line, hello_line_with, shutdown_line};
+use super::worker::{batch_line, hello_line_with, shutdown_line};
 use super::DistError;
 use crate::json::Json;
 use crate::metrics::snapshot_from_json;
 use crate::run::{aggregate_row, cell_seed, resolve_cells, scenario_jobs, Cell, TrialOutcome};
-use crate::scenario::{Precision, Scenario};
-use crate::sched::{
-    self, Control, Finished, OrderedEmitter, Plan, Replies, Reply, WorkItem, WorkQueue, WorkReply,
-};
+use crate::scenario::Scenario;
+use crate::sched::{self, Control, OrderedEmitter, Plan, Replies, Reply, WorkItem, WorkQueue};
 use meg_obs as obs;
 use meg_obs::MetricsSnapshot;
 use std::collections::BTreeMap;
@@ -114,10 +114,11 @@ pub struct DistOptions {
     /// Binary to spawn as `<cmd> worker` (default: the current executable,
     /// which is correct for `meg-lab` itself).
     pub worker_cmd: Option<PathBuf>,
-    /// Fault injection: spawned workers abort after serving this many cells
-    /// (forwarded as `worker --fail-after N`). Exercises the restart path.
+    /// Fault injection: spawned workers abort after serving this many
+    /// requests (forwarded as `worker --fail-after N`). Exercises the
+    /// restart path.
     pub worker_fail_after: Option<usize>,
-    /// Per-cell retry budget when a worker dies (respawn + resend).
+    /// Per-batch retry budget when a worker dies (respawn + resend).
     pub max_retries: usize,
     /// Narrate worker fault events (deaths, respawns, retries) on stderr,
     /// each prefixed with the monotonic milliseconds since the pool started.
@@ -411,57 +412,44 @@ impl WorkerProc {
         }
     }
 
-    fn request_cell(&mut self, index: usize) -> Result<String, String> {
-        let line = self.round_trip(&cell_line(index))?;
-        let cell = Json::parse(&line)
-            .ok()
-            .and_then(|v| v.get("cell")?.as_usize());
-        if cell != Some(index) {
-            return Err(format!("worker answered cell {cell:?}, wanted {index}"));
+    /// Sends one trial batch, validates the reply's addressing, and parses
+    /// it exactly once: the reply must echo the cell and start offset and
+    /// carry exactly `count` well-formed outcomes (a malformed reply counts
+    /// as a worker failure, so it goes through the normal respawn-and-retry
+    /// path). A shipping worker follows every response with a counter-delta
+    /// line, returned alongside the outcomes.
+    fn request(
+        &mut self,
+        item: WorkItem,
+    ) -> Result<(Vec<TrialOutcome>, Option<MetricsSnapshot>), String> {
+        let WorkItem { cell, start, count } = item;
+        let line = self.round_trip(&batch_line(cell, start, count))?;
+        let parsed = Json::parse(&line).ok();
+        let got_cell = parsed.as_ref().and_then(|v| v.get("cell")?.as_usize());
+        let got_start = parsed.as_ref().and_then(|v| v.get("start")?.as_usize());
+        let outcomes = parsed
+            .as_ref()
+            .and_then(|v| v.get("outcomes")?.as_arr())
+            .map(|arr| {
+                arr.iter()
+                    .map(TrialOutcome::from_json)
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .and_then(Result::ok);
+        let got_count = outcomes.as_ref().map(Vec::len);
+        if got_cell != Some(cell) || got_start != Some(start) || got_count != Some(count) {
+            return Err(format!(
+                "worker answered batch (cell {got_cell:?}, start {got_start:?}, \
+                 {got_count:?} outcomes), wanted (cell {cell}, start {start}, \
+                 {count} outcomes)"
+            ));
         }
-        Ok(line)
-    }
-
-    /// Sends one work item, validates the reply's addressing, and parses it
-    /// exactly once: the adaptive batch reply must echo the cell and start
-    /// offset and carry exactly `count` well-formed outcomes (a malformed
-    /// reply counts as a worker failure, so it goes through the normal
-    /// respawn-and-retry path). A shipping worker follows every response
-    /// with a counter-delta line, returned alongside the reply.
-    fn request(&mut self, item: WorkItem) -> Result<(WorkReply, Option<MetricsSnapshot>), String> {
-        let reply = match item {
-            WorkItem::Row(index) => self.request_cell(index).map(WorkReply::Row)?,
-            WorkItem::Batch { cell, start, count } => {
-                let line = self.round_trip(&batch_line(cell, start, count))?;
-                let parsed = Json::parse(&line).ok();
-                let got_cell = parsed.as_ref().and_then(|v| v.get("cell")?.as_usize());
-                let got_start = parsed.as_ref().and_then(|v| v.get("start")?.as_usize());
-                let outcomes = parsed
-                    .as_ref()
-                    .and_then(|v| v.get("outcomes")?.as_arr())
-                    .map(|arr| {
-                        arr.iter()
-                            .map(TrialOutcome::from_json)
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                    .and_then(Result::ok);
-                let got_count = outcomes.as_ref().map(Vec::len);
-                if got_cell != Some(cell) || got_start != Some(start) || got_count != Some(count) {
-                    return Err(format!(
-                        "worker answered batch (cell {got_cell:?}, start {got_start:?}, \
-                         {got_count:?} outcomes), wanted (cell {cell}, start {start}, \
-                         {count} outcomes)"
-                    ));
-                }
-                WorkReply::Batch(outcomes.expect("validated above"))
-            }
-        };
         let metrics = if self.ship_metrics {
             Some(self.read_metrics()?)
         } else {
             None
         };
-        Ok((reply, metrics))
+        Ok((outcomes.expect("validated above"), metrics))
     }
 
     /// Reads the `{"metrics":…}` counter-delta line a shipping worker sends
@@ -548,9 +536,9 @@ fn worker_thread(
     let mut acc = MetricsSnapshot::empty();
     'items: while let Some(item) = ctx.queue.pop() {
         let started = Instant::now();
-        let cell = item.cell();
+        let cell = item.cell;
         let mut attempts = 0usize;
-        let reply = loop {
+        let outcomes = loop {
             if ctx.queue.is_shut_down() {
                 break 'items;
             }
@@ -590,7 +578,7 @@ fn worker_thread(
                 }
             };
             match attempt {
-                Ok((reply, delta)) => {
+                Ok((outcomes, delta)) => {
                     if let Some(d) = delta {
                         acc.merge(&d);
                     }
@@ -600,7 +588,7 @@ fn worker_thread(
                     if let Some(m) = ctx.meter {
                         m.item_done(lane);
                     }
-                    break reply;
+                    break outcomes;
                 }
                 Err(reason) => {
                     if let Some(p) = proc.take() {
@@ -627,7 +615,8 @@ fn worker_thread(
                         }
                         ctx.queue.shut_down();
                         let _ = results.send(Err(DistError::Worker(format!(
-                            "{item:?} failed after {attempts} attempt(s): {reason}"
+                            "{} failed after {attempts} attempt(s): {reason}",
+                            item.trace_name()
                         ))));
                         break 'items;
                     }
@@ -646,7 +635,7 @@ fn worker_thread(
         };
         let reply = Reply {
             item,
-            body: reply,
+            outcomes,
             started,
         };
         if results.send(Ok(reply)).is_err() {
@@ -667,14 +656,14 @@ fn worker_thread(
 /// Runs `todo` through a pool of `opts.workers` subprocesses, invoking
 /// `on_result` (on the calling thread) as each finished row line arrives.
 ///
-/// Under `Precision::FixedTrials` each cell is one work item answered by its
-/// canonical row line. Under `Precision::TargetStderr` the shared control
-/// loop ([`Control`]) dispatches each cell's first `min_trials` batch,
-/// inspects the returned outcomes' standard error at every checkpoint of the
-/// shared doubling schedule, re-dispatches incremental batches while the
-/// target is unmet, and this thread aggregates the final row itself —
-/// reaching exactly the trial count an unsharded adaptive run would, so the
-/// row bytes match.
+/// The shared control loop ([`Control`]) opens every cell under
+/// [`Plan::for_cell`] and sends trial batches. A fixed-trials cell is one
+/// batch of all its trials, so one round trip. An adaptive cell starts with
+/// its `min_trials` batch; the loop inspects the returned outcomes' standard
+/// error at every checkpoint of the shared doubling schedule and sends
+/// incremental batches while the target is unmet. Either way this thread
+/// aggregates each row itself from exactly the outcomes an unsharded run
+/// would draw, so the row bytes match.
 #[allow(clippy::too_many_arguments)] // internal seam; run_sharded is the API
 fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
     scenario: &Scenario,
@@ -704,13 +693,8 @@ fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
     let coord_lane = opts.workers;
     let queue = WorkQueue::new();
     let mut control = Control::new(&queue, false, journal.map(|j| (j, coord_lane)));
-    match scenario.precision {
-        Precision::FixedTrials => queue.push(todo.iter().map(|&c| WorkItem::Row(c))),
-        Precision::TargetStderr { .. } => {
-            for &c in todo {
-                control.open(c, Plan::for_cell(&scenario.precision, &cells[c]));
-            }
-        }
+    for &c in todo {
+        control.open(c, Plan::for_cell(&scenario.precision, &cells[c]));
     }
     let pool_size = opts.workers.min(todo.len());
     let ctx = PoolCtx {
@@ -732,18 +716,16 @@ fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
         todo.len(),
         pool_size,
         |lane, results| worker_thread(lane, &ctx, results, &lane_metrics[lane]),
-        |index, finished, _| {
-            let line = match finished {
-                Finished::Row(line) => line,
-                Finished::Outcomes(outcomes) => aggregate_row(
-                    scenario,
-                    &cells[index],
-                    cell_seed(&scenario.name, master_seed, index),
-                    &outcomes,
-                )
-                .to_json()
-                .render(),
-            };
+        |index, outcomes, started| {
+            let line = aggregate_row(
+                scenario,
+                &cells[index],
+                cell_seed(&scenario.name, master_seed, index),
+                &outcomes,
+            )
+            .to_json()
+            .render();
+            obs::record_span("cell", started.elapsed());
             if let Some(j) = journal {
                 j.instant(coord_lane, format!("cell {index} complete"), Some(index));
             }

@@ -15,9 +15,10 @@
 //!    `--resume`);
 //! 4. rows are re-sorted into ascending cell order.
 //!
-//! Because workers answer each cell with the canonical row line (seeds are
-//! derived from the global index), the merged stream is **byte-identical**
-//! to what an unsharded `meg-lab run --format json` prints.
+//! Because every shard renders each row from the same trial outcomes (seeds
+//! are derived from the global index), the merged stream is
+//! **byte-identical** to what an unsharded `meg-lab run --format json`
+//! prints.
 //!
 //! ## Example
 //!

@@ -17,16 +17,18 @@
 //!   Appended as cells finish, so a killed run loses at most the torn final
 //!   line; `--resume` skips every checkpointed cell;
 //! * [`worker`] — the subprocess protocol: `meg-lab worker` reads JSON-line
-//!   requests on stdin (a scenario handshake, then cell assignments) and
-//!   answers each cell with the row's canonical JSON line on stdout;
-//! * [`coordinator`] — [`run_sharded`] executes one shard, either in-process
-//!   or by dispatching cells to `--workers k` subprocesses (dead workers are
-//!   respawned and their in-flight request retried), streaming rows back in
-//!   canonical cell order. Under an adaptive-precision scenario
-//!   (`Precision::TargetStderr`, `meg-lab run --target-stderr`) it runs the
-//!   per-cell control loop: dispatch `min_trials`, inspect the returned
-//!   standard error, re-dispatch incremental trial batches until the target
-//!   is met or `max_trials` is spent;
+//!   requests on stdin (a scenario handshake, then trial batches) and
+//!   answers each batch with its raw trial outcomes on stdout;
+//! * [`coordinator`] — [`run_sharded`], behind every `meg-lab run`, executes
+//!   one shard, either in-process or by dispatching trial batches to
+//!   `--workers k` subprocesses (dead workers are respawned and their
+//!   in-flight request retried), aggregating each row and streaming rows
+//!   back in canonical cell order. A fixed-trials cell is one batch; under
+//!   an adaptive-precision scenario (`Precision::TargetStderr`,
+//!   `meg-lab run --target-stderr`) the per-cell control loop dispatches
+//!   `min_trials`, inspects the returned standard error, and re-dispatches
+//!   incremental trial batches until the target is met or `max_trials` is
+//!   spent;
 //! * [`trace`] / [`progress`] — sweep observability: a Chrome trace-event
 //!   journal of per-cell lifecycle events (`--trace out.json`, viewable in
 //!   Perfetto) and a throttled single-line stderr status (`--progress`).

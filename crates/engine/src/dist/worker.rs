@@ -1,15 +1,13 @@
 //! The worker side of the subprocess protocol.
 //!
-//! A worker (`meg-lab worker`) is a cell-execution server speaking JSON
-//! lines on stdin/stdout:
+//! A worker (`meg-lab worker`) is a trial-batch server speaking JSON lines
+//! on stdin/stdout:
 //!
 //! ```text
 //! coordinator → worker   {"hello":{"scenario":{…},"master_seed":"2009"}}
 //! worker → coordinator   {"ready":{"num_cells":8,"fingerprint":"…"}}
-//! coordinator → worker   {"cell":3}
-//! worker → coordinator   {"scenario":…,"cell":3,…}      ← canonical Row line
-//! coordinator → worker   {"cell":3,"batch":{"start":4,"count":4}}
-//! worker → coordinator   {"cell":3,"start":4,"outcomes":[{…},…]}
+//! coordinator → worker   {"cell":3,"batch":{"start":0,"count":4}}
+//! worker → coordinator   {"cell":3,"start":0,"outcomes":[{…},…]}
 //! coordinator → worker   {"shutdown":true}              (or just EOF)
 //! ```
 //!
@@ -17,10 +15,10 @@
 //!
 //! When the hello carries `"metrics":true` ([`hello_line_with`]), the worker
 //! installs its process-local `meg-obs` recorder and **ships telemetry back
-//! inline**: every cell/batch response is followed by one extra line
-//! holding the counter deltas recorded while serving that request, and the
-//! shutdown request (which is otherwise unanswered) is acknowledged with
-//! the worker's final full snapshot:
+//! inline**: every batch response is followed by one extra line holding the
+//! counter deltas recorded while serving that request, and the shutdown
+//! request (which is otherwise unanswered) is acknowledged with the
+//! worker's final full snapshot:
 //!
 //! ```text
 //! worker → coordinator   {"metrics":{"counters":{"trials":2,…}}}      ← after each response
@@ -31,21 +29,21 @@
 //! reconstructs each worker's totals by summing them — and stays correct
 //! across respawns, where a fresh process restarts its recorder from zero
 //! and the dead process's unshipped gauges/spans are the only loss. The
-//! response row/outcome lines are byte-identical with shipping on or off.
+//! outcome lines are byte-identical with shipping on or off.
 //!
-//! The response to a plain cell request is **exactly** the row line an
-//! unsharded fixed-trials run would print: the worker derives the cell's
-//! seed from the global index it was handed, so which process executes a
-//! cell never changes its bytes.
+//! A **batch** request executes trials `start .. start + count` of one cell
+//! and returns the raw [`TrialOutcome`](crate::run::TrialOutcome)s; the
+//! coordinator aggregates them into the cell's row. The worker derives the
+//! cell's seed from the global index it was handed, and trial `i`'s
+//! randomness depends only on that seed and `i`, so which process executes
+//! a batch never changes a byte, and batches concatenate byte-identically
+//! to one fixed run. A fixed-trials cell is one batch of all its trials;
+//! the adaptive control loop grows a cell with further batches. A batch
+//! must run at least one trial and stay within the cell's trial budget
+//! (its `trials`, or the adaptive `max_trials`).
 //!
-//! A **batch** request executes only trials `start .. start + count` of the
-//! cell and returns the raw [`TrialOutcome`](crate::run::TrialOutcome)s
-//! instead of a finished row — the unit the adaptive-precision control loop
-//! grows cells with. Trial `i`'s randomness depends only on the cell seed
-//! and `i`, so batches concatenate byte-identically to one fixed run.
-//!
-//! Both kinds of request run on the engine's sweep-wide trial queue, with
-//! the worker's own trial threads (`RAYON_NUM_THREADS`, else all cores).
+//! Requests run on the engine's trial queue, with the worker's own trial
+//! threads (`RAYON_NUM_THREADS`, else all cores).
 //!
 //! Workers are stateless between requests, so the coordinator may kill and
 //! respawn one at any time and simply resend the in-flight request. The
@@ -59,32 +57,41 @@
 //! it over in-memory buffers shows the whole protocol:
 //!
 //! ```
-//! use meg_engine::dist::worker::{cell_line, hello_line, serve, shutdown_line};
+//! use meg_engine::dist::worker::{batch_line, hello_line, serve, shutdown_line};
 //! use meg_engine::prelude::*;
+//! use meg_engine::run::{aggregate_row, cell_seed, resolve_cells, TrialOutcome};
+//! use meg_engine::Json;
 //!
 //! let scenario = builtin("quick_smoke").unwrap().scaled(0.25);
+//! let cells = resolve_cells(&scenario).unwrap();
 //! let requests = format!(
 //!     "{}\n{}\n{}\n",
 //!     hello_line(&scenario, 2009),
-//!     cell_line(0),
+//!     batch_line(0, 0, cells[0].trials),
 //!     shutdown_line(),
 //! );
 //! let mut replies = Vec::new();
 //! let served = serve(requests.as_bytes(), &mut replies, None).unwrap();
 //! assert_eq!(served, 1);
 //!
-//! // The cell reply is byte-identical to the unsharded run's row line.
+//! // The outcomes aggregate into the unsharded run's row, byte for byte.
 //! let reply = String::from_utf8(replies).unwrap();
-//! let row_line = reply.lines().nth(1).unwrap(); // after the ready line
+//! let batch = Json::parse(reply.lines().nth(1).unwrap()).unwrap(); // after ready
+//! let outcomes: Vec<TrialOutcome> = batch.get("outcomes").unwrap().as_arr().unwrap()
+//!     .iter()
+//!     .map(|o| TrialOutcome::from_json(o).unwrap())
+//!     .collect();
+//! let seed = cell_seed(&scenario.name, 2009, 0);
+//! let row = aggregate_row(&scenario, &cells[0], seed, &outcomes);
 //! let reference = run_scenario(&scenario, 2009).unwrap()[0].to_json().render();
-//! assert_eq!(row_line, reference);
+//! assert_eq!(row.to_json().render(), reference);
 //! ```
 
 use super::checkpoint::scenario_fingerprint;
 use super::DistError;
 use crate::json::Json;
 use crate::metrics::snapshot_to_json;
-use crate::run::{cell_seed, resolve_cells, run_cell, run_cell_range, Cell};
+use crate::run::{cell_seed, resolve_cells, run_cell_range, Cell};
 use crate::scenario::Scenario;
 use meg_obs as obs;
 use std::io::{BufRead, Write};
@@ -114,11 +121,6 @@ pub fn hello_line_with(scenario: &Scenario, master_seed: u64, ship_metrics: bool
     Json::obj([("hello", Json::Obj(fields))]).render()
 }
 
-/// Builds a cell-assignment request line.
-pub fn cell_line(cell: usize) -> String {
-    Json::obj([("cell", Json::Num(cell as f64))]).render()
-}
-
 /// Builds a trial-batch request line: run trials `start .. start + count` of
 /// `cell` and return the raw outcomes.
 pub fn batch_line(cell: usize, start: usize, count: usize) -> String {
@@ -143,13 +145,14 @@ pub fn shutdown_line() -> String {
 /// Serves the worker protocol over arbitrary reader/writer pairs (the
 /// binary passes stdin/stdout; tests pass in-memory buffers).
 ///
-/// Returns `Ok(served)` — the number of cells answered — on a clean
-/// shutdown or EOF. Protocol violations and invalid scenarios are errors;
-/// the binary reports them on stderr and exits non-zero.
+/// Returns `Ok(served)` — the number of batches answered — on a clean
+/// shutdown or EOF. Protocol violations (a batch outside its cell's trial
+/// budget included) and invalid scenarios are errors; the binary reports
+/// them on stderr and exits non-zero.
 ///
 /// `fail_after: Some(n)` makes the worker abort the whole process (exit code
-/// [`FAIL_AFTER_EXIT_CODE`]) after answering `n` cells — fault injection for
-/// coordinator-restart tests.
+/// [`FAIL_AFTER_EXIT_CODE`]) after answering `n` batches — fault injection
+/// for coordinator-restart tests.
 pub fn serve<R: BufRead, W: Write>(
     input: R,
     mut output: W,
@@ -212,35 +215,44 @@ pub fn serve<R: BufRead, W: Write>(
         if let Some(index) = msg.get("cell").and_then(Json::as_usize) {
             let (scenario, master_seed, cells) = state
                 .as_ref()
-                .ok_or_else(|| DistError::Format("cell request before hello".into()))?;
+                .ok_or_else(|| DistError::Format("batch request before hello".into()))?;
             let cell = cells.get(index).ok_or_else(|| {
                 DistError::Format(format!(
                     "cell {index} out of range (scenario has {} cells)",
                     cells.len()
                 ))
             })?;
+            let batch = msg.get("batch").ok_or_else(|| {
+                DistError::Format(format!("cell {index} request: missing `batch`"))
+            })?;
+            let start = batch
+                .get("start")
+                .and_then(Json::as_usize)
+                .ok_or_else(|| DistError::Format("batch request: missing `start`".into()))?;
+            let count = batch
+                .get("count")
+                .and_then(Json::as_usize)
+                .ok_or_else(|| DistError::Format("batch request: missing `count`".into()))?;
+            // Checked before anything is sized by `count`: an unchecked
+            // request could abort the process on allocation.
+            let budget = scenario.precision.trial_budget(cell.trials);
+            if count == 0 || start.checked_add(count).is_none_or(|end| end > budget) {
+                return Err(DistError::Format(format!(
+                    "batch request: {count} trial(s) from {start} do not fit cell {index}'s \
+                     budget of {budget} trial(s)"
+                )));
+            }
             let seed = cell_seed(&scenario.name, *master_seed, index);
-            let reply = match msg.get("batch") {
-                None => run_cell(scenario, cell, seed).to_json().render(),
-                Some(batch) => {
-                    let start = batch.get("start").and_then(Json::as_usize).ok_or_else(|| {
-                        DistError::Format("batch request: missing `start`".into())
-                    })?;
-                    let count = batch.get("count").and_then(Json::as_usize).ok_or_else(|| {
-                        DistError::Format("batch request: missing `count`".into())
-                    })?;
-                    let outcomes = run_cell_range(cell, seed, start, count);
-                    Json::obj([
-                        ("cell", Json::Num(index as f64)),
-                        ("start", Json::Num(start as f64)),
-                        (
-                            "outcomes",
-                            Json::Arr(outcomes.iter().map(|o| o.to_json()).collect()),
-                        ),
-                    ])
-                    .render()
-                }
-            };
+            let outcomes = run_cell_range(cell, seed, start, count);
+            let reply = Json::obj([
+                ("cell", Json::Num(index as f64)),
+                ("start", Json::Num(start as f64)),
+                (
+                    "outcomes",
+                    Json::Arr(outcomes.iter().map(|o| o.to_json()).collect()),
+                ),
+            ])
+            .render();
             writeln!(output, "{reply}")
                 .and_then(|_| output.flush())
                 .map_err(|e| DistError::Io(format!("worker stdout: {e}")))?;
@@ -275,7 +287,8 @@ pub fn serve<R: BufRead, W: Write>(
 mod tests {
     use super::*;
     use crate::builtin::quick_smoke;
-    use crate::run::{run_scenario, Row};
+    use crate::run::{aggregate_row, run_scenario, TrialOutcome};
+    use crate::scenario::Precision;
 
     fn drive(requests: &str) -> Result<(usize, Vec<String>), DistError> {
         let mut out = Vec::new();
@@ -284,45 +297,68 @@ mod tests {
         Ok((served, text.lines().map(str::to_string).collect()))
     }
 
+    /// The outcomes of one batch reply line, checking its addressing.
+    fn outcomes(line: &str, cell: usize, start: usize) -> Vec<TrialOutcome> {
+        let v = Json::parse(line).unwrap();
+        assert_eq!(v.get("cell").unwrap().as_usize(), Some(cell));
+        assert_eq!(v.get("start").unwrap().as_usize(), Some(start));
+        v.get("outcomes")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|o| TrialOutcome::from_json(o).unwrap())
+            .collect()
+    }
+
     #[test]
     fn serves_cells_byte_identically_to_an_unsharded_run() {
         let scenario = quick_smoke().scaled(0.25);
+        let cells = resolve_cells(&scenario).unwrap();
         let reference: Vec<String> = run_scenario(&scenario, 2009)
             .unwrap()
             .iter()
             .map(|r| r.to_json().render())
             .collect();
+        let trials = cells[2].trials;
+        assert!(trials >= 2, "cell 2 must split into two batches");
 
-        // Ask for cells out of order; responses are still the canonical lines.
+        // Cells out of order, cell 2 in two batches: aggregated on this
+        // side, the outcomes give the canonical row lines.
         let requests = format!(
-            "{}\n{}\n{}\n{}\n",
+            "{}\n{}\n{}\n{}\n{}\n",
             hello_line(&scenario, 2009),
-            cell_line(2),
-            cell_line(0),
+            batch_line(2, 0, 1),
+            batch_line(0, 0, cells[0].trials),
+            batch_line(2, 1, trials - 1),
             shutdown_line()
         );
         let (served, lines) = drive(&requests).unwrap();
-        assert_eq!(served, 2);
-        assert_eq!(lines.len(), 3, "ready + two rows");
+        assert_eq!(served, 3);
+        assert_eq!(lines.len(), 4, "ready + three batches");
         let ready = Json::parse(&lines[0]).unwrap();
         assert_eq!(
             ready.get("ready").unwrap().get("num_cells").unwrap(),
             &Json::Num(reference.len() as f64)
         );
-        assert_eq!(lines[1], reference[2]);
-        assert_eq!(lines[2], reference[0]);
-        // Row lines parse back losslessly.
-        let row = Row::from_json(&Json::parse(&lines[1]).unwrap()).unwrap();
-        assert_eq!(row.cell, 2);
+        let row = |index: usize, outcomes: &[TrialOutcome]| {
+            let seed = cell_seed(&scenario.name, 2009, index);
+            aggregate_row(&scenario, &cells[index], seed, outcomes)
+                .to_json()
+                .render()
+        };
+        let mut cell2 = outcomes(&lines[1], 2, 0);
+        cell2.extend(outcomes(&lines[3], 2, 1));
+        assert_eq!(row(2, &cell2), reference[2]);
+        assert_eq!(row(0, &outcomes(&lines[2], 0, 0)), reference[0]);
     }
 
     #[test]
     fn batch_requests_return_raw_outcomes_that_concatenate() {
-        use crate::run::{resolve_cells, TrialOutcome};
         let scenario = quick_smoke().scaled(0.25);
         let cells = resolve_cells(&scenario).unwrap();
-        let seed = crate::run::cell_seed(&scenario.name, 2009, 1);
-        let reference = crate::run::run_cell_range(&cells[1], seed, 0, 2);
+        let seed = cell_seed(&scenario.name, 2009, 1);
+        let reference = run_cell_range(&cells[1], seed, 0, 2);
 
         let requests = format!(
             "{}\n{}\n{}\n{}\n",
@@ -333,17 +369,10 @@ mod tests {
         );
         let (served, lines) = drive(&requests).unwrap();
         assert_eq!(served, 2);
-        let mut outcomes = Vec::new();
-        for (i, line) in lines[1..].iter().enumerate() {
-            let v = Json::parse(line).unwrap();
-            assert_eq!(v.get("cell").unwrap().as_usize(), Some(1));
-            assert_eq!(v.get("start").unwrap().as_usize(), Some(i));
-            for o in v.get("outcomes").unwrap().as_arr().unwrap() {
-                outcomes.push(TrialOutcome::from_json(o).unwrap());
-            }
-        }
+        let mut got = outcomes(&lines[1], 1, 0);
+        got.extend(outcomes(&lines[2], 1, 1));
         // Two one-trial batches concatenate to the two-trial reference.
-        assert_eq!(outcomes, reference);
+        assert_eq!(got, reference);
         // Malformed batch objects are protocol errors.
         let requests = format!(
             "{}\n{{\"cell\":1,\"batch\":{{\"start\":0}}}}\n",
@@ -355,22 +384,19 @@ mod tests {
     #[test]
     fn metrics_shipping_adds_delta_lines_without_touching_row_bytes() {
         let scenario = quick_smoke().scaled(0.25);
-        let reference: Vec<String> = run_scenario(&scenario, 2009)
-            .unwrap()
-            .iter()
-            .map(|r| r.to_json().render())
-            .collect();
+        let batch = batch_line(1, 0, 2);
+        let plain = format!("{}\n{batch}\n", hello_line(&scenario, 2009));
+        let (_, reference) = drive(&plain).unwrap();
         let requests = format!(
-            "{}\n{}\n{}\n",
+            "{}\n{batch}\n{}\n",
             hello_line_with(&scenario, 2009, true),
-            cell_line(1),
             shutdown_line()
         );
         let (served, lines) = drive(&requests).unwrap();
         assert_eq!(served, 1);
-        // ready, row, metrics delta, final snapshot.
+        // ready, outcomes, metrics delta, final snapshot.
         assert_eq!(lines.len(), 4, "{lines:?}");
-        assert_eq!(lines[1], reference[1], "row bytes must not change");
+        assert_eq!(lines[1], reference[1], "outcome bytes must not change");
         let delta = Json::parse(&lines[2]).unwrap();
         assert!(delta.get("metrics").is_some());
         crate::metrics::snapshot_from_json(delta.get("metrics").unwrap()).unwrap();
@@ -386,7 +412,7 @@ mod tests {
     #[test]
     fn eof_is_a_clean_shutdown() {
         let scenario = quick_smoke().scaled(0.25);
-        let requests = format!("{}\n{}\n", hello_line(&scenario, 1), cell_line(0));
+        let requests = format!("{}\n{}\n", hello_line(&scenario, 1), batch_line(0, 0, 1));
         let (served, lines) = drive(&requests).unwrap();
         assert_eq!(served, 1);
         assert_eq!(lines.len(), 2);
@@ -394,18 +420,49 @@ mod tests {
 
     #[test]
     fn protocol_violations_are_errors() {
-        // Cell before hello.
-        assert!(matches!(
-            drive(&format!("{}\n", cell_line(0))),
-            Err(DistError::Format(_))
-        ));
-        // Out-of-range cell.
-        let scenario = quick_smoke().scaled(0.25);
-        let requests = format!("{}\n{}\n", hello_line(&scenario, 1), cell_line(999));
-        assert!(matches!(drive(&requests), Err(DistError::Format(_))));
+        let rejected = |requests: String| {
+            assert!(
+                matches!(drive(&requests), Err(DistError::Format(_))),
+                "{requests}"
+            )
+        };
+        // Batch before hello.
+        rejected(format!("{}\n", batch_line(0, 0, 1)));
         // Garbage line.
-        assert!(matches!(drive("not json\n"), Err(DistError::Format(_))));
+        rejected("not json\n".into());
         // Unknown request object.
-        assert!(matches!(drive("{\"warp\":1}\n"), Err(DistError::Format(_))));
+        rejected("{\"warp\":1}\n".into());
+
+        let scenario = quick_smoke().scaled(0.25);
+        let trials = resolve_cells(&scenario).unwrap()[0].trials;
+        let mut adaptive = scenario.clone();
+        adaptive.precision = Precision::TargetStderr {
+            eps: 0.1,
+            min_trials: 2,
+            max_trials: 6,
+        };
+        let after_hello = |scenario: &Scenario, request: &str| {
+            format!("{}\n{request}\n", hello_line(scenario, 1))
+        };
+        for request in [
+            // Out-of-range cell.
+            batch_line(999, 0, 1),
+            // A cell request without a batch.
+            "{\"cell\":0}".to_string(),
+            // An empty batch.
+            batch_line(0, 0, 0),
+            // Past the fixed trial budget, at the start or the end.
+            batch_line(0, trials, 1),
+            batch_line(0, 0, trials + 1),
+            // Far past it: the worker must refuse before allocating.
+            batch_line(0, 0, 1_000_000_000_000),
+            // The largest start and count a JSON number carries exactly.
+            batch_line(0, 1 << 53, 1 << 53),
+        ] {
+            rejected(after_hello(&scenario, &request));
+        }
+        // Under adaptive precision the budget is `max_trials`.
+        assert!(drive(&after_hello(&adaptive, &batch_line(0, 2, 4))).is_ok());
+        rejected(after_hello(&adaptive, &batch_line(0, 2, 5)));
     }
 }

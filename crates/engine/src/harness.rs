@@ -1,12 +1,11 @@
-//! Run-and-emit helpers behind the `meg-lab` CLI: metrics sinks, the
-//! adaptive-precision defaulting rule, and the streaming row printer.
+//! Helpers behind the `meg-lab` CLI: metrics sinks, the adaptive-precision
+//! defaulting rule, and a renderer for tests and examples.
 //!
 //! Metrics always land on **stderr**: stdout is the byte-identical row
 //! stream.
 
-use crate::run::{run_scenario_streaming, Row};
 use crate::scenario::{Precision, Scenario, ScenarioError};
-use crate::sink::{render_rows, rows_to_table, OutputFormat, CSV_HEADER};
+use crate::sink::{render_rows, OutputFormat};
 use meg_obs as obs;
 
 /// Which metrics sink a run should drive (`--metrics` / `MEG_METRICS`).
@@ -51,17 +50,13 @@ pub fn emit_cell_metrics(mode: MetricsMode, cell: usize, prev: &mut obs::Metrics
     *prev = now;
 }
 
-/// Emits the sweep-level metrics summary to stderr.
-pub fn emit_metrics_summary(mode: MetricsMode) {
-    emit_metrics_summary_merged(mode, &[]);
-}
-
-/// [`emit_metrics_summary`] for distributed runs: folds the per-lane
-/// snapshots the workers shipped back into the coordinator's own snapshot,
-/// so the summary covers engine/protocol counters recorded *inside* the
-/// worker subprocesses. Report mode prefixes one `worker i:` subtotal line
-/// per lane (nonzero counters only); jsonl mode emits one
-/// `{"worker":i,"metrics":{…}}` line per lane before the merged final line.
+/// Emits the sweep-level metrics summary to stderr. A worker pool's
+/// per-lane snapshots (`worker_metrics`, empty for an in-process run) are
+/// folded into the coordinator's own snapshot, so the summary covers
+/// engine/protocol counters recorded *inside* the worker subprocesses.
+/// Report mode prefixes one `worker i:` subtotal line per lane (nonzero
+/// counters only); jsonl mode emits one `{"worker":i,"metrics":{…}}` line
+/// per lane before the merged final line.
 pub fn emit_metrics_summary_merged(mode: MetricsMode, worker_metrics: &[obs::MetricsSnapshot]) {
     let mut merged = obs::snapshot();
     for lane in worker_metrics {
@@ -130,50 +125,8 @@ pub fn resolve_target_stderr(
     })
 }
 
-/// Runs a scenario with streaming output to stdout in `format`, returning the
-/// rows. JSON and CSV rows are printed as they are produced; the table is
-/// rendered once at the end (column widths need the full batch). When
-/// `metrics` is set the `meg-obs` recorder is (re)installed for the run and
-/// the summary lands on stderr afterwards — stdout's row bytes are identical
-/// either way.
-pub fn run_and_emit_observed(
-    scenario: &Scenario,
-    master_seed: u64,
-    format: OutputFormat,
-    metrics: Option<MetricsMode>,
-) -> Result<Vec<Row>, ScenarioError> {
-    if format == OutputFormat::Csv {
-        println!("{CSV_HEADER}");
-    }
-    let caption = format!(
-        "{}: {} (seed {})",
-        scenario.name, scenario.description, master_seed
-    );
-    if metrics.is_some() {
-        obs::install();
-    }
-    let mut prev = obs::snapshot();
-    let rows = run_scenario_streaming(scenario, master_seed, |row| {
-        match format {
-            OutputFormat::Json => println!("{}", row.to_json().render()),
-            OutputFormat::Csv => println!("{}", crate::sink::row_to_csv(row)),
-            OutputFormat::Table => {}
-        }
-        if let Some(mode) = metrics {
-            emit_cell_metrics(mode, row.cell, &mut prev);
-        }
-    })?;
-    if format == OutputFormat::Table {
-        print!("{}", rows_to_table(&caption, &rows).render_ascii());
-    }
-    if let Some(mode) = metrics {
-        emit_metrics_summary(mode);
-    }
-    Ok(rows)
-}
-
-/// Non-printing variant used by tests and examples: runs the scenario and
-/// returns the rendered output instead of writing to stdout.
+/// Runs the scenario and returns its rendered rows, for tests and examples
+/// (`meg-lab run` streams through `dist::run_sharded` instead).
 pub fn render_scenario(
     scenario: &Scenario,
     master_seed: u64,

@@ -20,7 +20,7 @@
 //!   hypotheses they satisfy.
 
 use crate::scenario::{
-    AdversarialKind, EdgeEngine, MobilityKind, Param, Precision, Protocol, Scenario, ScenarioError,
+    AdversarialKind, EdgeEngine, MobilityKind, Param, Protocol, Scenario, ScenarioError,
     StaticKind, Substrate,
 };
 use crate::sched::{self, Job, Plan};
@@ -1005,10 +1005,7 @@ pub fn aggregate_row(
         regime: cell.substrate.regime(),
         seed: cell_seed,
         trials: outcomes.len(),
-        requested_trials: match scenario.precision {
-            Precision::FixedTrials => cell.trials,
-            Precision::TargetStderr { max_trials, .. } => max_trials,
-        },
+        requested_trials: scenario.precision.trial_budget(cell.trials),
         achieved_stderr,
         completion_rate,
         rounds,
@@ -1017,7 +1014,7 @@ pub fn aggregate_row(
 }
 
 /// Runs one resolved cell under `cell_seed` and the scenario's
-/// [`Precision`] policy, and aggregates its row.
+/// [`Precision`](crate::scenario::Precision) policy, and aggregates its row.
 pub fn run_cell(scenario: &Scenario, cell: &Cell, cell_seed: u64) -> Row {
     let job = Job {
         cell,
@@ -1105,7 +1102,9 @@ pub fn run_scenario(scenario: &Scenario, master_seed: u64) -> Result<Vec<Row>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{InitKind, MoveRadiusSpec, PHatSpec, RadiusSpec, SteppingKind, Sweep};
+    use crate::scenario::{
+        InitKind, MoveRadiusSpec, PHatSpec, Precision, RadiusSpec, SteppingKind, Sweep,
+    };
 
     fn tiny_scenario() -> Scenario {
         Scenario {

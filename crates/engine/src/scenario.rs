@@ -1056,6 +1056,15 @@ pub enum Precision {
 }
 
 impl Precision {
+    /// The most trials a cell whose fixed trial count is `trials` may run:
+    /// `trials` itself, or the adaptive `max_trials`.
+    pub fn trial_budget(&self, trials: usize) -> usize {
+        match *self {
+            Precision::FixedTrials => trials,
+            Precision::TargetStderr { max_trials, .. } => max_trials,
+        }
+    }
+
     /// Serializes: `"fixed_trials"` or `{"target_stderr": {…}}`.
     pub fn to_json(&self) -> Json {
         match self {

@@ -7,12 +7,12 @@
 //! worker pool of [`crate::dist`]:
 //!
 //! * [`WorkQueue`] holds [`WorkItem`]s first in, first out: `(cell, trial)`
-//!   units for trial threads, trial batches or whole cells for a pool.
+//!   units for trial threads, one trial batch per checkpoint step for a pool.
 //!   Every cell's first units are queued in cell order when it opens, so a
 //!   fixed-trials sweep runs cell-major.
 //!   Lanes (scoped threads) pop an item, execute it and send the reply to
 //!   the calling thread. A lane holds one item at a time, so at most
-//!   `lanes` trials are in flight.
+//!   `lanes` items are in flight.
 //! * [`drive`] runs the lanes and, on the calling thread, the control loop
 //!   ([`Control`]): it gathers each cell's outcomes and, once every outcome
 //!   up to a checkpoint is in, either queues the next batch of the doubling
@@ -39,52 +39,34 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-/// One unit of work a lane takes off the queue.
+/// One unit of work a lane takes off the queue: trials
+/// `start .. start + count` of a cell, answered with their raw outcomes.
+/// Trial threads take one-trial units; a pool sends one batch per
+/// checkpoint step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum WorkItem {
-    /// Run a whole cell and answer with its canonical row line (a pool's
-    /// fixed-trials requests).
-    Row(usize),
-    /// Run trials `start .. start + count` of a cell and answer with the raw
-    /// outcomes. Trial threads take one-trial units.
-    Batch {
-        cell: usize,
-        start: usize,
-        count: usize,
-    },
+pub(crate) struct WorkItem {
+    pub(crate) cell: usize,
+    pub(crate) start: usize,
+    pub(crate) count: usize,
 }
 
 impl WorkItem {
-    /// The cell this item concerns.
-    pub(crate) fn cell(&self) -> usize {
-        match *self {
-            WorkItem::Row(cell) | WorkItem::Batch { cell, .. } => cell,
-        }
-    }
-
     /// Label for this item's trace span.
     pub(crate) fn trace_name(&self) -> String {
-        match *self {
-            WorkItem::Row(index) => format!("cell {index}"),
-            WorkItem::Batch { cell, start, count } => {
-                format!("cell {cell} trials {start}..{}", start + count)
-            }
-        }
+        format!(
+            "cell {} trials {}..{}",
+            self.cell,
+            self.start,
+            self.start + self.count
+        )
     }
-}
-
-/// A lane's answer to one [`WorkItem`].
-pub(crate) enum WorkReply {
-    /// The canonical row line answering a [`WorkItem::Row`].
-    Row(String),
-    /// The trial outcomes answering a [`WorkItem::Batch`], in trial order.
-    Batch(Vec<TrialOutcome>),
 }
 
 /// A reply on its way to the control loop.
 pub(crate) struct Reply {
     pub(crate) item: WorkItem,
-    pub(crate) body: WorkReply,
+    /// The item's trial outcomes, in trial order.
+    pub(crate) outcomes: Vec<TrialOutcome>,
     /// When the lane began the item.
     pub(crate) started: Instant,
 }
@@ -307,13 +289,13 @@ impl<'a> Control<'a> {
             .resize(to - st.plan.first, TrialOutcome::failed());
         st.missing = to - from;
         if self.per_trial {
-            self.queue.push((from..to).map(|start| WorkItem::Batch {
+            self.queue.push((from..to).map(|start| WorkItem {
                 cell,
                 start,
                 count: 1,
             }));
         } else {
-            self.queue.push([WorkItem::Batch {
+            self.queue.push([WorkItem {
                 cell,
                 start: from,
                 count: to - from,
@@ -365,19 +347,10 @@ impl<'a> Control<'a> {
     }
 }
 
-/// A finished cell, as the control loop hands it out.
-pub(crate) enum Finished {
-    /// A worker's row line for a whole-cell request.
-    Row(String),
-    /// Every outcome of the cell, in trial order.
-    Outcomes(Vec<TrialOutcome>),
-}
-
 /// Runs `lanes` copies of `lane` on scoped threads to drain `queue`, and the
-/// control loop on the calling thread until `cells` cells are finished:
-/// batch replies go through `control`, whole-row replies straight out.
-/// `on_done` receives each finished cell in completion order, with when its
-/// first item started.
+/// control loop on the calling thread until `cells` cells are finished.
+/// `on_done` receives each finished cell's outcomes in completion order,
+/// with when its first item started.
 ///
 /// A lane's error or an `on_done` error stops the sweep and is returned once
 /// every lane has exited. A lane that panics ends the sweep with its panic.
@@ -392,7 +365,7 @@ pub(crate) fn drive<E, L, D>(
 where
     E: Send,
     L: Fn(usize, &Replies<E>) + Sync,
-    D: FnMut(usize, Finished, Instant) -> Result<(), E>,
+    D: FnMut(usize, Vec<TrialOutcome>, Instant) -> Result<(), E>,
 {
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -433,7 +406,7 @@ fn collect<E, D>(
     on_done: &mut D,
 ) -> Result<usize, E>
 where
-    D: FnMut(usize, Finished, Instant) -> Result<(), E>,
+    D: FnMut(usize, Vec<TrialOutcome>, Instant) -> Result<(), E>,
 {
     // However the loop ends, no lane may keep waiting for a follow-up batch.
     let _stop = ShutDownOnDrop {
@@ -445,19 +418,15 @@ where
         let Ok(reply) = rx.recv() else {
             break;
         };
-        let reply = reply?;
-        let done = match (reply.item, reply.body) {
-            (WorkItem::Row(cell), WorkReply::Row(line)) => {
-                Some((cell, Finished::Row(line), reply.started))
-            }
-            (WorkItem::Batch { cell, start, .. }, WorkReply::Batch(outcomes)) => control
-                .absorb(cell, start, outcomes, reply.started)
-                .map(|(outcomes, started)| (cell, Finished::Outcomes(outcomes), started)),
-            _ => unreachable!("lanes answer each item with its own reply kind"),
-        };
-        if let Some((cell, result, started)) = done {
+        let Reply {
+            item,
+            outcomes,
+            started,
+        } = reply?;
+        if let Some((outcomes, started)) = control.absorb(item.cell, item.start, outcomes, started)
+        {
             finished += 1;
-            on_done(cell, result, started)?;
+            on_done(item.cell, outcomes, started)?;
         }
     }
     Ok(finished)
@@ -546,16 +515,13 @@ where
     let lane = |_lane: usize, replies: &Replies<E>| {
         while let Some(item) = queue.pop() {
             let started = Instant::now();
-            let WorkItem::Batch { cell, start, count } = item else {
-                unreachable!("trial threads are fed trial units");
-            };
-            let job = by_cell[&cell];
-            let outcomes = (start..start + count)
+            let job = by_cell[&item.cell];
+            let outcomes = (item.start..item.start + item.count)
                 .map(|i| trial(job.cell, i, &mut trial_rng(job.seed, i as u64)))
                 .collect();
             let reply = Reply {
                 item,
-                body: WorkReply::Batch(outcomes),
+                outcomes,
                 started,
             };
             if replies.send(Ok(reply)).is_err() {
@@ -569,10 +535,7 @@ where
         jobs.len(),
         trial_threads(jobs, threads),
         lane,
-        |cell, finished, started| match finished {
-            Finished::Outcomes(outcomes) => on_done(by_cell[&cell], outcomes, started),
-            Finished::Row(_) => unreachable!("trial threads answer with outcomes"),
-        },
+        |cell, outcomes, started| on_done(by_cell[&cell], outcomes, started),
     )
 }
 
@@ -609,8 +572,8 @@ where
 
 /// [`run_rows`] as one whole in-process sweep, which alone records the
 /// `sweep` span and a `trial_threads` sample: a pool worker serves its
-/// `cell` and `batch` requests through [`run_rows`] and [`run_jobs`]
-/// directly, so a pool's metrics report no in-process sweep.
+/// batch requests through [`run_jobs`] directly, so a pool's metrics report
+/// no in-process sweep.
 pub(crate) fn run_sweep<E, T, F>(
     scenario: &Scenario,
     jobs: &[Job<'_>],

@@ -6,8 +6,8 @@
 //! * **Interrupted resume** — a run cut off after N cells and resumed
 //!   re-executes zero completed cells and ends byte-identical to a clean run.
 //! * **CLI end-to-end** — the actual `meg-lab` binary: shard + merge
-//!   equivalence, worker subprocess pools, worker crash/restart, and
-//!   limit/resume exit codes.
+//!   equivalence, plain runs against worker subprocess pools, worker
+//!   crash/restart, and limit/resume exit codes.
 
 use meg_engine::dist::{merge_dir, run_sharded, DistOptions, ShardSpec, ShardStrategy};
 use meg_engine::prelude::*;
@@ -225,6 +225,39 @@ fn cli_worker_pool_matches_single_process_output() {
 }
 
 #[test]
+fn cli_plain_run_matches_the_pool_and_the_library_rendering() {
+    // A plain run streams through the same coordinator as a worker pool:
+    // its CSV equals a 2-worker run's and the library's rendering of the
+    // unsharded rows.
+    let run = |extra: &[&str]| run_ok(&[&["run", "quick_smoke"], CLI_SCALE, extra].concat());
+    let plain = run(&["--format", "csv"]);
+    assert_eq!(plain, run(&["--format", "csv", "--workers", "2"]));
+    let mut scenario = builtin("quick_smoke").unwrap().scaled(0.25);
+    scenario.trials = 2;
+    let rows = run_scenario(&scenario, 2009).unwrap();
+    assert_eq!(
+        plain,
+        meg_engine::sink::render_rows("", &rows, meg_engine::sink::OutputFormat::Csv)
+    );
+
+    // A plain table keeps its sweep caption and isolation footer.
+    let table = run(&["--format", "table"]);
+    assert!(table.contains("(seed 2009)"), "{table}");
+    assert_eq!(
+        table.lines().last(),
+        Some(
+            format!(
+                "{} cells, seed 2009; rerun any cell in isolation with the `seed` column of \
+                 its row.",
+                rows.len()
+            )
+            .as_str()
+        ),
+        "{table}"
+    );
+}
+
+#[test]
 fn cli_coordinator_restarts_crashing_workers() {
     let reference = cli_unsharded_json();
     let cells = reference.lines().count();
@@ -403,7 +436,7 @@ fn cli_metrics_report_counts_the_in_process_sweep_but_no_pool_request() {
         (count, stderr.contains("trial-thread utilization"))
     };
     assert_eq!(sweeps(&[]), (1, true));
-    // Workers serve cell requests, not sweeps; the merged report says so.
+    // Workers serve batch requests, not sweeps; the merged report says so.
     assert_eq!(sweeps(&["--workers", "2"]), (0, false));
 }
 

@@ -1,18 +1,11 @@
 //! # meg-markov
 //!
-//! Finite Markov-chain substrate for the `meg` workspace.
+//! The Markov chain behind the edge-MEG of the `meg` workspace.
 //!
-//! Markovian evolving graphs are driven by Markov chains in two places:
-//!
-//! * **edge-MEG** — every potential edge follows the two-state birth/death
-//!   chain of Section 4 ([`TwoStateChain`]);
-//! * **geometric-MEG** — every node performs a random walk on the *move
-//!   graph* `M_{n,r,ε}` of Section 3 ([`walk::SupportWalk`]), whose stationary
-//!   law `π(x) ∝ |Γ(x)|` is what makes "stationary start" meaningful.
-//!
-//! The crate also provides a dense general-purpose chain ([`DenseChain`]) with
-//! stationary-distribution computation and mixing diagnostics, used for
-//! verifying the special-purpose implementations against brute force.
+//! Every potential edge of an edge-MEG follows the two-state birth/death
+//! chain of Section 4 ([`TwoStateChain`]). The [`batch`] module steps 64
+//! copies of that chain at a time ([`WordStepper`]) on the same draw
+//! schedule as a scalar loop, which is how the dense edge-MEG advances.
 //!
 //! ## Example
 //!
@@ -35,29 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod dense;
-pub mod mixing;
-pub mod stationary;
 pub mod two_state;
-pub mod walk;
 
 pub use batch::{bernoulli_word, gen_bool_threshold, WordStepper};
-pub use dense::DenseChain;
 pub use two_state::TwoStateChain;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn two_state_matches_dense_power_iteration() {
-        // The closed-form stationary law of the 2-state chain must agree with
-        // generic power iteration on its transition matrix.
-        let chain = TwoStateChain::new(0.3, 0.2);
-        let dense = DenseChain::from_rows(vec![vec![0.7, 0.3], vec![0.2, 0.8]]).unwrap();
-        let pi = stationary::power_iteration(&dense, 10_000, 1e-12).unwrap();
-        let (pi0, pi1) = chain.stationary();
-        assert!((pi[0] - pi0).abs() < 1e-9);
-        assert!((pi[1] - pi1).abs() < 1e-9);
-    }
-}

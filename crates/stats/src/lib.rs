@@ -49,7 +49,7 @@ pub use fit::{linear_fit, power_law_fit, LinearFit};
 pub use gof::{chi_square_gof, ks_two_sample, Alpha, ChiSquareTest, KsTest};
 pub use runner::{
     precision_checkpoints, run_trials, run_trials_range, run_trials_scheduled,
-    run_trials_sequential, run_until_precise, trial_threads,
+    run_trials_sequential, trial_threads,
 };
 pub use summary::Summary;
 pub use table::Table;

@@ -127,56 +127,6 @@ where
     results
 }
 
-/// Runs trials until either `max_trials` is reached or the half-width of the
-/// 95% confidence interval of the mean drops below `target_half_width`
-/// (checked every `batch` trials once at least `2 * batch` results exist).
-/// Returns the collected f64 observations.
-///
-/// This adaptive mode keeps the cheap configurations cheap while spending
-/// more repetitions where the variance demands it — the sample-size policy
-/// the scenario engine's `Precision::TargetStderr` mode exposes end to end
-/// (`meg-lab run --target-stderr`). It is a thin wrapper over
-/// [`run_trials_scheduled`] with evenly spaced checkpoints, so the collected
-/// prefix is always byte-identical to a fixed-size [`run_trials`] call of
-/// the same length.
-///
-/// ```
-/// use meg_stats::runner::run_until_precise;
-/// use rand::Rng;
-///
-/// // A deterministic observable needs only the minimum two batches …
-/// let cheap = run_until_precise(7, 10, 1_000, 0.5, |_, _| 42.0);
-/// assert_eq!(cheap.len(), 20);
-///
-/// // … while an unreachable target spends the whole budget.
-/// let spent = run_until_precise(7, 10, 60, 1e-12, |_, rng| rng.gen_range(0.0..100.0));
-/// assert_eq!(spent.len(), 60);
-/// ```
-pub fn run_until_precise<F>(
-    master_seed: u64,
-    batch: usize,
-    max_trials: usize,
-    target_half_width: f64,
-    f: F,
-) -> Vec<f64>
-where
-    F: Fn(usize, &mut ChaCha8Rng) -> f64 + Sync,
-{
-    assert!(batch > 0, "batch must be positive");
-    if max_trials == 0 {
-        return Vec::new();
-    }
-    let checkpoints: Vec<usize> = (batch..max_trials)
-        .step_by(batch)
-        .chain([max_trials.max(1)])
-        .collect();
-    run_trials_scheduled(master_seed, &checkpoints, f, |results| {
-        results.len() >= 2 * batch
-            && crate::ci::mean_confidence_interval(results, 0.95)
-                .is_some_and(|ci| ci.half_width() <= target_half_width)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,31 +164,6 @@ mod tests {
         let a = run_trials(1, 8, |_, rng| rng.gen::<u64>());
         let b = run_trials(2, 8, |_, rng| rng.gen::<u64>());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn adaptive_runner_stops_early_for_deterministic_outcomes() {
-        let out = run_until_precise(9, 10, 1000, 0.5, |_, _| 7.0);
-        assert!(
-            out.len() <= 20,
-            "deterministic outcome should stop after two batches, got {}",
-            out.len()
-        );
-        assert!(out.iter().all(|&x| x == 7.0));
-    }
-
-    #[test]
-    fn adaptive_runner_respects_max_trials() {
-        // High-variance observable with an unreachable precision target.
-        let out = run_until_precise(9, 16, 64, 1e-9, |_, rng| rng.gen_range(0.0..100.0));
-        assert_eq!(out.len(), 64);
-    }
-
-    #[test]
-    fn adaptive_runner_is_deterministic() {
-        let a = run_until_precise(3, 8, 40, 1e-9, |_, rng| rng.gen_range(0.0..10.0));
-        let b = run_until_precise(3, 8, 40, 1e-9, |_, rng| rng.gen_range(0.0..10.0));
-        assert_eq!(a, b);
     }
 
     #[test]
