@@ -228,19 +228,21 @@ PYEOF
             ;;
     esac
 
-    step "bench baseline gate smoke (--baseline BENCH_PR8.json on one workload)"
-    # Full-scale single workload (~0.3 s): the checksum must equal the
-    # committed PR 8 record exactly, and the median must stay within a loose
-    # ratio (this box is 1-core and noisy; docs/PERF.md has the honest A/B
+    step "bench baseline gate smoke (--baseline BENCH_GATE.json: calibration + one workload)"
+    # Full-scale, ~1 s: the geo_flood_n4096 checksum must equal the recorded
+    # one (12312) exactly, and its median must stay within 1.5x of the
+    # reference. Both documents carry the `calibration` loop, so each median
+    # is measured in units of its own host's calibration median and the
+    # ratio compares code, not machines (docs/PERF.md has the honest A/B
     # procedure — this smoke asserts the gate *mechanism*, not peak perf).
     cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
-        bench geo_flood_n4096 --repetitions 3 --warmup 1 \
-        --baseline BENCH_PR8.json --baseline-threshold 1.5 > /dev/null
+        bench calibration geo_flood_n4096 --repetitions 3 --warmup 1 \
+        --baseline BENCH_GATE.json --baseline-threshold 1.5 > /dev/null
     # The gate must also *fail* correctly: an absurd threshold flags the
     # workload and exits 4.
     if cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
-        bench geo_flood_n4096 --repetitions 2 --warmup 1 \
-        --baseline BENCH_PR8.json --baseline-threshold 0.001 \
+        bench calibration geo_flood_n4096 --repetitions 2 --warmup 1 \
+        --baseline BENCH_GATE.json --baseline-threshold 0.001 \
         > /dev/null 2>&1; then
         echo "baseline gate failed to flag a regression at threshold 0.001" >&2
         exit 1

@@ -215,7 +215,41 @@ pub fn bench_names() -> Vec<&'static str> {
         "edge_dense_flood_fast_n4096",
         "edge_sparse_flood_n65536",
         "edge_sparse_flood_fast_n65536",
+        CALIBRATION,
     ]
+}
+
+/// Name of the host-speed workload: a fixed loop that calls no workspace
+/// kernel. When a run and a `--baseline` document both carry it,
+/// [`compare`](crate::bench_baseline::compare) measures every median in
+/// units of that document's calibration median, so a baseline recorded on
+/// one host gates runs on another.
+pub const CALIBRATION: &str = "calibration";
+
+/// Loop length of [`CALIBRATION`] at scale 1: ~105 ms on a 2-vCPU x86-64
+/// VM, the order of the workloads it calibrates.
+const CALIBRATION_ROUNDS: usize = 1 << 25;
+
+/// The calibration loop: an xorshift64 stream driving scattered
+/// read-modify-writes of a 256 KiB table (integer arithmetic and
+/// cache-resident memory traffic, no floating point). Its checksum depends
+/// only on the loop length.
+fn calibration(rounds: usize) -> (Vec<(String, f64)>, f64) {
+    let mut table = vec![0u32; 1 << 16];
+    let mut x = BENCH_SEED;
+    let mut acc = 0u64;
+    for _ in 0..rounds {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let slot = &mut table[(x >> 48) as usize];
+        *slot = slot.wrapping_add(x as u32);
+        acc = acc.wrapping_add(u64::from(*slot >> 16));
+    }
+    (
+        vec![("rounds".into(), rounds as f64)],
+        (acc % 1_000_000_007 + 1) as f64,
+    )
 }
 
 fn scaled_n(base: usize, scale: f64) -> usize {
@@ -420,6 +454,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
             scaled_n(65536, scale),
             Stepping::Transitions,
         )),
+        CALIBRATION => Some(calibration(scaled_n(CALIBRATION_ROUNDS, scale))),
         _ => None,
     }
 }
@@ -622,6 +657,15 @@ mod tests {
                 rb.checksum
             );
         }
+    }
+
+    #[test]
+    fn calibration_checksum_is_pinned() {
+        // The loop's checksum depends on its length only (2^25 · 0.02
+        // rounds here): a changed loop must not pass as the same yardstick.
+        let r = run_bench(CALIBRATION, &TINY).unwrap();
+        assert_eq!(r.params, vec![("rounds".to_string(), 671_089.0)]);
+        assert_eq!(r.checksum, 982_922_333.0, "calibration checksum drifted");
     }
 
     #[test]

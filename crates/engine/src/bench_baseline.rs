@@ -13,10 +13,13 @@
 //! (`current / baseline`; above 1 is slower) and whether the checksums
 //! agree — a checksum mismatch means the two runs did *different work*, so
 //! the ratio next to it is meaningless and the comparison fails regardless
-//! of speed. [`render_table`] draws the per-workload table `meg-lab`
-//! prints, and [`regressions`] applies the pass/fail threshold.
+//! of speed. When the run and the baseline both carry the
+//! [`calibration`](crate::bench::CALIBRATION) workload, each median is first
+//! divided by its own document's calibration median, so the ratio compares
+//! code rather than hosts. [`render_table`] draws the per-workload table
+//! `meg-lab` prints, and [`regressions`] applies the pass/fail threshold.
 
-use crate::bench::BenchResult;
+use crate::bench::{BenchResult, CALIBRATION};
 use crate::json::Json;
 
 /// One workload's numbers as recorded in a baseline document.
@@ -43,8 +46,12 @@ pub struct CompareRow {
     /// Fresh-run median, in milliseconds.
     pub current_ms: f64,
     /// `current_ms / baseline_ms` — below 1.0 is a speedup, above is a
-    /// slowdown.
+    /// slowdown. When `calibrated`, each median is first divided by its
+    /// document's calibration median.
     pub ratio: f64,
+    /// Whether the run and the baseline both timed the calibration
+    /// workload, making `ratio` a ratio of calibrated medians.
+    pub calibrated: bool,
     /// `Some(true)` when both checksums exist and agree, `Some(false)` on a
     /// mismatch, `None` when the baseline entry recorded no checksum.
     pub checksum_match: Option<bool>,
@@ -91,8 +98,16 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
 /// Joins fresh results against baseline entries by workload name, in the
 /// order of `results`. Workloads absent from the baseline produce no row
 /// (new workloads are not regressions); baseline entries not re-run are
-/// likewise ignored.
+/// likewise ignored. If both sides carry the calibration workload, every
+/// ratio is taken between calibrated medians (the calibration row itself
+/// then reads 1).
 pub fn compare(results: &[BenchResult], baseline: &[BaselineEntry]) -> Vec<CompareRow> {
+    let current_unit = results.iter().find(|r| r.name == CALIBRATION);
+    let baseline_unit = baseline.iter().find(|b| b.name == CALIBRATION);
+    let (current_unit, baseline_unit, calibrated) = match (current_unit, baseline_unit) {
+        (Some(c), Some(b)) if c.median_ms > 0.0 => (c.median_ms, b.median_ms, true),
+        _ => (1.0, 1.0, false),
+    };
     results
         .iter()
         .filter_map(|r| {
@@ -101,7 +116,8 @@ pub fn compare(results: &[BenchResult], baseline: &[BaselineEntry]) -> Vec<Compa
                 name: r.name.clone(),
                 baseline_ms: base.median_ms,
                 current_ms: r.median_ms,
-                ratio: r.median_ms / base.median_ms,
+                ratio: (r.median_ms / current_unit) / (base.median_ms / baseline_unit),
+                calibrated,
                 checksum_match: base.checksum.map(|c| c == r.checksum),
             })
         })
@@ -152,6 +168,9 @@ pub fn render_table(rows: &[CompareRow], threshold: f64) -> String {
             "{:<name_w$}  {:>12.3}  {:>12.3}  {:>6.3}x  {:>8}{}\n",
             row.name, row.baseline_ms, row.current_ms, row.ratio, checksum, mark
         ));
+    }
+    if rows.iter().any(|r| r.calibrated) {
+        out.push_str("ratios compare medians in units of each document's calibration median\n");
     }
     let failed = regressions(rows, threshold).len();
     if rows.is_empty() {
@@ -263,6 +282,44 @@ mod tests {
             is_regression(&rows[1], 1.25),
             "checksum mismatch fails the gate even at ratio 1.0"
         );
+    }
+
+    #[test]
+    fn calibration_in_both_documents_divides_every_median_by_it() {
+        let base = vec![
+            BaselineEntry {
+                name: CALIBRATION.into(),
+                median_ms: 50.0,
+                checksum: Some(3.0),
+            },
+            BaselineEntry {
+                name: "geo".into(),
+                median_ms: 80.0,
+                checksum: Some(7.0),
+            },
+        ];
+        // This host runs the calibration loop 2x slower: a geo median of
+        // 160 ms is the same code speed, 260 ms is 1.625x slower.
+        let same = compare(
+            &[result(CALIBRATION, 100.0, 3.0), result("geo", 160.0, 7.0)],
+            &base,
+        );
+        assert!(same.iter().all(|r| r.calibrated));
+        assert_eq!(same[0].ratio, 1.0);
+        assert_eq!(same[1].ratio, 1.0);
+        assert!(regressions(&same, 1.5).is_empty());
+        let slower = compare(
+            &[result(CALIBRATION, 100.0, 3.0), result("geo", 260.0, 7.0)],
+            &base,
+        );
+        assert_eq!(slower[1].ratio, 1.625);
+        assert_eq!(regressions(&slower, 1.5).len(), 1);
+        assert!(render_table(&slower, 1.5).contains("calibration median"));
+        // Without calibration on both sides the ratio is raw.
+        let raw = compare(&[result("geo", 160.0, 7.0)], &base);
+        assert!(!raw[0].calibrated);
+        assert_eq!(raw[0].ratio, 2.0);
+        assert!(!render_table(&raw, 1.5).contains("calibration median"));
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!                         previous --out document), print the per-workload
 //!                         ratio table on stderr, and exit 4 if any workload
 //!                         ran slower than threshold × baseline or its
-//!                         checksum diverged
+//!                         checksum diverged; if both the run and FILE
+//!                         include the `calibration` workload, medians are
+//!                         compared in units of each side's calibration
+//!                         median (host speed divided out)
 //!   --baseline-threshold F
 //!                         regression gate for --baseline (default 1.25)
 //!

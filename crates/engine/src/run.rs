@@ -21,7 +21,7 @@
 
 use crate::scenario::{
     AdversarialKind, EdgeEngine, MobilityKind, Param, Protocol, Scenario, ScenarioError,
-    StaticKind, Substrate,
+    StaticKind, SteppingKind, Substrate,
 };
 use crate::sched::{self, Job, Plan};
 use meg_core::adversarial::{RotatingBridge, RotatingStar};
@@ -478,6 +478,12 @@ fn resolve_cell(
             let p_hat = p_hat.resolve(n, q);
             let params = EdgeMegParams::try_with_stationary(n, p_hat, q)
                 .map_err(|e| ScenarioError(format!("cell {index}: {e}")))?;
+            if engine == EdgeEngine::Sparse
+                && stepping == SteppingKind::Transitions
+                && params.num_pairs() > u32::MAX as u64
+            {
+                return Err(too_many_pairs_for_transitions(index, n));
+            }
             ResolvedSubstrate::Edge {
                 engine,
                 params,
@@ -552,6 +558,20 @@ fn resolve_cell(
         trials,
         round_budget: scenario.round_budget,
     })
+}
+
+/// The sparse engine's transition stepping indexes node pairs with `u32`,
+/// so a cell with more than `u32::MAX` pairs (`n ≥ 92_683`) cannot run it.
+/// Out of line and cold, like the edge-parameter errors, so the check adds
+/// no message-building code to `resolve_cell`.
+#[cold]
+#[inline(never)]
+fn too_many_pairs_for_transitions(index: usize, n: usize) -> ScenarioError {
+    ScenarioError(format!(
+        "cell {index}: n={n} has more than {} node pairs, too many for the sparse \
+         engine's transition stepping; use per_pair stepping",
+        u32::MAX
+    ))
 }
 
 /// Outcome of a single trial: the cell observable (`value` is the completion
@@ -1647,6 +1667,31 @@ mod tests {
         assert!(err.0.contains("q=1.5"), "{err}");
         s.sweep = Sweep::over(Param::Q, [0.0]);
         assert!(resolve_cells(&s).unwrap_err().0.contains("q=0"));
+    }
+
+    #[test]
+    fn sparse_transitions_beyond_u32_pairs_is_an_error_naming_the_cell() {
+        let mut s = tiny_scenario();
+        s.substrates.truncate(1);
+        if let Substrate::Edge { stepping, .. } = &mut s.substrates[0] {
+            *stepping = SteppingKind::Transitions;
+        }
+        s.protocols.truncate(1);
+        // C(92_682, 2) = 4_294_930_221 fits in u32; C(92_683, 2) does not.
+        s.sweep = Sweep::over(Param::N, [92_682.0, 92_683.0]);
+        let err = resolve_cells(&s).unwrap_err();
+        assert!(
+            err.0.contains("cell 1:") && err.0.contains("n=92683"),
+            "{err}"
+        );
+        s.sweep = Sweep::over(Param::N, [92_682.0]);
+        assert_eq!(resolve_cells(&s).unwrap().len(), 1);
+        // Per-pair stepping has no such limit.
+        if let Substrate::Edge { stepping, .. } = &mut s.substrates[0] {
+            *stepping = SteppingKind::PerPair;
+        }
+        s.sweep = Sweep::over(Param::N, [100_000.0]);
+        assert_eq!(resolve_cells(&s).unwrap().len(), 1);
     }
 
     #[test]

@@ -38,6 +38,18 @@ impl AdjacencyList {
         g
     }
 
+    /// Creates a graph from per-node neighbor rows, kept in the given order.
+    /// The rows must describe a simple undirected graph (symmetric, no
+    /// self-loops, no duplicates).
+    pub(crate) fn from_rows(adj: Vec<Vec<Node>>) -> Self {
+        let arcs: usize = adj.iter().map(Vec::len).sum();
+        debug_assert_eq!(arcs % 2, 0, "rows are not symmetric");
+        AdjacencyList {
+            adj,
+            num_edges: arcs / 2,
+        }
+    }
+
     /// Adds the undirected edge `{u, v}`.
     ///
     /// Returns `true` if the edge was added, `false` if it already existed or

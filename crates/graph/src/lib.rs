@@ -60,7 +60,7 @@ pub mod snapshot_buf;
 pub use adjacency::AdjacencyList;
 pub use nodeset::NodeSet;
 pub use pair_bits::PairBits;
-pub use snapshot_buf::{DeltaOutcome, SnapshotBuf};
+pub use snapshot_buf::{DeltaOutcome, RowWriter, SnapshotBuf};
 
 /// A node identifier. Nodes are always the integers `0 .. n`.
 pub type Node = u32;

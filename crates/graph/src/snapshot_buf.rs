@@ -11,18 +11,27 @@
 //! * `offsets: Vec<usize>` (`n + 1` entries) and `targets: Vec<Node>`
 //!   (`2·m` entries) hold the finished snapshot — two contiguous arrays,
 //!   cache-friendly neighbor scans, no per-node storage;
-//! * `edges: Vec<(Node, Node)>` is the staging area producers push into, and
-//!   `deg: Vec<usize>` is the counting-sort scratch;
-//! * [`begin`](SnapshotBuf::begin) / [`push_edge`](SnapshotBuf::push_edge) /
-//!   [`build`](SnapshotBuf::build) only ever `clear()` and refill these four
-//!   vectors, so once their capacities have grown to the high-water mark of
-//!   the run (**warm-up**), a rebuild performs **zero** heap allocations.
+//! * every build path only ever `clear()`s and refills its vectors, so once
+//!   their capacities have grown to the high-water mark of the run
+//!   (**warm-up**), a rebuild performs **zero** heap allocations.
 //!
-//! The build is a stable counting sort over the staged edge stream: node
-//! `u`'s neighbors end up in exactly the order edges incident to `u` were
-//! pushed. This matches the push order of the `AdjacencyList` construction it
-//! replaces, which is what keeps RNG-consuming consumers (push–pull's random
-//! neighbor choice, BFS-ball sampling) byte-identical across the migration.
+//! There are two ways to fill it:
+//!
+//! * **Edge stream** — [`begin`](SnapshotBuf::begin) /
+//!   [`push_edge`](SnapshotBuf::push_edge) / [`build`](SnapshotBuf::build).
+//!   Producers stage each undirected edge once into `edges` (degrees counted
+//!   in `deg`), and the build is a stable counting sort: node `u`'s
+//!   neighbors end up in exactly the order edges incident to `u` were
+//!   pushed. This matches the push order of the `AdjacencyList`
+//!   construction it replaced, which is what keeps RNG-consuming consumers
+//!   (push–pull's random neighbor choice, BFS-ball sampling) byte-identical.
+//!   The edge-MEG engines use it.
+//! * **Rows** — [`build_rows`](SnapshotBuf::build_rows) asks the producer for
+//!   each row in node order and appends it straight into `targets` through a
+//!   [`RowWriter`]; no edge is staged and nothing is sorted. The producer
+//!   lists both arcs of every edge itself, in whatever order the rows must
+//!   have. Geometric snapshots use it: every node gathers its own row from
+//!   the bucket grid.
 //!
 //! ## Delta maintenance
 //!
@@ -82,7 +91,8 @@ impl DeltaOutcome {
 /// Lifecycle: [`begin(n)`](SnapshotBuf::begin) →
 /// [`push_edge`](SnapshotBuf::push_edge)`*` → [`build`](SnapshotBuf::build) →
 /// query (via [`Graph`] or [`neighbors`](SnapshotBuf::neighbors)) → `begin`
-/// again. Queries before `build` are a logic error (checked by
+/// again; or one [`build_rows`](SnapshotBuf::build_rows) call in place of
+/// the first three. Queries before `build` are a logic error (checked by
 /// `debug_assert`).
 ///
 /// Producers must push each undirected edge exactly once and never push
@@ -112,9 +122,11 @@ impl DeltaOutcome {
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotBuf {
     n: usize,
-    /// Staged edge stream of the snapshot under construction.
+    /// Staged edge stream of the snapshot under construction (edge-stream
+    /// path only; row-built snapshots never touch it).
     edges: Vec<(Node, Node)>,
-    /// Degree counts during staging; reused as fill cursors inside `build`.
+    /// Degree counts during staging; reused as fill cursors inside `build`
+    /// (edge-stream path only).
     /// `u32` keeps the cursor array half the size of the offset array, which
     /// matters in the scatter-heavy fill pass (`2m` random writes driven
     /// through it).
@@ -128,15 +140,11 @@ pub struct SnapshotBuf {
     /// Live degree of each row (`≤` the row capacity; equal when slack is 0
     /// and no deltas have been applied).
     row_len: Vec<u32>,
-    /// Live undirected edge count (kept exact across deltas; the staging
-    /// `edges` length is only the *initial* count).
+    /// Live undirected edge count (kept exact across deltas).
     m: usize,
     /// Per-row spare slots requested at the last build; reused by the
     /// slack-exhaustion fallback rebuild.
     slack: u32,
-    /// Whether `edges` still mirrors the live edge set (false once a delta
-    /// has edited rows in place).
-    staging_valid: bool,
     built: bool,
 }
 
@@ -152,7 +160,6 @@ impl SnapshotBuf {
             row_len: Vec::new(),
             m: 0,
             slack: 0,
-            staging_valid: true,
             built: true,
         }
     }
@@ -243,7 +250,41 @@ impl SnapshotBuf {
         }
         self.m = self.edges.len();
         self.slack = slack;
-        self.staging_valid = true;
+        self.built = true;
+    }
+
+    /// Builds the snapshot row by row: calls `fill(u, writer)` for
+    /// `u = 0..n` in order, and row `u` is whatever `fill` committed through
+    /// the [`RowWriter`], in the order it was written.
+    ///
+    /// The producer writes both arcs of every undirected edge (`v` into row
+    /// `u` and `u` into row `v`), no self-loops and no duplicates — the same
+    /// simple-graph contract as [`push_edge`](SnapshotBuf::push_edge). The
+    /// edge count is half the number of entries written. Rows go straight
+    /// into `targets` (reused; nothing is staged or sorted), so after
+    /// warm-up a build allocates nothing.
+    pub fn build_rows(&mut self, n: usize, mut fill: impl FnMut(Node, &mut RowWriter<'_>)) {
+        self.n = n;
+        self.offsets.clear();
+        self.offsets.reserve(n + 1);
+        self.row_len.clear();
+        self.row_len.reserve(n);
+        self.offsets.push(0);
+        let mut writer = RowWriter {
+            targets: &mut self.targets,
+            len: 0,
+        };
+        for u in 0..n {
+            let start = writer.len;
+            fill(u as Node, &mut writer);
+            self.row_len.push((writer.len - start) as u32);
+            self.offsets.push(writer.len);
+        }
+        let arcs = writer.len;
+        debug_assert_eq!(arcs % 2, 0, "rows list {arcs} arcs: some edge is one-sided");
+        self.targets.truncate(arcs);
+        self.m = arcs / 2;
+        self.slack = 0;
         self.built = true;
     }
 
@@ -269,16 +310,12 @@ impl SnapshotBuf {
             self.remove_arc(v, u);
             self.m -= 1;
         }
-        if !deaths.is_empty() {
-            self.staging_valid = false;
-        }
         for (i, &(u, v)) in births.iter().enumerate() {
             debug_assert_ne!(u, v, "self-loop birth ({u},{v})");
             if self.row_has_slack(u) && self.row_has_slack(v) {
                 self.push_arc(u, v);
                 self.push_arc(v, u);
                 self.m += 1;
-                self.staging_valid = false;
             } else {
                 self.rebuild_from_rows(&births[i..]);
                 return DeltaOutcome::Rebuilt {
@@ -348,42 +385,11 @@ impl SnapshotBuf {
     /// Rebuilds the buffer as an exact copy of an adjacency list, preserving
     /// every neighbor list's order (used by the frozen/scheduled adapters).
     pub fn copy_from_adjacency(&mut self, g: &AdjacencyList) {
-        let n = g.num_nodes();
-        self.n = n;
-        self.edges.clear();
-        self.deg.clear();
-        self.deg.resize(n, 0);
-        self.offsets.clear();
-        self.offsets.reserve(n + 1);
-        self.targets.clear();
-        self.row_len.clear();
-        self.row_len.reserve(n);
-        let mut acc = 0usize;
-        self.offsets.push(0);
-        for u in 0..n {
-            let d = g.neighbors(u as Node).len();
-            self.row_len.push(d as u32);
-            acc += d;
-            self.offsets.push(acc);
-        }
-        self.targets.reserve(acc);
-        for u in 0..n {
-            self.targets.extend_from_slice(g.neighbors(u as Node));
-        }
-        // Recover the staged edge stream so `num_edges`/`edges` stay
-        // consistent: each undirected edge once, in row order.
-        for u in 0..n as Node {
-            for &v in g.neighbors(u) {
-                if u < v {
-                    self.edges.push((u, v));
-                }
-            }
-        }
-        debug_assert_eq!(self.edges.len(), g.num_edges());
-        self.m = self.edges.len();
-        self.slack = 0;
-        self.staging_valid = true;
-        self.built = true;
+        self.build_rows(g.num_nodes(), |u, row| {
+            let src = g.neighbors(u);
+            row.spare(src.len()).copy_from_slice(src);
+            row.commit(src.len());
+        });
     }
 
     /// Borrows the live neighbor slice of `u` (valid after `build`).
@@ -408,27 +414,16 @@ impl SnapshotBuf {
         out
     }
 
-    /// Copies the snapshot into a fresh [`AdjacencyList`]
-    /// (test/interop helper — allocates). While the staged edge stream still
-    /// mirrors the live edge set it is replayed so per-node neighbor order is
-    /// preserved; after in-place deltas the rows are walked directly instead.
+    /// Copies the snapshot into a fresh [`AdjacencyList`] whose rows equal
+    /// [`neighbors`](SnapshotBuf::neighbors) row for row, in order, on every
+    /// build path (test/interop helper — allocates).
     pub fn to_adjacency(&self) -> AdjacencyList {
         debug_assert!(self.built, "query before build");
-        let mut g = AdjacencyList::new(self.n);
-        if self.staging_valid {
-            for &(u, v) in &self.edges {
-                g.add_edge_unchecked(u, v);
-            }
-        } else {
-            for u in 0..self.n as Node {
-                for &v in self.neighbors(u) {
-                    if u < v {
-                        g.add_edge_unchecked(u, v);
-                    }
-                }
-            }
-        }
-        g
+        AdjacencyList::from_rows(
+            (0..self.n as Node)
+                .map(|u| self.neighbors(u).to_vec())
+                .collect(),
+        )
     }
 
     /// Capacity snapshot `(edges, deg, offsets, targets)` — lets tests assert
@@ -440,6 +435,46 @@ impl SnapshotBuf {
             self.offsets.capacity(),
             self.targets.capacity(),
         )
+    }
+}
+
+/// The row under construction during [`SnapshotBuf::build_rows`].
+///
+/// A producer asks for [`spare`](RowWriter::spare) slots past the row's
+/// committed end, writes candidates into them (a branchless compress may
+/// write more than it keeps), then [`commit`](RowWriter::commit)s how many of
+/// them belong to the row. A later `spare` call starts after the committed
+/// entries, so a row can be appended in several pieces.
+#[derive(Debug)]
+pub struct RowWriter<'a> {
+    targets: &'a mut Vec<Node>,
+    /// End of the committed entries (rows written so far plus the committed
+    /// part of the current one).
+    len: usize,
+}
+
+impl RowWriter<'_> {
+    /// At least `slots` writable slots starting right after the committed
+    /// entries. Their contents are unspecified until written; the buffer
+    /// only grows while the run warms up.
+    #[inline]
+    pub fn spare(&mut self, slots: usize) -> &mut [Node] {
+        let end = self.len + slots;
+        if self.targets.len() < end {
+            self.targets.resize(end, 0);
+        }
+        &mut self.targets[self.len..end]
+    }
+
+    /// Keeps the first `count` slots of the last [`spare`](RowWriter::spare)
+    /// slice as the row's next entries.
+    #[inline]
+    pub fn commit(&mut self, count: usize) {
+        debug_assert!(
+            self.len + count <= self.targets.len(),
+            "commit past the spare slots"
+        );
+        self.len += count;
     }
 }
 
@@ -726,6 +761,82 @@ mod tests {
                     "slack {slack} round {round}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn to_adjacency_copies_rows_verbatim_after_a_delta() {
+        let mut buf = SnapshotBuf::new();
+        buf.begin(4);
+        buf.push_edge(1, 3);
+        buf.push_edge(2, 3);
+        buf.build_with_slack(1);
+        // The birth appends 0 after 3: row 1 is no longer ascending.
+        assert_eq!(buf.apply_delta(&[(0, 1)], &[]), DeltaOutcome::Patched);
+        assert_eq!(buf.neighbors(1), &[3, 0]);
+        let g = buf.to_adjacency();
+        assert_eq!(g.num_edges(), buf.num_edges());
+        for u in 0..4u32 {
+            assert_eq!(g.neighbors(u), buf.neighbors(u), "node {u}");
+        }
+    }
+
+    #[test]
+    fn build_rows_keeps_rows_as_written_and_stops_allocating_after_warmup() {
+        // A 5-cycle whose rows list the successor first, each written in two
+        // pieces, the first through an over-sized spare slice the way a
+        // branchless compress uses it (junk past the committed count).
+        let mut buf = SnapshotBuf::new();
+        buf.build_rows(5, |u, row| {
+            let slots = row.spare(3);
+            slots[0] = (u + 1) % 5;
+            slots[1] = 99;
+            slots[2] = 99;
+            row.commit(1);
+            row.spare(1)[0] = (u + 4) % 5;
+            row.commit(1);
+        });
+        assert_eq!(buf.num_nodes(), 5);
+        assert_eq!(buf.num_edges(), 5);
+        for u in 0..5u32 {
+            assert_eq!(Graph::degree(&buf, u), 2);
+            assert_eq!(buf.neighbors(u), &[(u + 1) % 5, (u + 4) % 5], "node {u}");
+        }
+        let g = buf.to_adjacency();
+        assert_eq!(g.num_edges(), 5);
+        assert_eq!(g.neighbors(0), &[1, 4]);
+
+        // Random simple graphs rebuilt through rows: nothing is staged, and
+        // the buffer's capacities stop moving once warmed up.
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rebuild = |buf: &mut SnapshotBuf| {
+            let mut g = AdjacencyList::new(64);
+            for u in 0..64u32 {
+                for v in (u + 1)..64 {
+                    if rng.gen_bool(0.2) {
+                        g.add_edge_unchecked(u, v);
+                    }
+                }
+            }
+            buf.build_rows(64, |u, row| {
+                let src = g.neighbors(u);
+                row.spare(src.len() + 4)[..src.len()].copy_from_slice(src);
+                row.commit(src.len());
+            });
+            assert_eq!(buf.num_edges(), g.num_edges());
+            for u in 0..64u32 {
+                assert_eq!(buf.neighbors(u), g.neighbors(u));
+                assert_eq!(Graph::degree(buf, u), g.degree(u));
+            }
+        };
+        for _ in 0..20 {
+            rebuild(&mut buf);
+        }
+        let warm = buf.capacities();
+        assert_eq!((warm.0, warm.1), (0, 0), "row builds stage no edges");
+        for _ in 0..50 {
+            rebuild(&mut buf);
+            assert_eq!(buf.capacities(), warm, "capacity drifted after warm-up");
         }
     }
 

@@ -74,7 +74,9 @@ pub enum Counter {
     RebuildBytes,
     /// RNG draws consumed by skip-sampling the flip calendar.
     RngDraws,
-    /// Candidate pairs visited by the geometric bucket scan.
+    /// Candidate distance tests of the geometric row gather: each node tests
+    /// the nodes of its 3×3 bucket neighbourhood, so every unordered
+    /// candidate pair counts twice (once from each end).
     BucketScanVisits,
     /// Protocol rounds driven across all trials.
     Rounds,

@@ -12,11 +12,13 @@
 //! reused in place) — and the `Stepping::Transitions` skip-sampling path,
 //! whose per-round work is a `SnapshotBuf::apply_delta` edit rather than a
 //! rebuild — raw delta rounds (including the slack-exhaustion rebuild
-//! fallback) are measured directly as well. The geometric bucket scan runs
-//! the fixed-lane compress kernel of `meg-geometric::radius_graph` over both
-//! metrics: the square-region section covers the Euclidean lanes and a
-//! torus-walkers section covers the wrap-around lanes (the two metric
-//! monomorphisations are separate code paths, so each gets its own bar). The
+//! fallback) are measured directly as well. Geometric snapshots are built
+//! row by row (`SnapshotBuf::build_rows`): each node gathers its own CSR row
+//! from the bucket grid through the fixed-lane gather kernel of
+//! `meg-geometric::radius_graph`, straight into the reused `targets` array.
+//! The square-region section covers the Euclidean lanes and a torus-walkers
+//! section covers the wrap-around lanes (the torus build mixes both metric
+//! monomorphisations, so each region gets its own bar). The
 //! sparse engine keeps its alive set in flat reused `Vec`s under both
 //! stepping modes (an ascending pair-index list merged in place per-pair, a
 //! swap-removed array under transitions), and both are held to the same bar.
