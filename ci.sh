@@ -239,15 +239,25 @@ PYEOF
         bench calibration geo_flood_n4096 --repetitions 3 --warmup 1 \
         --baseline BENCH_GATE.json --baseline-threshold 1.5 > /dev/null
     # The gate must also *fail* correctly: an absurd threshold flags the
-    # workload and exits 4.
+    # workload (the calibration row is the unit and never flags) and exits 4.
+    GATE_ERR=$(mktemp)
     if cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
         bench calibration geo_flood_n4096 --repetitions 2 --warmup 1 \
         --baseline BENCH_GATE.json --baseline-threshold 0.001 \
-        > /dev/null 2>&1; then
+        > /dev/null 2> "$GATE_ERR"; then
         echo "baseline gate failed to flag a regression at threshold 0.001" >&2
         exit 1
+    else
+        GATE_RC=$?
     fi
-    echo "baseline gate: pass path clean, regression path exits nonzero"
+    if [ "$GATE_RC" -ne 4 ] || ! grep -qE '^geo_flood_n4096 .*<< REGRESSION$' "$GATE_ERR" \
+        || grep -qE '^calibration .*<< REGRESSION$' "$GATE_ERR"; then
+        echo "threshold 0.001 must flag geo_flood_n4096 alone and exit 4 (got $GATE_RC):" >&2
+        cat "$GATE_ERR" >&2
+        exit 1
+    fi
+    rm -f "$GATE_ERR"
+    echo "baseline gate: pass path clean, regression path flags geo_flood_n4096 and exits 4"
 
     step "metrics-smoke (--metrics report: counters live, stdout untouched)"
     MET_DIR=$(mktemp -d)

@@ -25,7 +25,7 @@
 //! `O(1 + p·C(n,2) + q·|E|)` — sub-linear in the pair count for the sparse
 //! and moderate regimes the paper's theorems live in.
 
-use crate::model::EdgeMegParams;
+use crate::model::{EdgeMegParams, MAX_TRANSITION_PAIRS};
 use crate::sparse::{sample_bernoulli_indices, RowWalker};
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
 use meg_graph::generators::pair_from_index;
@@ -98,6 +98,11 @@ impl DenseEdgeMeg {
         stepping: Stepping,
         seed: u64,
     ) -> Self {
+        assert!(
+            stepping != Stepping::Transitions || params.num_pairs() <= MAX_TRANSITION_PAIRS,
+            "transition stepping indexes pairs with u32; n={} has too many pairs",
+            params.n
+        );
         let chain = params.chain();
         let mut rng = StdRng::seed_from_u64(seed);
         let num_pairs = params.num_pairs() as usize;
@@ -122,11 +127,6 @@ impl DenseEdgeMeg {
         };
         let mut alive_idx = Vec::new();
         if stepping == Stepping::Transitions {
-            assert!(
-                params.num_pairs() <= u32::MAX as u64,
-                "transition stepping indexes pairs with u32; n={} has too many pairs",
-                params.n
-            );
             alive.for_each_set_bit(|k| alive_idx.push(k as u32));
         }
         DenseEdgeMeg {

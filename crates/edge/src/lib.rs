@@ -56,5 +56,5 @@ pub mod model;
 pub mod sparse;
 
 pub use dense::DenseEdgeMeg;
-pub use model::EdgeMegParams;
+pub use model::{EdgeMegParams, MAX_TRANSITION_PAIRS};
 pub use sparse::SparseEdgeMeg;

@@ -4,6 +4,12 @@ use meg_core::bounds::EdgeBounds;
 use meg_core::evolving::InitialDistribution;
 use meg_markov::TwoStateChain;
 
+/// The most node pairs `Stepping::Transitions` can index: both engines keep
+/// its pair indices as `u32`, so `n ≥ 92_683` (`C(n, 2) > u32::MAX`) needs
+/// per-pair stepping. The engines assert it; scenario resolution checks it
+/// first and reports an input error.
+pub const MAX_TRANSITION_PAIRS: u64 = u32::MAX as u64;
+
 /// Parameters of an edge-MEG `M(n, p, q)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeMegParams {

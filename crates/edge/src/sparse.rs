@@ -14,7 +14,7 @@
 //!   exactly as the model prescribes.
 
 use crate::dense::DELTA_SLACK;
-use crate::model::EdgeMegParams;
+use crate::model::{EdgeMegParams, MAX_TRANSITION_PAIRS};
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
 use meg_graph::generators::pair_from_index;
 use meg_graph::{Graph, Node, SnapshotBuf};
@@ -108,7 +108,7 @@ impl SparseEdgeMeg {
             },
             Stepping::Transitions => {
                 assert!(
-                    total_pairs <= u32::MAX as u64,
+                    total_pairs <= MAX_TRANSITION_PAIRS,
                     "transition stepping indexes pairs with u32; n={} has too many pairs",
                     params.n
                 );

@@ -100,7 +100,7 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
 /// (new workloads are not regressions); baseline entries not re-run are
 /// likewise ignored. If both sides carry the calibration workload, every
 /// ratio is taken between calibrated medians (the calibration row itself
-/// then reads 1).
+/// then reads 1, and [`is_regression`] checks only its checksum).
 pub fn compare(results: &[BenchResult], baseline: &[BaselineEntry]) -> Vec<CompareRow> {
     let current_unit = results.iter().find(|r| r.name == CALIBRATION);
     let baseline_unit = baseline.iter().find(|b| b.name == CALIBRATION);
@@ -126,9 +126,12 @@ pub fn compare(results: &[BenchResult], baseline: &[BaselineEntry]) -> Vec<Compa
 
 /// A row fails the gate when it ran slower than `threshold × baseline`
 /// **or** its checksum disagrees with the baseline's (different work —
-/// the timing comparison itself is invalid).
+/// the timing comparison itself is invalid). In a calibrated comparison the
+/// calibration row is the unit, its ratio 1 by definition, so only its
+/// checksum can fail it.
 pub fn is_regression(row: &CompareRow, threshold: f64) -> bool {
-    row.ratio > threshold || row.checksum_match == Some(false)
+    let unit = row.calibrated && row.name == CALIBRATION;
+    (!unit && row.ratio > threshold) || row.checksum_match == Some(false)
 }
 
 /// The rows of `rows` that fail the gate at `threshold`.
@@ -315,6 +318,21 @@ mod tests {
         assert_eq!(slower[1].ratio, 1.625);
         assert_eq!(regressions(&slower, 1.5).len(), 1);
         assert!(render_table(&slower, 1.5).contains("calibration median"));
+        // The calibration row is the unit: any threshold flags only the
+        // workloads, never it, unless its checksum drifts.
+        let flagged = regressions(&same, 0.001);
+        assert_eq!(flagged.len(), 1);
+        assert_eq!(flagged[0].name, "geo");
+        let table = render_table(&same, 0.001);
+        assert!(table.contains("1 of 2 workload(s) regressed"), "{table}");
+        let drifted = compare(
+            &[result(CALIBRATION, 100.0, 4.0), result("geo", 160.0, 7.0)],
+            &base,
+        );
+        assert!(
+            is_regression(&drifted[0], 1.5),
+            "calibration checksum drift"
+        );
         // Without calibration on both sides the ratio is raw.
         let raw = compare(&[result("geo", 160.0, 7.0)], &base);
         assert!(!raw[0].calibrated);

@@ -30,7 +30,8 @@
 //!                         checksum diverged; if both the run and FILE
 //!                         include the `calibration` workload, medians are
 //!                         compared in units of each side's calibration
-//!                         median (host speed divided out)
+//!                         median (host speed divided out; the calibration
+//!                         row itself fails only on a checksum mismatch)
 //!   --baseline-threshold F
 //!                         regression gate for --baseline (default 1.25)
 //!

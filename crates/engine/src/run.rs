@@ -32,7 +32,7 @@ use meg_core::protocols::{
     ByzantineMachine, EpidemicMachine, ProtocolResult,
 };
 use meg_core::spec;
-use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
+use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg, MAX_TRANSITION_PAIRS};
 use meg_geometric::{GeometricMeg, GeometricMegParams};
 use meg_graph::expansion::{min_expansion_sampled, SamplingStrategy};
 use meg_graph::generators;
@@ -478,10 +478,7 @@ fn resolve_cell(
             let p_hat = p_hat.resolve(n, q);
             let params = EdgeMegParams::try_with_stationary(n, p_hat, q)
                 .map_err(|e| ScenarioError(format!("cell {index}: {e}")))?;
-            if engine == EdgeEngine::Sparse
-                && stepping == SteppingKind::Transitions
-                && params.num_pairs() > u32::MAX as u64
-            {
+            if stepping == SteppingKind::Transitions && params.num_pairs() > MAX_TRANSITION_PAIRS {
                 return Err(too_many_pairs_for_transitions(index, n));
             }
             ResolvedSubstrate::Edge {
@@ -560,17 +557,16 @@ fn resolve_cell(
     })
 }
 
-/// The sparse engine's transition stepping indexes node pairs with `u32`,
-/// so a cell with more than `u32::MAX` pairs (`n ≥ 92_683`) cannot run it.
-/// Out of line and cold, like the edge-parameter errors, so the check adds
-/// no message-building code to `resolve_cell`.
+/// Transition stepping indexes node pairs with `u32` in both edge engines,
+/// so a cell with more than [`MAX_TRANSITION_PAIRS`] pairs (`n ≥ 92_683`)
+/// cannot run it. Out of line and cold, like the edge-parameter errors, so
+/// the check adds no message-building code to `resolve_cell`.
 #[cold]
 #[inline(never)]
 fn too_many_pairs_for_transitions(index: usize, n: usize) -> ScenarioError {
     ScenarioError(format!(
-        "cell {index}: n={n} has more than {} node pairs, too many for the sparse \
-         engine's transition stepping; use per_pair stepping",
-        u32::MAX
+        "cell {index}: n={n} has more than {MAX_TRANSITION_PAIRS} node pairs, too many \
+         for transition stepping; use per_pair stepping"
     ))
 }
 
@@ -1670,28 +1666,34 @@ mod tests {
     }
 
     #[test]
-    fn sparse_transitions_beyond_u32_pairs_is_an_error_naming_the_cell() {
-        let mut s = tiny_scenario();
-        s.substrates.truncate(1);
-        if let Substrate::Edge { stepping, .. } = &mut s.substrates[0] {
-            *stepping = SteppingKind::Transitions;
+    fn transitions_beyond_u32_pairs_is_an_error_naming_the_cell() {
+        for kind in [EdgeEngine::Sparse, EdgeEngine::Dense] {
+            let mut s = tiny_scenario();
+            s.substrates.truncate(1);
+            if let Substrate::Edge {
+                engine, stepping, ..
+            } = &mut s.substrates[0]
+            {
+                *engine = kind;
+                *stepping = SteppingKind::Transitions;
+            }
+            s.protocols.truncate(1);
+            // C(92_682, 2) = 4_294_930_221 fits in u32; C(92_683, 2) does not.
+            s.sweep = Sweep::over(Param::N, [92_682.0, 92_683.0]);
+            let err = resolve_cells(&s).unwrap_err();
+            assert!(
+                err.0.contains("cell 1:") && err.0.contains("n=92683"),
+                "{kind:?}: {err}"
+            );
+            s.sweep = Sweep::over(Param::N, [92_682.0]);
+            assert_eq!(resolve_cells(&s).unwrap().len(), 1, "{kind:?}");
+            // Per-pair stepping has no such limit.
+            if let Substrate::Edge { stepping, .. } = &mut s.substrates[0] {
+                *stepping = SteppingKind::PerPair;
+            }
+            s.sweep = Sweep::over(Param::N, [100_000.0]);
+            assert_eq!(resolve_cells(&s).unwrap().len(), 1, "{kind:?}");
         }
-        s.protocols.truncate(1);
-        // C(92_682, 2) = 4_294_930_221 fits in u32; C(92_683, 2) does not.
-        s.sweep = Sweep::over(Param::N, [92_682.0, 92_683.0]);
-        let err = resolve_cells(&s).unwrap_err();
-        assert!(
-            err.0.contains("cell 1:") && err.0.contains("n=92683"),
-            "{err}"
-        );
-        s.sweep = Sweep::over(Param::N, [92_682.0]);
-        assert_eq!(resolve_cells(&s).unwrap().len(), 1);
-        // Per-pair stepping has no such limit.
-        if let Substrate::Edge { stepping, .. } = &mut s.substrates[0] {
-            *stepping = SteppingKind::PerPair;
-        }
-        s.sweep = Sweep::over(Param::N, [100_000.0]);
-        assert_eq!(resolve_cells(&s).unwrap().len(), 1);
     }
 
     #[test]

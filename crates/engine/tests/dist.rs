@@ -603,31 +603,36 @@ fn cli_adaptive_worker_pool_matches_single_process_and_converges() {
 }
 
 #[test]
-fn cli_sparse_transitions_past_u32_pairs_exits_2_naming_the_cell() {
-    // C(100_000, 2) node pairs overflow the u32 pair index of the sparse
-    // engine's transition stepping: resolution must reject the cell with an
+fn cli_transitions_past_u32_pairs_exits_2_naming_the_cell() {
+    // C(100_000, 2) node pairs overflow the u32 pair index of transition
+    // stepping in either engine: resolution must reject the cell with an
     // input error (exit 2) before any trial runs, not panic (exit 101).
     let dir = tmp("u32-pairs");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("scenario.json");
-    std::fs::write(
-        &file,
-        r#"{"name":"big_transitions","description":"sparse transitions past u32 pairs",
-            "substrates":[{"family":"edge","n":100000,"engine":"sparse",
-            "p_hat":{"log_factor":3},"q":0.5,"init":"stationary","stepping":"transitions"}],
-            "protocols":["flooding"],"sweep":{"axes":[]},"trials":1,"round_budget":100}"#,
-    )
-    .unwrap();
-    let out = meg_lab()
-        .args(["run", "--file", file.to_str().expect("utf8 temp path")])
-        .output()
-        .expect("meg-lab runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("cell 0") && stderr.contains("n=100000"),
-        "{stderr}"
-    );
-    assert!(out.stdout.is_empty(), "no row may be emitted");
+    for engine in ["sparse", "dense"] {
+        std::fs::write(
+            &file,
+            format!(
+                r#"{{"name":"big_transitions","description":"transitions past u32 pairs",
+                "substrates":[{{"family":"edge","n":100000,"engine":"{engine}",
+                "p_hat":{{"log_factor":3}},"q":0.5,"init":"stationary",
+                "stepping":"transitions"}}],
+                "protocols":["flooding"],"sweep":{{"axes":[]}},"trials":1,"round_budget":100}}"#
+            ),
+        )
+        .unwrap();
+        let out = meg_lab()
+            .args(["run", "--file", file.to_str().expect("utf8 temp path")])
+            .output()
+            .expect("meg-lab runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{engine}: {stderr}");
+        assert!(
+            stderr.contains("cell 0") && stderr.contains("n=100000"),
+            "{engine}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{engine}: no row may be emitted");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -882,6 +882,11 @@ mod tests {
             .unwrap();
         let low = pos.iter().position(|&p| p == (0.0, 1.0)).unwrap();
         assert!(buf.has_edge(high as Node, low as Node));
+        // The rule is in force: at k = 4 both kinds of run occur, while at
+        // k ≤ 3 every torus run keeps the fold.
+        assert!(ws.runs.iter().any(|r| r.plain) && ws.runs.iter().any(|r| !r.plain));
+        ws.tabulate_runs(3, true);
+        assert!(ws.runs.iter().all(|r| !r.plain));
     }
 
     #[test]
