@@ -342,6 +342,22 @@ PYEOF
     proto_smoke epidemic_threshold infections recoveries
     proto_smoke rumor_dynamism rumor_pushes
     proto_smoke byzantine_tamper tampered_adoptions
+    # The bound probe's time lands in its own `probe` span, and installing
+    # the recorder leaves the rows byte-identical.
+    $MEG_LAB run general_bound --scale 0.1 --seed 2009 --format json > "$PROTO_DIR/bound.off.jsonl"
+    $MEG_LAB run general_bound --scale 0.1 --seed 2009 --format json --metrics report \
+        > "$PROTO_DIR/bound.on.jsonl" 2> "$PROTO_DIR/bound.metrics.txt"
+    if ! diff -u "$PROTO_DIR/bound.off.jsonl" "$PROTO_DIR/bound.on.jsonl"; then
+        echo "general_bound rows changed when the recorder was installed" >&2
+        exit 1
+    fi
+    [ -s "$PROTO_DIR/bound.off.jsonl" ] || { echo "general_bound produced no rows" >&2; exit 1; }
+    grep -qE "^  probe +[1-9][0-9]*" "$PROTO_DIR/bound.metrics.txt" || {
+        echo "span probe missing or zero for general_bound:" >&2
+        cat "$PROTO_DIR/bound.metrics.txt" >&2
+        exit 1
+    }
+    echo "general_bound: $(wc -l < "$PROTO_DIR/bound.on.jsonl") rows identical with the recorder on, probe span live"
     rm -rf "$PROTO_DIR"
 
     step "distributed observability smoke (fault-injected pool: shipping + trace + progress)"

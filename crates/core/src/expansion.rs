@@ -100,11 +100,6 @@ impl ExpanderSequence {
         if hs.is_empty() {
             return Err(SequenceError::Empty);
         }
-        // Drop the h = 1 point if present: h_0 = 1 is the implicit start.
-        if hs[0] == 1 && hs.len() > 1 {
-            // keep it — h_1 may legitimately equal 1? No: h_1 must be ≥ h_0 = 1
-            // and strictly less than h_2; a leading h = 1 entry is fine.
-        }
         let target = n / 2;
         match hs.last().copied() {
             Some(last) if last < target => {

@@ -59,8 +59,10 @@ pub struct CompareRow {
 
 /// Extracts the per-workload entries from a baseline document, accepting
 /// both on-disk schemas (see the module docs). Names joinable against
-/// [`BenchResult::name`] are whatever the document recorded; entries
-/// missing a median are skipped (aggregate/derived sections).
+/// [`BenchResult::name`] are whatever the document recorded. Entries without
+/// a name are skipped (aggregate/derived sections); a named entry whose
+/// `median_ms` is missing or not a finite positive number is an error
+/// naming it, since the comparison could not use it.
 pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
     let doc = Json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
     let (list, key) = match (doc.get("entries"), doc.get("results")) {
@@ -80,8 +82,8 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
             None => continue,
         };
         let median_ms = match item.get("median_ms").and_then(Json::as_f64) {
-            Some(m) if m > 0.0 => m,
-            _ => continue,
+            Some(m) if m.is_finite() && m > 0.0 => m,
+            _ => return Err(format!("entry `{name}` has no finite positive `median_ms`")),
         };
         out.push(BaselineEntry {
             name,
@@ -249,6 +251,52 @@ mod tests {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline(r#"{"entries": []}"#).is_err());
         assert!(parse_baseline(r#"{"entries": [{"workload": "a"}]}"#).is_err());
+    }
+
+    #[test]
+    fn named_entry_without_a_finite_positive_median_is_an_error_naming_it() {
+        // A valid calibration entry, then a named entry with `median`
+        // spliced in: -7, 0, missing, and 1e400 (which parses to +inf).
+        let doc = |median: &str| {
+            format!(
+                r#"{{"results":[{{"bench":"calibration","median_ms":5,"checksum":9}},
+                    {{"bench":"geo_flood_n4096","checksum":252{median}}}]}}"#
+            )
+        };
+        for median in [
+            r#","median_ms":-7"#,
+            r#","median_ms":0"#,
+            "",
+            r#","median_ms":1e400"#,
+        ] {
+            let err = parse_baseline(&doc(median)).unwrap_err();
+            assert!(err.contains("`geo_flood_n4096`"), "{median}: {err}");
+        }
+        assert_eq!(
+            parse_baseline(&doc(r#","median_ms":1e300"#)).unwrap().len(),
+            2
+        );
+    }
+
+    #[test]
+    fn every_committed_bench_document_parses() {
+        // The repository root's `BENCH_*.json` files: each bench document
+        // (`entries` or `results`) must parse; an A/B record of another
+        // schema is not a baseline and is rejected as such.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            match parse_baseline(&std::fs::read_to_string(&path).unwrap()) {
+                Ok(_) => parsed += 1,
+                Err(e) => assert!(e.contains("neither `entries` nor `results`"), "{name}: {e}"),
+            }
+        }
+        assert!(parsed > 0, "no bench document found at the repository root");
     }
 
     #[test]

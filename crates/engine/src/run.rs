@@ -728,12 +728,14 @@ fn protocol_trial<M: EvolvingGraph>(
     }
 }
 
-/// Runs a measurement probe against an evolving graph (any substrate).
+/// Runs a measurement probe against an evolving graph (any substrate),
+/// timed as the `probe` span (the `advance` calls inside keep their own).
 fn probe_trial<M: EvolvingGraph>(
     meg: &mut M,
     protocol: &Protocol,
     rng: &mut ChaCha8Rng,
 ) -> TrialOutcome {
+    let _span = obs::span("probe");
     match protocol {
         Protocol::ExpansionProbe { set_size, samples } => {
             let snapshot = meg.advance();

@@ -177,11 +177,19 @@ impl Gauge {
 }
 
 /// The fixed span vocabulary. [`span`] names outside this list are ignored
-/// (with a debug assertion to catch typos). `sweep` is one in-process sweep
-/// from its first queued trial to its last released row (a pool worker's
-/// requests record none); `cell` runs from a cell's first trial start to its
-/// row's release.
-pub const SPAN_NAMES: [&str; 5] = ["advance", "trial", "cell", "worker_round_trip", "sweep"];
+/// (with a debug assertion to catch typos). `probe` is one measurement-probe
+/// trial's body (the `advance` calls it makes keep their own span); `sweep`
+/// is one in-process sweep from its first queued trial to its last released
+/// row (a pool worker's requests record none); `cell` runs from a cell's
+/// first trial start to its row's release.
+pub const SPAN_NAMES: [&str; 6] = [
+    "advance",
+    "probe",
+    "trial",
+    "cell",
+    "worker_round_trip",
+    "sweep",
+];
 
 /// Buckets in each span's log2 latency histogram. Bucket 0 holds sub-ns
 /// (zero) readings; bucket `b ≥ 1` holds durations in `[2^(b-1), 2^b)` ns;
