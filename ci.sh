@@ -283,9 +283,20 @@ PYEOF
         }
     done
     # Span timings must have been recorded for the core phases.
-    for s in advance trial cell sweep; do
+    for s in advance step build trial cell sweep; do
         grep -qE "^  $s +[1-9][0-9]*" "$MET_DIR/metrics.txt" || {
             echo "span $s missing from the metrics report" >&2
+            rm -rf "$MET_DIR"
+            exit 1
+        }
+    done
+    # Both quick_smoke substrates (sparse edge and geometric) step per pair
+    # or per walk, so every advance opens exactly one step and one build.
+    ADVANCES=$(awk '$1 == "advance" { print $2 }' "$MET_DIR/metrics.txt")
+    for s in step build; do
+        [ "$(awk -v s="$s" '$1 == s { print $2 }' "$MET_DIR/metrics.txt")" = "$ADVANCES" ] || {
+            echo "span $s count differs from advance ($ADVANCES):" >&2
+            cat "$MET_DIR/metrics.txt" >&2
             rm -rf "$MET_DIR"
             exit 1
         }

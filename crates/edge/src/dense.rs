@@ -253,7 +253,11 @@ impl EvolvingGraph for DenseEdgeMeg {
                 // nor the RNG consumption. The tail word steps only its
                 // `last_word_bits()` — exactly one draw per real pair, the
                 // same schedule as a scalar per-pair loop.
-                self.rebuild_snapshot();
+                {
+                    let _build = obs::span("build");
+                    self.rebuild_snapshot();
+                }
+                let _step = obs::span("step");
                 let stepper = self.stepper;
                 let rng = &mut self.rng;
                 let n_words = self.alive.words().len();
@@ -279,13 +283,20 @@ impl EvolvingGraph for DenseEdgeMeg {
                 // of each later call — the k-th advance still returns
                 // `G_{k−1}`, exactly like the per-pair path.
                 if !self.snapshot_synced {
+                    let _build = obs::span("build");
                     self.snapshot.begin(self.params.n);
                     push_alive_edges(&self.alive, self.params.n, &mut self.snapshot);
                     self.snapshot.build_with_slack(DELTA_SLACK);
                     self.snapshot_synced = true;
                 } else {
-                    let draws = self.step_transitions();
-                    let outcome = self.snapshot.apply_delta(&self.births, &self.deaths);
+                    let draws = {
+                        let _step = obs::span("step");
+                        self.step_transitions()
+                    };
+                    let outcome = {
+                        let _build = obs::span("build");
+                        self.snapshot.apply_delta(&self.births, &self.deaths)
+                    };
                     if obs::installed() {
                         obs::add(obs::Counter::EdgeBirths, self.births.len() as u64);
                         obs::add(obs::Counter::EdgeDeaths, self.deaths.len() as u64);

@@ -32,8 +32,9 @@ const DEAD: u64 = 1 << 63;
 ///
 /// Under the default [`Stepping::PerPair`] the alive set is an ascending flat
 /// `Vec<u64>` of pair indices: deaths draw one Bernoulli per entry in that
-/// order, births are skip-sampled pair indices checked against the list with
-/// a forward cursor, and the births are merged in place — no tree, no
+/// order, births are skip-sampled pair indices recorded bare, one forward
+/// pass compacts the survivors and drops the candidates that were alive
+/// before the step, and the births are merged in place — no tree, no
 /// per-edge square root, no per-round allocation after warm-up. Under
 /// [`Stepping::Transitions`] it is a flat `Vec<u32>` of pair indices instead:
 /// deaths are skip-sampled as positions in that array and swap-removed,
@@ -48,8 +49,9 @@ pub struct SparseEdgeMeg {
     /// order is also row-major, so the snapshot rebuild decodes it with one
     /// [`RowWalker`].
     alive: Vec<u64>,
-    /// Scratch: this step's births in ascending index order (per-pair
-    /// stepping), merged into `alive` at the end of the step.
+    /// Scratch: this step's birth candidates in ascending index order
+    /// (per-pair stepping); after the survivor pass, the births, merged into
+    /// `alive` at the end of the step.
     born: Vec<u64>,
     rng: StdRng,
     snapshot: SnapshotBuf,
@@ -186,6 +188,13 @@ impl SparseEdgeMeg {
     /// one death draw per alive edge in ascending index order (only when
     /// `q > 0`), then the birth skip-sampling over all pairs (only when
     /// `p > 0`).
+    ///
+    /// Four passes: the death marks; the bare birth sampler, whose `visit`
+    /// only records candidates, so its `ln`-bound loop has no data-dependent
+    /// exit; [`drop_known_pairs`], which compacts the survivors and resolves
+    /// birth membership in one forward pass; and [`merge_from_back`]. The
+    /// last two advance by comparison results, not branches, except where a
+    /// run of [`RUN`] entries moves as one block.
     fn step_chain(&mut self) {
         let total_pairs = self.params.num_pairs();
         let p = self.params.p;
@@ -202,46 +211,17 @@ impl SparseEdgeMeg {
                 died += dies as u64;
             }
         }
-        // Births: each pair that was absent *before* this step turns on with
-        // probability p. Pairs that were alive before the step are skipped:
-        // if they survived the death phase they stay alive anyway, and if they
-        // just died the model says they need a full step absent before they
-        // can be reborn. Candidates arrive in ascending order, so one forward
-        // cursor over the pre-step list (dead marks masked off) answers
-        // membership.
+        // Birth candidates: every pair, with probability p, in ascending
+        // order. Membership is resolved after sampling, so the sampler's loop
+        // carries no data-dependent exit.
         self.born.clear();
         let mut draws = 0u64;
         if p > 0.0 {
-            let alive = &self.alive;
             let born = &mut self.born;
-            let mut cursor = 0usize;
-            draws = sample_bernoulli_indices(total_pairs, p, &mut self.rng, |idx| {
-                while cursor < alive.len() && alive[cursor] & !DEAD < idx {
-                    cursor += 1;
-                }
-                if cursor == alive.len() || alive[cursor] & !DEAD != idx {
-                    born.push(idx);
-                }
-            });
+            draws = sample_bernoulli_indices(total_pairs, p, &mut self.rng, |idx| born.push(idx));
         }
-        // Merge: drop the dead, then merge the births in from the back so
-        // every entry moves at most once and the list stays ascending (births
-        // are disjoint from the pre-step set, hence from the survivors).
-        if died > 0 {
-            self.alive.retain(|&idx| idx & DEAD == 0);
-        }
-        let (mut i, mut j) = (self.alive.len(), self.born.len());
-        self.alive.resize(i + j, 0);
-        while j > 0 {
-            let slot = i + j - 1;
-            if i > 0 && self.alive[i - 1] > self.born[j - 1] {
-                i -= 1;
-                self.alive[slot] = self.alive[i];
-            } else {
-                j -= 1;
-                self.alive[slot] = self.born[j];
-            }
-        }
+        drop_known_pairs(&mut self.alive, &mut self.born);
+        merge_from_back(&mut self.alive, &self.born);
         if obs::installed() {
             obs::add(obs::Counter::EdgeDeaths, died);
             obs::add(obs::Counter::EdgeBirths, self.born.len() as u64);
@@ -292,6 +272,80 @@ impl SparseEdgeMeg {
             self.alive_vec.push(self.birth_idx[i]);
         }
         draws
+    }
+}
+
+/// Entries both list passes move as one block when the next element of the
+/// other list lies beyond them. At slow churn most of the list moves this way;
+/// at fast churn the per-element steps take over.
+const RUN: usize = 8;
+
+/// The survivor compaction pass of the per-pair step. `alive` is the
+/// ascending pre-step list with this step's deaths marked [`DEAD`]; `born`
+/// holds the ascending birth candidates. One forward pass over both lists
+/// removes the dead entries from `alive` and drops every candidate equal to
+/// a pre-step pair (alive or just died, marks masked off): a survivor stays
+/// alive anyway, and a pair that just died needs a full step absent before
+/// it can be reborn, so each pre-step absent pair turns on with probability
+/// `p`. Both lists keep their order.
+///
+/// Each step either keeps the next candidate (it lies before the next entry)
+/// or moves the next entry (`alive[w] = x; w += !dead`), consuming an equal
+/// candidate with it; the counters advance by comparison results, not
+/// branches. A run of [`RUN`] entries that all lie before the next
+/// candidate moves after one comparison.
+fn drop_known_pairs(alive: &mut Vec<u64>, born: &mut Vec<u64>) {
+    let len = alive.len();
+    // A sentinel above every masked entry: the pass never consumes it, so
+    // `c` needs no bound of its own.
+    born.push(u64::MAX);
+    let (mut r, mut w, mut c, mut kept) = (0, 0, 0, 0);
+    while r < len {
+        let b = born[c];
+        if r + RUN <= len && alive[r + RUN - 1] & !DEAD < b {
+            for k in r..r + RUN {
+                let x = alive[k];
+                alive[w] = x;
+                w += (x & DEAD == 0) as usize;
+            }
+            r += RUN;
+            continue;
+        }
+        let x = alive[r];
+        let key = x & !DEAD;
+        let take = b < key;
+        born[kept] = b;
+        kept += take as usize;
+        c += (b <= key) as usize;
+        alive[w] = x;
+        w += (!take & (x & DEAD == 0)) as usize;
+        r += !take as usize;
+    }
+    born.pop();
+    born.copy_within(c.., kept);
+    born.truncate(kept + born.len() - c);
+    alive.truncate(w);
+}
+
+/// Merges the ascending, disjoint `born` into the ascending `alive` in place,
+/// from the back, so every entry moves at most once. A run of [`RUN`]
+/// entries above the largest unplaced birth moves as one block; otherwise
+/// one entry or birth is placed by comparison result.
+fn merge_from_back(alive: &mut Vec<u64>, born: &[u64]) {
+    let (mut i, mut j) = (alive.len(), born.len());
+    alive.resize(i + j, 0);
+    while j > 0 {
+        let b = born[j - 1];
+        if i >= RUN && alive[i - RUN] > b {
+            alive.copy_within(i - RUN..i, i - RUN + j);
+            i -= RUN;
+            continue;
+        }
+        let a = alive[i.saturating_sub(1)];
+        let take = (i > 0) & (a > b);
+        alive[i + j - 1] = if take { a } else { b };
+        i -= take as usize;
+        j -= !take as usize;
     }
 }
 
@@ -392,7 +446,11 @@ impl EvolvingGraph for SparseEdgeMeg {
         let _span = obs::span("advance");
         match self.stepping {
             Stepping::PerPair => {
-                self.rebuild_snapshot();
+                {
+                    let _build = obs::span("build");
+                    self.rebuild_snapshot();
+                }
+                let _step = obs::span("step");
                 self.step_chain();
             }
             Stepping::Transitions => {
@@ -401,6 +459,7 @@ impl EvolvingGraph for SparseEdgeMeg {
                 // that (the chain steps at the start of each later call, so
                 // the k-th advance still returns `G_{k−1}`).
                 if !self.snapshot_synced {
+                    let _build = obs::span("build");
                     self.snapshot.begin(self.params.n);
                     let n = self.params.n as u64;
                     for i in 0..self.alive_vec.len() {
@@ -410,8 +469,14 @@ impl EvolvingGraph for SparseEdgeMeg {
                     self.snapshot.build_with_slack(DELTA_SLACK);
                     self.snapshot_synced = true;
                 } else {
-                    let draws = self.step_transitions();
-                    let outcome = self.snapshot.apply_delta(&self.births, &self.deaths);
+                    let draws = {
+                        let _step = obs::span("step");
+                        self.step_transitions()
+                    };
+                    let outcome = {
+                        let _build = obs::span("build");
+                        self.snapshot.apply_delta(&self.births, &self.deaths)
+                    };
                     if obs::installed() {
                         obs::add(obs::Counter::EdgeBirths, self.births.len() as u64);
                         obs::add(obs::Counter::EdgeDeaths, self.deaths.len() as u64);
@@ -471,6 +536,41 @@ mod tests {
         assert_eq!(count, 100);
         sample_bernoulli_indices(0, 0.5, &mut rng, |_| count += 1);
         assert_eq!(count, 100);
+    }
+
+    #[test]
+    fn survivor_pass_drops_known_pairs_and_merge_keeps_order() {
+        // Entries 10, 12, …, 58 with 14 and 40 marked dead.
+        let mut alive: Vec<u64> = (10..60).step_by(2).collect();
+        alive[2] |= DEAD;
+        alive[15] |= DEAD;
+        // Before the first entry; equal to the last entry of the first
+        // block of `RUN` (24), so that block must not move past it; between
+        // entries; equal to a dead entry; equal to the last entry; past it.
+        let mut born = vec![0, 9, 24, 25, 40, 41, 58, 59, 70];
+        drop_known_pairs(&mut alive, &mut born);
+        let survivors: Vec<u64> = (10..60)
+            .step_by(2)
+            .filter(|&k| k != 14 && k != 40)
+            .collect();
+        assert_eq!(alive, survivors);
+        assert_eq!(born, [0, 9, 25, 41, 59, 70]);
+        merge_from_back(&mut alive, &born);
+        let mut want = survivors;
+        want.extend_from_slice(&born);
+        want.sort_unstable();
+        assert_eq!(alive, want);
+
+        // Empty sides: nothing alive keeps every candidate; no candidates
+        // only compacts.
+        let (mut alive, mut born) = (Vec::new(), vec![3, 5]);
+        drop_known_pairs(&mut alive, &mut born);
+        merge_from_back(&mut alive, &born);
+        assert_eq!(alive, [3, 5]);
+        let (mut alive, mut born) = (vec![1 | DEAD, 2, 3 | DEAD], Vec::new());
+        drop_known_pairs(&mut alive, &mut born);
+        merge_from_back(&mut alive, &born);
+        assert_eq!((alive, born), (vec![2], vec![]));
     }
 
     #[test]

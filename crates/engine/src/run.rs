@@ -418,23 +418,23 @@ fn resolve_cell(
             }
             (Param::Beta, _) => {
                 if let Protocol::Probabilistic { beta } = &mut protocol {
-                    *beta = value.clamp(0.0, 1.0);
+                    *beta = value;
                 }
             }
             (Param::ActiveRounds, _) => {
                 if let Protocol::Parsimonious { active_rounds } = &mut protocol {
-                    *active_rounds = (value.round().max(1.0)) as u64;
+                    *active_rounds = value.round() as u64;
                 }
             }
-            (Param::Trials, _) => trials = (value.round().max(1.0)) as usize,
+            (Param::Trials, _) => trials = value.round() as usize,
             (Param::SetSize, _) => {
                 if let Protocol::ExpansionProbe { set_size, .. } = &mut protocol {
-                    *set_size = value.round().max(1.0) as u64;
+                    *set_size = value.round() as u64;
                 }
             }
             (Param::Contagion, _) => match &mut protocol {
                 Protocol::Sis { contagion, .. } | Protocol::Sir { contagion, .. } => {
-                    *contagion = value.clamp(0.0, 1.0)
+                    *contagion = value
                 }
                 _ => {}
             },
@@ -444,7 +444,7 @@ fn resolve_cell(
                 }
                 | Protocol::Sir {
                     infection_rounds, ..
-                } => *infection_rounds = value.round().max(1.0) as u64,
+                } => *infection_rounds = value.round() as u64,
                 _ => {}
             },
             (Param::ImmunityRounds, _) => {
@@ -452,12 +452,12 @@ fn resolve_cell(
                     immunity_rounds, ..
                 } = &mut protocol
                 {
-                    *immunity_rounds = value.round().max(0.0) as u64;
+                    *immunity_rounds = value.round() as u64;
                 }
             }
             (Param::ByzantineCount, _) => {
                 if let Protocol::Byzantine { count } = &mut protocol {
-                    *count = value.round().max(0.0) as u64;
+                    *count = value.round() as u64;
                 }
             }
             // Overrides for the other family are inert by design: a shared
@@ -1711,6 +1711,75 @@ mod tests {
         }];
         s.sweep = Sweep::over(Param::N, [3.0]);
         assert_eq!(resolve_cells(&s).unwrap()[0].substrate.params()[0].1, 4.0);
+    }
+
+    #[test]
+    fn a_swept_protocol_value_outside_its_domain_is_an_error_not_a_clamp() {
+        let cases: [(Param, f64, &str); 12] = [
+            (Param::Contagion, 2.0, "contagion=2 outside [0, 1]"),
+            (Param::Contagion, -0.1, "contagion=-0.1 outside [0, 1]"),
+            (Param::Contagion, f64::NAN, "contagion=NaN outside [0, 1]"),
+            (Param::Beta, 1.5, "beta=1.5 outside [0, 1]"),
+            (
+                Param::InfectionRounds,
+                0.0,
+                "infection_rounds must be ≥ 1 (got 0)",
+            ),
+            (
+                Param::ActiveRounds,
+                0.4,
+                "active_rounds must be ≥ 1 (got 0.4)",
+            ),
+            (Param::Trials, 0.0, "trials must be ≥ 1 (got 0)"),
+            (Param::SetSize, -3.0, "set_size ≥ 1 (got -3)"),
+            (
+                Param::ImmunityRounds,
+                -1.0,
+                "immunity_rounds must be ≥ 0 (got -1)",
+            ),
+            (Param::ByzantineCount, -2.0, "count must be ≥ 0 (got -2)"),
+            (
+                Param::ByzantineCount,
+                f64::NAN,
+                "count must be ≥ 0 (got NaN)",
+            ),
+            (Param::N, 1.0, "swept n=1 is below 2"),
+        ];
+        for (param, value, wording) in cases {
+            let mut s = tiny_scenario();
+            // A bad value is rejected even after a good one on its axis.
+            let good = if param == Param::N { 40.0 } else { 1.0 };
+            s.sweep = Sweep::over(param, [good, value]);
+            let err = resolve_cells(&s).unwrap_err();
+            let axis = format!("sweep axis `{}`: ", param.id());
+            assert!(err.0.contains(&axis), "{param:?}: {err}");
+            assert!(err.0.contains(wording), "{param:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn swept_protocol_values_on_their_domain_edges_resolve_unchanged() {
+        let mut s = tiny_scenario();
+        s.substrates.truncate(1);
+        s.protocols = vec![Protocol::Sis {
+            contagion: 0.5,
+            infection_rounds: 2,
+            immunity_rounds: 3,
+        }];
+        s.sweep = Sweep::over(Param::Contagion, [0.0, 1.0]);
+        let labels: Vec<String> = resolve_cells(&s)
+            .unwrap()
+            .iter()
+            .map(|c| c.protocol.label())
+            .collect();
+        assert_eq!(labels, ["sis(c=0,d=2,w=3)", "sis(c=1,d=2,w=3)"]);
+        s.sweep = Sweep::over(Param::InfectionRounds, [1.0]);
+        assert!(resolve_cells(&s).is_ok());
+        s.sweep = Sweep::over(Param::ImmunityRounds, [0.0]);
+        assert!(resolve_cells(&s).is_ok());
+        // A count rounds to the cell's value; -0.4 rounds to 0, not below.
+        s.sweep = Sweep::over(Param::ImmunityRounds, [-0.4]);
+        assert!(resolve_cells(&s).is_ok());
     }
 
     // `PHatSpec::resolve` clamps p̂ into range for the cell's q, so no

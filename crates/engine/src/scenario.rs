@@ -843,21 +843,28 @@ pub enum Param {
     MoveRadius,
     /// `r` as a fraction of `R`.
     MoveRadiusFraction,
-    /// Probabilistic-flooding forwarding probability (fanout control).
+    /// Probabilistic-flooding forwarding probability (fanout control; a
+    /// value outside `[0, 1]` is an error).
     Beta,
-    /// Parsimonious-flooding active-round budget (values are rounded).
+    /// Parsimonious-flooding active-round budget (values are rounded; below
+    /// 1 is an error).
     ActiveRounds,
-    /// Trials per cell (values are rounded).
+    /// Trials per cell (values are rounded; below 1 is an error).
     Trials,
-    /// Expansion-probe set size `h` (values are rounded).
+    /// Expansion-probe set size `h` (values are rounded; below 1 is an
+    /// error; a cell caps it at `n/2`).
     SetSize,
-    /// Epidemic contagion probability (SIS/SIR; clamped to `[0, 1]`).
+    /// Epidemic contagion probability (SIS/SIR; a value outside `[0, 1]` is
+    /// an error).
     Contagion,
-    /// Epidemic infection duration in rounds (SIS/SIR; rounded, min 1).
+    /// Epidemic infection duration in rounds (SIS/SIR; rounded; below 1 is
+    /// an error).
     InfectionRounds,
-    /// SIS re-susceptibility window in rounds (rounded; 0 = classic SIS).
+    /// SIS re-susceptibility window in rounds (rounded; 0 = classic SIS;
+    /// negative is an error).
     ImmunityRounds,
-    /// Number of Byzantine nodes (rounded).
+    /// Number of Byzantine nodes (rounded; negative is an error; a cell caps
+    /// it at `n − 1`).
     ByzantineCount,
 }
 
@@ -1246,15 +1253,43 @@ impl Scenario {
             }
         }
         for axis in &self.sweep.axes {
+            let id = axis.param.id();
             if axis.values.is_empty() {
-                return err(format!("sweep axis `{}` has no values", axis.param.id()));
+                return err(format!("sweep axis `{id}` has no values"));
             }
-            if axis.param == Param::N {
-                // Below 1.5 (or NaN) rounds to a node count below 2.
-                if let Some(v) = axis.values.iter().find(|&&v| v.is_nan() || v < 1.5) {
-                    return err(format!("swept n={v} is below 2"));
-                }
-            }
+            // The protocol spec's checks, on the value a cell will use
+            // (rounded where the parameter is a count). The resolution-time
+            // domain caps (`set_size` to n/2, a Byzantine count to n − 1)
+            // depend on each cell's n and stay there.
+            let check = |ok: fn(f64) -> bool, what: &dyn Fn(f64) -> String| {
+                let bad = axis.values.iter().find(|&&v| !ok(v));
+                bad.map_or(Ok(()), |&v| err(format!("sweep axis `{id}`: {}", what(v))))
+            };
+            let unit = |v: f64| (0.0..=1.0).contains(&v);
+            let at_least_one = |v: f64| v.round() >= 1.0;
+            let non_negative = |v: f64| v.round() >= 0.0;
+            match axis.param {
+                Param::N => check(|v| v.round() >= 2.0, &|v| format!("swept n={v} is below 2")),
+                Param::Beta => check(unit, &|v| format!("beta={v} outside [0, 1]")),
+                Param::Contagion => check(unit, &|v| format!("contagion={v} outside [0, 1]")),
+                Param::ActiveRounds => check(at_least_one, &|v| {
+                    format!("parsimonious active_rounds must be ≥ 1 (got {v})")
+                }),
+                Param::Trials => check(at_least_one, &|v| format!("trials must be ≥ 1 (got {v})")),
+                Param::SetSize => check(at_least_one, &|v| {
+                    format!("expansion probe needs set_size ≥ 1 (got {v})")
+                }),
+                Param::InfectionRounds => check(at_least_one, &|v| {
+                    format!("epidemic infection_rounds must be ≥ 1 (got {v})")
+                }),
+                Param::ImmunityRounds => check(non_negative, &|v| {
+                    format!("SIS immunity_rounds must be ≥ 0 (got {v})")
+                }),
+                Param::ByzantineCount => check(non_negative, &|v| {
+                    format!("byzantine count must be ≥ 0 (got {v})")
+                }),
+                _ => Ok(()),
+            }?;
         }
         Ok(())
     }

@@ -636,3 +636,39 @@ fn cli_transitions_past_u32_pairs_exits_2_naming_the_cell() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn cli_swept_protocol_value_outside_its_domain_exits_2_naming_the_axis() {
+    // The same bounds as the protocol spec's: a swept contagion of 2 or an
+    // infection duration of 0 is an input error, not a clamped row.
+    let shown = run_ok(&["show", "epidemic_threshold"]);
+    let dir = tmp("swept-domain");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("scenario.json");
+    for (axis, values, wording) in [
+        ("contagion", "[2.0]", "contagion=2 outside [0, 1]"),
+        ("infection_rounds", "[0]", "infection_rounds must be ≥ 1"),
+    ] {
+        let edited = shown
+            .replace(r#""param": "contagion""#, &format!(r#""param": "{axis}""#))
+            .replace(
+                "[\n          0.02,\n          0.1,\n          0.5\n        ]",
+                values,
+            );
+        assert_ne!(edited, shown, "the sweep axis must have been rewritten");
+        std::fs::write(&file, edited).unwrap();
+        let out = meg_lab()
+            .args(["run", "--file", file.to_str().expect("utf8 temp path")])
+            .args(["--scale", "0.1"])
+            .output()
+            .expect("meg-lab runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{axis}: {stderr}");
+        assert!(
+            stderr.contains(&format!("sweep axis `{axis}`")) && stderr.contains(wording),
+            "{axis}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{axis}: no row may be emitted");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

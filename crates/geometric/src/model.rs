@@ -144,13 +144,17 @@ impl<M: Mobility> EvolvingGraph for GeometricMeg<M> {
 
     fn advance(&mut self) -> &SnapshotBuf {
         let _span = meg_obs::span("advance");
-        radius_graph_into(
-            self.mobility.positions(),
-            self.radius,
-            self.mobility.region(),
-            &mut self.workspace,
-            &mut self.snapshot,
-        );
+        {
+            let _build = meg_obs::span("build");
+            radius_graph_into(
+                self.mobility.positions(),
+                self.radius,
+                self.mobility.region(),
+                &mut self.workspace,
+                &mut self.snapshot,
+            );
+        }
+        let _step = meg_obs::span("step");
         self.mobility.advance(&mut self.rng);
         self.time += 1;
         &self.snapshot

@@ -177,13 +177,18 @@ impl Gauge {
 }
 
 /// The fixed span vocabulary. [`span`] names outside this list are ignored
-/// (with a debug assertion to catch typos). `probe` is one measurement-probe
+/// (with a debug assertion to catch typos). `advance` is one substrate round;
+/// `step` and `build` nest inside it: `step` moves the substrate's state (the
+/// edge chain or the node walk) and `build` turns it into the returned
+/// snapshot (a full CSR build or a delta). `probe` is one measurement-probe
 /// trial's body (the `advance` calls it makes keep their own span); `sweep`
 /// is one in-process sweep from its first queued trial to its last released
 /// row (a pool worker's requests record none); `cell` runs from a cell's
 /// first trial start to its row's release.
-pub const SPAN_NAMES: [&str; 6] = [
+pub const SPAN_NAMES: [&str; 8] = [
     "advance",
+    "step",
+    "build",
     "probe",
     "trial",
     "cell",
