@@ -283,19 +283,24 @@ PYEOF
         }
     done
     # Span timings must have been recorded for the core phases.
-    for s in advance step build trial cell sweep; do
+    for s in advance step build init trial cell sweep; do
         grep -qE "^  $s +[1-9][0-9]*" "$MET_DIR/metrics.txt" || {
             echo "span $s missing from the metrics report" >&2
             rm -rf "$MET_DIR"
             exit 1
         }
     done
-    # Both quick_smoke substrates (sparse edge and geometric) step per pair
-    # or per walk, so every advance opens exactly one step and one build.
-    ADVANCES=$(awk '$1 == "advance" { print $2 }' "$MET_DIR/metrics.txt")
-    for s in step build; do
-        [ "$(awk -v s="$s" '$1 == s { print $2 }' "$MET_DIR/metrics.txt")" = "$ADVANCES" ] || {
-            echo "span $s count differs from advance ($ADVANCES):" >&2
+    # Every quick_smoke trial constructs one substrate (sparse edge or
+    # geometric) inside one init span and advances it at least once. Each
+    # advance builds one snapshot; the substrate steps lazily, at the start
+    # of every advance but a trial's first, so steps = advances − trials.
+    report_value() { awk -v k="$1" '$1 == k { print $2 }' "$MET_DIR/metrics.txt"; }
+    ADVANCES=$(report_value advance)
+    TRIALS=$(report_value trials)
+    for want in "build $ADVANCES" "step $((ADVANCES - TRIALS))" "init $TRIALS"; do
+        read -r s n <<< "$want"
+        [ "$(report_value "$s")" = "$n" ] || {
+            echo "span $s count is not $n (advance $ADVANCES, trials $TRIALS):" >&2
             cat "$MET_DIR/metrics.txt" >&2
             rm -rf "$MET_DIR"
             exit 1

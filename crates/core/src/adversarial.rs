@@ -76,14 +76,21 @@ impl EvolvingGraph for RotatingStar {
     }
 
     fn advance(&mut self) -> &SnapshotBuf {
-        let center = self.center_at(self.time);
-        self.snapshot.begin(self.n);
-        for v in 0..self.n as Node {
-            if v != center {
-                self.snapshot.push_edge(center.min(v), center.max(v));
+        let (n, center) = (self.n, self.center_at(self.time));
+        // A leaf lists the centre; the centre lists every other node in
+        // ascending order.
+        self.snapshot.build_rows(n, |u, row| {
+            if u == center {
+                let others = (0..n as Node).filter(|&v| v != center);
+                for (slot, v) in row.spare(n - 1).iter_mut().zip(others) {
+                    *slot = v;
+                }
+                row.commit(n - 1);
+            } else {
+                row.spare(1)[0] = center;
+                row.commit(1);
             }
-        }
-        self.snapshot.build();
+        });
         self.time += 1;
         &self.snapshot
     }
@@ -133,21 +140,26 @@ impl EvolvingGraph for RotatingBridge {
 
     fn advance(&mut self) -> &SnapshotBuf {
         let half = self.n / 2;
-        self.snapshot.begin(self.n);
-        for u in 0..half {
-            for v in (u + 1)..half {
-                self.snapshot.push_edge(u as Node, v as Node);
+        let a = (self.time % half as u64) as Node;
+        let b = a + half as Node;
+        // A row lists the rest of its clique in ascending order; the two
+        // bridge endpoints each append the other end last.
+        self.snapshot.build_rows(self.n, |u, row| {
+            let lo = if (u as usize) < half { 0 } else { half as Node };
+            let clique = (lo..lo + half as Node).filter(|&v| v != u);
+            let bridge = if u == a {
+                Some(b)
+            } else if u == b {
+                Some(a)
+            } else {
+                None
+            };
+            let len = half - 1 + bridge.is_some() as usize;
+            for (slot, v) in row.spare(len).iter_mut().zip(clique.chain(bridge)) {
+                *slot = v;
             }
-        }
-        for u in half..self.n {
-            for v in (u + 1)..self.n {
-                self.snapshot.push_edge(u as Node, v as Node);
-            }
-        }
-        let a = (self.time % half as u64) as u32;
-        let b = (half as u64 + self.time % half as u64) as u32;
-        self.snapshot.push_edge(a, b);
-        self.snapshot.build();
+            row.commit(len);
+        });
         self.time += 1;
         &self.snapshot
     }
@@ -217,6 +229,58 @@ mod tests {
         let mut rb2 = RotatingBridge::new(40);
         let r = flood(&mut rb2, 1, 100);
         assert!(r.completion_time().unwrap() <= 4);
+    }
+
+    /// The rows the old staged build gave: each edge pushed once, a row
+    /// listing its node's edges in push order.
+    fn staged_rows(n: usize, edges: impl IntoIterator<Item = (Node, Node)>) -> Vec<Vec<Node>> {
+        let mut buf = SnapshotBuf::new();
+        buf.begin(n);
+        for (u, v) in edges {
+            buf.push_edge(u, v);
+        }
+        buf.build();
+        rows(&buf)
+    }
+
+    fn rows(buf: &SnapshotBuf) -> Vec<Vec<Node>> {
+        (0..buf.num_nodes() as Node)
+            .map(|u| buf.neighbors(u).to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn row_built_constructions_equal_the_staged_build_row_for_row() {
+        for n in [2usize, 3, 4, 7, 12, 33] {
+            let mut rs = RotatingStar::new(n, 5);
+            for t in 0..2 * n as u64 {
+                let c = rs.center_at(t);
+                let want = staged_rows(
+                    n,
+                    (0..n as Node)
+                        .filter(|&v| v != c)
+                        .map(|v| (c.min(v), c.max(v))),
+                );
+                assert_eq!(rows(rs.advance()), want, "star n {n} t {t}");
+            }
+        }
+        for n in [4usize, 6, 10, 40] {
+            let half = n / 2;
+            let mut rb = RotatingBridge::new(n);
+            for t in 0..n as u64 + 3 {
+                let clique = |lo: usize, hi: usize| {
+                    (lo..hi).flat_map(move |u| (u + 1..hi).map(move |v| (u as Node, v as Node)))
+                };
+                let a = (t % half as u64) as Node;
+                let edges = clique(0, half)
+                    .chain(clique(half, n))
+                    .chain([(a, a + half as Node)]);
+                let want = staged_rows(n, edges);
+                let got = rb.advance();
+                assert_eq!(got.num_edges(), half * (half - 1) + 1, "bridge n {n} t {t}");
+                assert_eq!(rows(got), want, "bridge n {n} t {t}");
+            }
+        }
     }
 
     #[test]

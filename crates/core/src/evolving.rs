@@ -79,8 +79,14 @@ pub trait EvolvingGraph {
     /// Number of nodes `n`; constant over time.
     fn num_nodes(&self) -> usize;
 
-    /// Produces the snapshot for the current time step (filling the
-    /// model-owned buffer in place) and advances the underlying chain.
+    /// Produces the next snapshot `G_t`, `t` = [`time`](EvolvingGraph::time)
+    /// before the call, filling the model-owned buffer in place.
+    ///
+    /// Models step their chain lazily: from the second call on, each call
+    /// moves the state from `t − 1` to `t` before it builds `G_t`. So `k` calls take
+    /// `k − 1` steps, no step is drawn past the last snapshot a caller
+    /// reads, and between calls the model's state is the one the returned
+    /// snapshot shows.
     fn advance(&mut self) -> &SnapshotBuf;
 
     /// Number of snapshots produced so far (i.e. the index of the *next*

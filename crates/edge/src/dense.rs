@@ -12,8 +12,9 @@
 //! exact `gen_bool` schedule, so trajectories are bit-identical to the old
 //! byte-per-pair loop), flip counts are `XOR` + `count_ones` per word — cheap
 //! enough to compute whether or not a recorder is installed, which removed
-//! the old observed/unobserved loop split — and snapshot rebuilds walk set
-//! bits with `trailing_zeros` instead of scanning all `C(n, 2)` flags.
+//! the old observed/unobserved loop split — and snapshot rebuilds fill the
+//! CSR straight from the set bits, walked with `trailing_zeros` instead of
+//! scanning all `C(n, 2)` flags.
 //!
 //! [`Stepping::Transitions`] keeps the same per-pair state for `O(1)`
 //! membership tests (now single-bit probes) but steps by *flips only*:
@@ -26,9 +27,9 @@
 //! and moderate regimes the paper's theorems live in.
 
 use crate::model::{EdgeMegParams, MAX_TRANSITION_PAIRS};
-use crate::sparse::{sample_bernoulli_indices, RowWalker};
+use crate::sparse::sample_bernoulli_indices;
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
-use meg_graph::generators::pair_from_index;
+use meg_graph::generators::{pair_from_index, RowWalker};
 use meg_graph::{Node, PairBits, SnapshotBuf};
 use meg_markov::{bernoulli_word, gen_bool_threshold, WordStepper};
 use meg_obs as obs;
@@ -65,18 +66,6 @@ pub struct DenseEdgeMeg {
     /// Scratch: this round's flips as endpoint pairs, fed to `apply_delta`.
     births: Vec<(Node, Node)>,
     deaths: Vec<(Node, Node)>,
-}
-
-/// Pushes every set pair of `alive` into `snapshot` in ascending pair-index
-/// order — which *is* row-major order over the upper triangle, so the edge
-/// sequence is identical to the old full scan. A [`RowWalker`] decodes the
-/// set bits, so the walk is `O(words + n + m)` instead of `O(n²)`.
-fn push_alive_edges(alive: &PairBits, n: usize, snapshot: &mut SnapshotBuf) {
-    let mut rows = RowWalker::new(n);
-    alive.for_each_set_bit(|k| {
-        let (a, b) = rows.pair(k as u64);
-        snapshot.push_edge(a, b);
-    });
 }
 
 impl DenseEdgeMeg {
@@ -127,7 +116,7 @@ impl DenseEdgeMeg {
         };
         let mut alive_idx = Vec::new();
         if stepping == Stepping::Transitions {
-            alive.for_each_set_bit(|k| alive_idx.push(k as u32));
+            alive_idx.extend(alive.ones().map(|k| k as u32));
         }
         DenseEdgeMeg {
             params,
@@ -161,7 +150,9 @@ impl DenseEdgeMeg {
         self.params
     }
 
-    /// Number of currently alive edges (one popcount per word).
+    /// Number of currently alive edges (one popcount per word): after an
+    /// [`advance`](EvolvingGraph::advance), the edge count of the snapshot
+    /// it returned (the chain steps at the start of the next call).
     pub fn alive_edges(&self) -> usize {
         self.alive.count_ones()
     }
@@ -174,10 +165,32 @@ impl DenseEdgeMeg {
         self.rng.clone().next_u64()
     }
 
-    fn rebuild_snapshot(&mut self) {
-        self.snapshot.begin(self.params.n);
-        push_alive_edges(&self.alive, self.params.n, &mut self.snapshot);
-        self.snapshot.build();
+    /// Per-pair stepping: one integer-threshold draw per pair, 64 pairs per
+    /// word. One loop serves both the observed and unobserved cases: flip
+    /// counts are an XOR and two popcounts per 64 pairs, cheap enough to
+    /// compute unconditionally (`obs::add` no-ops when no recorder is
+    /// installed), so observation changes neither the code path nor the RNG
+    /// consumption. The tail word steps only its `last_word_bits()` —
+    /// exactly one draw per real pair, the same schedule as a scalar
+    /// per-pair loop.
+    fn step_per_pair(&mut self) {
+        let stepper = self.stepper;
+        let rng = &mut self.rng;
+        let n_words = self.alive.words().len();
+        let last_bits = self.alive.last_word_bits();
+        let mut born = 0u64;
+        let mut died = 0u64;
+        for (wi, w) in self.alive.words_mut().iter_mut().enumerate() {
+            let nbits = if wi + 1 == n_words { last_bits } else { 64 };
+            let old = *w;
+            let new = stepper.step_word(old, nbits, rng);
+            born += (new & !old).count_ones() as u64;
+            died += (old & !new).count_ones() as u64;
+            *w = new;
+        }
+        debug_assert!(self.alive.tail_is_clean());
+        obs::add(obs::Counter::EdgeBirths, born);
+        obs::add(obs::Counter::EdgeDeaths, died);
     }
 
     /// Transition stepping: sample only the pairs that flip this round and
@@ -244,48 +257,33 @@ impl EvolvingGraph for DenseEdgeMeg {
         let _span = obs::span("advance");
         match self.stepping {
             Stepping::PerPair => {
-                // Snapshot G_t reflects the current edge states; the chain
-                // then moves to the states of time t+1. One stepping loop
-                // serves both the observed and unobserved cases: flip counts
-                // are an XOR and two popcounts per 64 pairs, cheap enough to
-                // compute unconditionally (`obs::add` no-ops when no recorder
-                // is installed), so observation changes neither the code path
-                // nor the RNG consumption. The tail word steps only its
-                // `last_word_bits()` — exactly one draw per real pair, the
-                // same schedule as a scalar per-pair loop.
-                {
-                    let _build = obs::span("build");
-                    self.rebuild_snapshot();
+                // From the second call on, the chain first moves the edge
+                // states from t−1 to t; snapshot G_t then reflects them, and
+                // no step is drawn past the last snapshot anyone reads.
+                if self.time > 0 {
+                    let _step = obs::span("step");
+                    self.step_per_pair();
                 }
-                let _step = obs::span("step");
-                let stepper = self.stepper;
-                let rng = &mut self.rng;
-                let n_words = self.alive.words().len();
-                let last_bits = self.alive.last_word_bits();
-                let mut born = 0u64;
-                let mut died = 0u64;
-                for (wi, w) in self.alive.words_mut().iter_mut().enumerate() {
-                    let nbits = if wi + 1 == n_words { last_bits } else { 64 };
-                    let old = *w;
-                    let new = stepper.step_word(old, nbits, rng);
-                    born += (new & !old).count_ones() as u64;
-                    died += (old & !new).count_ones() as u64;
-                    *w = new;
-                }
-                debug_assert!(self.alive.tail_is_clean());
-                obs::add(obs::Counter::EdgeBirths, born);
-                obs::add(obs::Counter::EdgeDeaths, died);
+                // The set bits walk in ascending pair-index order, which is
+                // row-major order over the triangle: `O(words + n + m)`.
+                let _build = obs::span("build");
+                let pairs = self.alive.ones().map(|k| k as u64);
+                self.snapshot.build_from_pairs(self.params.n, pairs);
             }
             Stepping::Transitions => {
                 // The snapshot persistently mirrors the edge states: built in
                 // full (with row slack) on the first call, then maintained by
-                // per-round deltas. The chain therefore steps at the *start*
-                // of each later call — the k-th advance still returns
-                // `G_{k−1}`, exactly like the per-pair path.
+                // per-round deltas. The chain steps at the *start* of each
+                // later call — the k-th advance returns `G_{k−1}`, exactly
+                // like the per-pair path.
                 if !self.snapshot_synced {
                     let _build = obs::span("build");
                     self.snapshot.begin(self.params.n);
-                    push_alive_edges(&self.alive, self.params.n, &mut self.snapshot);
+                    let mut rows = RowWalker::new(self.params.n);
+                    for k in self.alive.ones() {
+                        let (a, b) = rows.pair(k as u64);
+                        self.snapshot.push_edge(a, b);
+                    }
                     self.snapshot.build_with_slack(DELTA_SLACK);
                     self.snapshot_synced = true;
                 } else {
@@ -324,12 +322,13 @@ mod tests {
     /// The alive pairs as endpoint tuples in index order (the private-state
     /// reference the snapshots are checked against).
     fn alive_pairs(alive: &PairBits, n: usize) -> Vec<(Node, Node)> {
-        let mut out = Vec::new();
-        alive.for_each_set_bit(|k| {
-            let (a, b) = pair_from_index(n as u64, k as u64);
-            out.push((a as Node, b as Node));
-        });
-        out
+        alive
+            .ones()
+            .map(|k| {
+                let (a, b) = pair_from_index(n as u64, k as u64);
+                (a as Node, b as Node)
+            })
+            .collect()
     }
 
     #[test]
@@ -373,12 +372,13 @@ mod tests {
         // The CSR snapshot must reproduce the alive pair set bit-for-bit —
         // the dense engine's private state is the independent reference the
         // snapshot-buffer construction is checked against.
+        // The chain steps at the start of `advance`, so after each call the
+        // state is the one the returned snapshot was built from.
         let params = EdgeMegParams::with_stationary(60, 0.15, 0.4);
         let mut meg = DenseEdgeMeg::stationary(params, 19);
         for step in 0..10 {
-            let expected = alive_pairs(&meg.alive, 60);
-            let snap = meg.advance();
-            assert_eq!(snap.edges(), expected, "step {step}");
+            let got = meg.advance().edges();
+            assert_eq!(got, alive_pairs(&meg.alive, 60), "step {step}");
         }
     }
 
@@ -417,11 +417,11 @@ mod tests {
         let params = EdgeMegParams::new(40, 0.2, 0.3);
         let mut meg = DenseEdgeMeg::stationary(params, 7);
         for _ in 0..5 {
-            let before = meg.alive_edges();
             let snap_edges = meg.advance().num_edges();
             assert_eq!(
-                snap_edges, before,
-                "snapshot must reflect the pre-step states"
+                snap_edges,
+                meg.alive_edges(),
+                "snapshot must reflect the states it was built from"
             );
         }
         assert_eq!(meg.time(), 5);

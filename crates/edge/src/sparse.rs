@@ -34,8 +34,9 @@ const DEAD: u64 = 1 << 63;
 /// `Vec<u64>` of pair indices: deaths draw one Bernoulli per entry in that
 /// order, births are skip-sampled pair indices recorded bare, one forward
 /// pass compacts the survivors and drops the candidates that were alive
-/// before the step, and the births are merged in place — no tree, no
-/// per-edge square root, no per-round allocation after warm-up. Under
+/// before the step, and the births are merged in place; the snapshot's rows
+/// are filled straight from the list — no tree, no per-edge square root, no
+/// per-round allocation after warm-up. Under
 /// [`Stepping::Transitions`] it is a flat `Vec<u32>` of pair indices instead:
 /// deaths are skip-sampled as positions in that array and swap-removed,
 /// births are skip-sampled pair indices checked against the pre-step snapshot,
@@ -46,8 +47,8 @@ pub struct SparseEdgeMeg {
     /// Linear pair indices of the alive edges (per-pair stepping), strictly
     /// ascending outside a step. The death phase consumes its RNG draws in
     /// this order, so trajectories are a function of the seed alone, and the
-    /// order is also row-major, so the snapshot rebuild decodes it with one
-    /// [`RowWalker`].
+    /// order is also row-major, so the snapshot is built straight from it
+    /// ([`SnapshotBuf::build_from_pairs`]).
     alive: Vec<u64>,
     /// Scratch: this step's birth candidates in ascending index order
     /// (per-pair stepping); after the survivor pass, the births, merged into
@@ -158,7 +159,9 @@ impl SparseEdgeMeg {
         self.stepping
     }
 
-    /// Number of currently alive edges.
+    /// Number of currently alive edges: after an
+    /// [`advance`](EvolvingGraph::advance), the edge count of the snapshot
+    /// it returned (the chain steps at the start of the next call).
     pub fn alive_edges(&self) -> usize {
         match self.stepping {
             Stepping::PerPair => self.alive.len(),
@@ -172,16 +175,6 @@ impl SparseEdgeMeg {
     /// seed probe equal.
     pub fn rng_cursor_probe(&self) -> u64 {
         self.rng.clone().next_u64()
-    }
-
-    fn rebuild_snapshot(&mut self) {
-        self.snapshot.begin(self.params.n);
-        let mut rows = RowWalker::new(self.params.n);
-        for &idx in &self.alive {
-            let (a, b) = rows.pair(idx);
-            self.snapshot.push_edge(a, b);
-        }
-        self.snapshot.build();
     }
 
     /// Per-pair stepping on the ascending alive list. The RNG schedule is
@@ -353,11 +346,11 @@ fn merge_from_back(alive: &mut Vec<u64>, born: &[u64]) {
 /// probability `prob`, using geometric skip-sampling (expected cost
 /// `O(total · prob)`).
 ///
-/// This is the shared primitive behind both the sparse engine's birth phase
-/// and the `Stepping::Transitions` fast path of *both* engines: the skip
-/// `⌊ln U / ln(1−prob)⌋` is exactly a geometric holding time, so visiting the
-/// selected indices is equivalent to walking a pre-drawn next-flip-time
-/// calendar without materialising it.
+/// This is the shared primitive behind the sparse engine's stationary draw
+/// and birth phase and the `Stepping::Transitions` fast path of *both*
+/// engines: the skip `⌊ln U / ln(1−prob)⌋` is exactly a geometric holding
+/// time, so visiting the selected indices is equivalent to walking a
+/// pre-drawn next-flip-time calendar without materialising it.
 ///
 /// Returns the number of uniform RNG draws consumed, so callers can feed the
 /// `rng_draws` metrics counter without the sampler depending on `meg-obs`.
@@ -382,8 +375,12 @@ pub(crate) fn sample_bernoulli_indices<R: Rng>(
     loop {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         draws += 1;
-        let skip = (u.ln() / log_q).floor();
-        if !skip.is_finite() || skip >= (total as f64) {
+        // `ln u < 0`, so the ratio is NaN, ±∞ or strictly positive: the
+        // range test breaks exactly where `!floor(x).is_finite() ||
+        // floor(x) >= total` did (`total as f64` is a whole number), and on
+        // the range kept truncation is `floor`, without a libm call.
+        let skip = u.ln() / log_q;
+        if !(skip >= 0.0 && skip < total as f64) {
             break;
         }
         idx = match idx.checked_add(skip as u64) {
@@ -402,41 +399,6 @@ pub(crate) fn sample_bernoulli_indices<R: Rng>(
     draws
 }
 
-/// Incremental [`pair_from_index`] for ascending pair indices: the endpoints
-/// of the `k`-th pair of the row-major upper triangle, with the row tracked
-/// monotonically (row `a` holds the `n−1−a` pairs `(a, a+1) .. (a, n−1)`), so
-/// a walk over `m` indices costs `O(n + m)` and no square root.
-///
-/// Shared by both engines' snapshot rebuilds. Indices passed to
-/// [`pair`](RowWalker::pair) must be non-decreasing and below `C(n, 2)`.
-pub(crate) struct RowWalker {
-    a: u64,
-    row_start: u64,
-    row_len: u64,
-}
-
-impl RowWalker {
-    pub(crate) fn new(n: usize) -> Self {
-        RowWalker {
-            a: 0,
-            row_start: 0,
-            row_len: (n as u64).saturating_sub(1),
-        }
-    }
-
-    /// The endpoints `(a, b)`, `a < b`, of the pair with linear index `k`.
-    #[inline]
-    pub(crate) fn pair(&mut self, k: u64) -> (Node, Node) {
-        debug_assert!(k >= self.row_start, "pair indices must not decrease");
-        while k >= self.row_start + self.row_len {
-            self.row_start += self.row_len;
-            self.row_len -= 1;
-            self.a += 1;
-        }
-        (self.a as Node, (self.a + 1 + (k - self.row_start)) as Node)
-    }
-}
-
 impl EvolvingGraph for SparseEdgeMeg {
     fn num_nodes(&self) -> usize {
         self.params.n
@@ -446,18 +408,21 @@ impl EvolvingGraph for SparseEdgeMeg {
         let _span = obs::span("advance");
         match self.stepping {
             Stepping::PerPair => {
-                {
-                    let _build = obs::span("build");
-                    self.rebuild_snapshot();
+                // The chain steps at the start of every call but the first,
+                // so the k-th call returns `G_{k−1}` and no step is drawn
+                // past the last snapshot anyone reads.
+                if self.time > 0 {
+                    let _step = obs::span("step");
+                    self.step_chain();
                 }
-                let _step = obs::span("step");
-                self.step_chain();
+                let _build = obs::span("build");
+                self.snapshot
+                    .build_from_pairs(self.params.n, self.alive.iter().copied());
             }
             Stepping::Transitions => {
                 // The snapshot persistently mirrors the alive set: full build
                 // with row slack on the first call, per-round deltas after
-                // that (the chain steps at the start of each later call, so
-                // the k-th advance still returns `G_{k−1}`).
+                // that (stepping lazily, like the per-pair path).
                 if !self.snapshot_synced {
                     let _build = obs::span("build");
                     self.snapshot.begin(self.params.n);
@@ -538,6 +503,70 @@ mod tests {
         assert_eq!(count, 100);
     }
 
+    /// The skip test before it lost its libm `floor`: break unless
+    /// `⌊x⌋` is finite and below `total`, then add `⌊x⌋ as u64`.
+    fn sample_with_floor<R: Rng>(total: u64, prob: f64, rng: &mut R) -> (Vec<u64>, u64) {
+        let log_q = (1.0 - prob).ln();
+        let (mut idx, mut draws, mut out) = (0u64, 0u64, Vec::new());
+        loop {
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            draws += 1;
+            let skip = (u.ln() / log_q).floor();
+            if !skip.is_finite() || skip >= (total as f64) {
+                break;
+            }
+            idx = match idx.checked_add(skip as u64) {
+                Some(v) => v,
+                None => break,
+            };
+            if idx >= total {
+                break;
+            }
+            out.push(idx);
+            idx += 1;
+            if idx >= total {
+                break;
+            }
+        }
+        (out, draws)
+    }
+
+    #[test]
+    fn skip_without_floor_agrees_with_the_floor_skip_at_the_edges() {
+        let cases: [(u64, f64); 9] = [
+            // 1 − p rounds to 1: ln(1 − p) = 0, every ratio is −∞.
+            (1000, 1e-17),
+            (u64::MAX, 1e-17),
+            // 1 − p = 2⁻⁵³ exactly: ratios in (0, 19.4], mostly below 1.
+            (1000, 1.0 - f64::EPSILON / 2.0),
+            // A single pair.
+            (1, 0.5),
+            (1, 1e-9),
+            // Totals past 2⁵³ (not whole in f64, or rounding up to 2⁶⁴) with
+            // skips past 2⁵³, where `as u64` must still equal `floor`.
+            ((1 << 53) + 1, 1e-13),
+            ((1 << 62) + 12_345, 1e-16),
+            (u64::MAX, 1e-16),
+            (u64::MAX - 1, 3e-16),
+        ];
+        for (case, &(total, prob)) in cases.iter().enumerate() {
+            for seed in 0..20u64 {
+                let mut ours = ChaCha8Rng::seed_from_u64(seed);
+                let mut theirs = ours.clone();
+                let mut got = Vec::new();
+                let draws = sample_bernoulli_indices(total, prob, &mut ours, |k| got.push(k));
+                let (want, want_draws) = sample_with_floor(total, prob, &mut theirs);
+                assert_eq!(got, want, "case {case} seed {seed}");
+                assert_eq!(draws, want_draws, "case {case} seed {seed}");
+                assert_eq!(
+                    ours.next_u64(),
+                    theirs.next_u64(),
+                    "case {case} seed {seed}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn survivor_pass_drops_known_pairs_and_merge_keeps_order() {
         // Entries 10, 12, …, 58 with 14 and 40 marked dead.
@@ -574,33 +603,16 @@ mod tests {
     }
 
     #[test]
-    fn row_walker_decodes_like_pair_from_index() {
-        // Every index of every triangle, including the single pair at n = 2
-        // and the last row's single pair (n−2, n−1).
-        for n in 2..=64u64 {
-            let mut rows = RowWalker::new(n as usize);
-            for k in 0..n * (n - 1) / 2 {
-                let (a, b) = pair_from_index(n, k);
-                assert_eq!(rows.pair(k), (a as Node, b as Node), "n {n}, k {k}");
-            }
-        }
-        // Sparse walks skip whole rows; equal consecutive indices are allowed.
-        let n = 50u64;
-        let mut rows = RowWalker::new(n as usize);
-        for k in [0, 0, 3, 48, 49, 500, 1000, 1000, 1224] {
-            let (a, b) = pair_from_index(n, k);
-            assert_eq!(rows.pair(k), (a as Node, b as Node), "k {k}");
-        }
-    }
-
-    #[test]
     fn snapshot_edge_set_equals_alive_state_exactly() {
         // The ascending alive list (private state) is the independent reference:
-        // the CSR snapshot must list exactly those pairs, in index order.
+        // the CSR snapshot must list exactly those pairs, in index order. The
+        // chain steps at the start of `advance`, so after each call the list
+        // holds the state the returned snapshot was built from.
         let n = 120usize;
         let params = EdgeMegParams::with_stationary(n, 0.05, 0.4);
         let mut meg = SparseEdgeMeg::stationary(params, 23);
         for step in 0..10 {
+            let got = meg.advance().edges();
             let expected: Vec<(Node, Node)> = meg
                 .alive
                 .iter()
@@ -609,8 +621,7 @@ mod tests {
                     (a as Node, b as Node)
                 })
                 .collect();
-            let snap = meg.advance();
-            assert_eq!(snap.edges(), expected, "step {step}");
+            assert_eq!(got, expected, "step {step}");
         }
     }
 

@@ -11,11 +11,18 @@
 //! `(n, p, q, seed, rounds, stepping)`:
 //!
 //! * every returned snapshot's edge set,
-//! * the `meg-obs` flip/draw counters of every round,
-//! * and the engine RNG cursor after every round (via
+//! * the `meg-obs` flip/draw counters of every step,
+//! * and the engine RNG cursor and alive count after every step (via
 //!   [`DenseEdgeMeg::rng_cursor_probe`])
 //!
 //! agree exactly between the packed engine and the reference.
+//!
+//! Both steppings step lazily in the engine, at the start of every
+//! `advance` but the first. The transitions reference does too, so it is
+//! compared round for round. The per-pair reference builds and then steps:
+//! the step it drew at the end of round `r − 1` is the one the engine draws
+//! in round `r`, so for per-pair stepping the counters, the RNG cursor and
+//! the alive count are compared one round later.
 //!
 //! The two stepping modes cannot run as separate `#[test]`s here: the
 //! counter comparison installs the process-global `meg-obs` recorder, so
@@ -227,8 +234,7 @@ impl ReferenceDense {
 
     /// Alive pairs of the *current* chain state (post-step after `advance`;
     /// one step ahead of the snapshot `advance` returned under per-pair
-    /// stepping, in sync with it under transitions stepping — the same
-    /// semantics as [`DenseEdgeMeg::alive_edges`]).
+    /// stepping, in sync with it under transitions stepping).
     fn alive_count(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
     }
@@ -291,6 +297,9 @@ proptest! {
             "RNG cursor diverged during stationary init"
         );
 
+        // Per-pair: what the engine must show after its next round, the
+        // reference's state one round back (no step yet before round 0).
+        let mut lagged = ((0, 0, 0), reference.alive_count(), reference.rng_cursor_probe());
         obs::install();
         for round in 0..rounds {
             let before = obs::snapshot();
@@ -302,9 +311,19 @@ proptest! {
             // is maintenance order; the *set* must agree, so compare sorted.
             got.sort_unstable();
             prop_assert_eq!(&got, &want.edges, "round {}: edge sets differ", round);
+            let now = (
+                (want.births, want.deaths, want.rng_draws),
+                reference.alive_count(),
+                reference.rng_cursor_probe(),
+            );
+            let ((births, deaths, rng_draws), alive, cursor) = if transitions {
+                now
+            } else {
+                std::mem::replace(&mut lagged, now)
+            };
             prop_assert_eq!(
                 real.alive_edges(),
-                reference.alive_count(),
+                alive,
                 "round {}: alive count differs",
                 round
             );
@@ -312,26 +331,26 @@ proptest! {
             let deltas = after.counter_deltas(&before);
             prop_assert_eq!(
                 counter(&deltas, "edge_births"),
-                want.births,
+                births,
                 "round {}: birth counters differ",
                 round
             );
             prop_assert_eq!(
                 counter(&deltas, "edge_deaths"),
-                want.deaths,
+                deaths,
                 "round {}: death counters differ",
                 round
             );
             prop_assert_eq!(
                 counter(&deltas, "rng_draws"),
-                want.rng_draws,
+                rng_draws,
                 "round {}: rng_draws counters differ",
                 round
             );
 
             prop_assert_eq!(
                 real.rng_cursor_probe(),
-                reference.rng_cursor_probe(),
+                cursor,
                 "round {}: RNG cursor diverged",
                 round
             );

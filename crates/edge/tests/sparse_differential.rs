@@ -5,7 +5,7 @@
 //! `Vec<u64>`: deaths are marked in place, birth candidates are sampled bare,
 //! one forward pass compacts the survivors and drops the candidates that
 //! were alive before the step, the births are merged from the back, and the
-//! snapshot is decoded with an incremental row walker. The contract is that
+//! snapshot's rows are filled straight from the list. The contract is that
 //! the RNG schedule and all observable behaviour are **bit-identical** to the
 //! old engine, whose alive set was a `BTreeSet<u64>` stepped by `retain`
 //! (one `gen_bool(q)` per edge in ascending order) and skip-sampled births
@@ -15,9 +15,15 @@
 //!
 //! * every returned snapshot, row by row, so within-row neighbor order — the
 //!   push order — must agree too,
-//! * the `meg-obs` flip/draw counters of every round,
-//! * and the engine RNG cursor after every round (via
+//! * the `meg-obs` flip/draw counters of every step,
+//! * and the engine RNG cursor and alive count after every step (via
 //!   [`SparseEdgeMeg::rng_cursor_probe`]).
+//!
+//! The engine steps lazily, at the start of every `advance` but the first,
+//! while the reference builds and then steps. The snapshots of round `r`
+//! are compared as they come; the step the reference drew at the end of
+//! round `r − 1` is the one the engine draws in round `r`, so its counters,
+//! the RNG cursor and the alive count are compared one round later.
 //!
 //! The counter comparison installs the process-global `meg-obs` recorder, so
 //! the whole grid runs inside the single property below.
@@ -266,6 +272,13 @@ proptest! {
         );
         prop_assert_eq!(real.alive_edges(), reference.alive.len());
 
+        // What the engine must show after its next round: the reference's
+        // state one round back (no step yet before round 0).
+        let mut lagged = (
+            RefCounts { births: 0, deaths: 0, rng_draws: 0 },
+            reference.alive.len(),
+            reference.rng_cursor_probe(),
+        );
         obs::install();
         for round in 0..rounds {
             let before = obs::snapshot();
@@ -274,9 +287,13 @@ proptest! {
             let (want, counts) = reference.advance();
 
             prop_assert_eq!(&got, &want, "round {}: snapshots differ", round);
+            let (counts, alive, cursor) = std::mem::replace(
+                &mut lagged,
+                (counts, reference.alive.len(), reference.rng_cursor_probe()),
+            );
             prop_assert_eq!(
                 real.alive_edges(),
-                reference.alive.len(),
+                alive,
                 "round {}: alive count differs",
                 round
             );
@@ -302,7 +319,7 @@ proptest! {
             );
             prop_assert_eq!(
                 real.rng_cursor_probe(),
-                reference.rng_cursor_probe(),
+                cursor,
                 "round {}: RNG cursor diverged",
                 round
             );

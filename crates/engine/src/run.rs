@@ -798,7 +798,7 @@ fn geometric_occupancy_trial(
     use meg_geometric::cells::CellPartition;
     use meg_geometric::snapshot::{sample_paper_snapshot, snapshot_of};
     let side = (n as f64).sqrt();
-    let snap = match mobility {
+    let snap = init(|| match mobility {
         MobilityKind::GridWalk => {
             sample_paper_snapshot(GeometricMegParams::new(n, move_radius, radius), rng)
         }
@@ -813,12 +813,20 @@ fn geometric_occupancy_trial(
         MobilityKind::Walkers => {
             snapshot_of(&TorusWalkers::new(n, side, move_radius, 1.0, rng), radius)
         }
-    };
+    });
     let partition = CellPartition::for_paper_instance(n, radius);
     match partition.occupancy_concentration(&snap.positions, radius) {
         Some(lambda) => TrialOutcome::measured(lambda),
         None => TrialOutcome::failed(), // an empty cell: λ is unbounded
     }
+}
+
+/// Constructs a trial's substrate inside the `init` span: the stationary
+/// draw, the mobility initialisation, a static generator or an adversarial
+/// construction.
+fn init<T>(construct: impl FnOnce() -> T) -> T {
+    let _span = obs::span("init");
+    construct()
 }
 
 /// Executes one trial of one resolved cell under its RNG stream (the trial
@@ -830,18 +838,20 @@ pub(crate) fn execute_trial(cell: &Cell, _trial: usize, rng: &mut ChaCha8Rng) ->
         ResolvedSubstrate::Edge {
             engine,
             params,
-            init,
+            init: start,
             stepping,
             ..
         } => {
             let sub_seed: u64 = rng.gen();
             match engine {
                 EdgeEngine::Sparse => {
-                    let mut meg = SparseEdgeMeg::with_stepping(*params, *init, *stepping, sub_seed);
+                    let mut meg =
+                        init(|| SparseEdgeMeg::with_stepping(*params, *start, *stepping, sub_seed));
                     drive(&mut meg, cell, 0, rng)
                 }
                 EdgeEngine::Dense => {
-                    let mut meg = DenseEdgeMeg::with_stepping(*params, *init, *stepping, sub_seed);
+                    let mut meg =
+                        init(|| DenseEdgeMeg::with_stepping(*params, *start, *stepping, sub_seed));
                     drive(&mut meg, cell, 0, rng)
                 }
             }
@@ -860,50 +870,61 @@ pub(crate) fn execute_trial(cell: &Cell, _trial: usize, rng: &mut ChaCha8Rng) ->
             let sub_seed: u64 = rng.gen();
             match mobility {
                 MobilityKind::GridWalk => {
-                    let mut meg = GeometricMeg::from_params(
-                        GeometricMegParams::new(n, move_radius, radius),
-                        sub_seed,
-                    );
+                    let mut meg = init(|| {
+                        GeometricMeg::from_params(
+                            GeometricMegParams::new(n, move_radius, radius),
+                            sub_seed,
+                        )
+                    });
                     drive(&mut meg, cell, 0, rng)
                 }
                 MobilityKind::Waypoint => {
-                    let model = RandomWaypoint::new(n, side, move_radius * 0.5, move_radius, rng);
-                    let mut meg = GeometricMeg::new(model, radius, sub_seed);
+                    let mut meg = init(|| {
+                        let model =
+                            RandomWaypoint::new(n, side, move_radius * 0.5, move_radius, rng);
+                        GeometricMeg::new(model, radius, sub_seed)
+                    });
                     drive(&mut meg, cell, 0, rng)
                 }
                 MobilityKind::Billiard => {
-                    let model = Billiard::new(n, side, move_radius * 0.5, move_radius, 0.1, rng);
-                    let mut meg = GeometricMeg::new(model, radius, sub_seed);
+                    let mut meg = init(|| {
+                        let model =
+                            Billiard::new(n, side, move_radius * 0.5, move_radius, 0.1, rng);
+                        GeometricMeg::new(model, radius, sub_seed)
+                    });
                     drive(&mut meg, cell, 0, rng)
                 }
                 MobilityKind::Walkers => {
-                    let model = TorusWalkers::new(n, side, move_radius, 1.0, rng);
-                    let mut meg = GeometricMeg::new(model, radius, sub_seed);
+                    let mut meg = init(|| {
+                        let model = TorusWalkers::new(n, side, move_radius, 1.0, rng);
+                        GeometricMeg::new(model, radius, sub_seed)
+                    });
                     drive(&mut meg, cell, 0, rng)
                 }
             }
         }
         ResolvedSubstrate::Adversarial { n, construction } => match construction {
             AdversarialKind::RotatingStar => {
-                let mut meg = RotatingStar::new(*n, 0);
+                let mut meg = init(|| RotatingStar::new(*n, 0));
                 // The separation claim concerns the worst-case source.
                 let source = meg.worst_source();
                 drive(&mut meg, cell, source, rng)
             }
             AdversarialKind::RotatingBridge => {
-                let mut meg = RotatingBridge::new(*n);
+                let mut meg = init(|| RotatingBridge::new(*n));
                 drive(&mut meg, cell, 1, rng)
             }
         },
         ResolvedSubstrate::Static { n, graph, p_hat } => {
-            let graph = match graph {
-                StaticKind::ErdosRenyi { .. } => generators::erdos_renyi(*n, *p_hat, rng),
-                StaticKind::Grid2d => {
-                    let side = (*n as f64).sqrt().round() as usize;
-                    generators::grid2d(side, side)
-                }
-            };
-            let mut meg = FrozenGraph::new(graph);
+            let mut meg = init(|| {
+                FrozenGraph::new(match graph {
+                    StaticKind::ErdosRenyi { .. } => generators::erdos_renyi(*n, *p_hat, rng),
+                    StaticKind::Grid2d => {
+                        let side = (*n as f64).sqrt().round() as usize;
+                        generators::grid2d(side, side)
+                    }
+                })
+            });
             drive(&mut meg, cell, 0, rng)
         }
     }

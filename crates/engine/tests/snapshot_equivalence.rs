@@ -82,14 +82,15 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
             let params = EdgeMegParams::with_stationary(n, p_hat, q);
             let mut meg = DenseEdgeMeg::stationary(params, seed);
             for step in 0..3 {
-                let alive_before = meg.alive_edges();
-                let snap = meg.advance();
+                // The chain steps at the start of `advance`, so afterwards
+                // the state is the one the snapshot was built from.
+                let snap = meg.advance().clone();
                 assert_eq!(
                     snap.num_edges(),
-                    alive_before,
+                    meg.alive_edges(),
                     "dense seed {seed} step {step}: snapshot != alive set"
                 );
-                assert_snapshot_matches_adjacency_semantics(snap, "dense");
+                assert_snapshot_matches_adjacency_semantics(&snap, "dense");
             }
             draws += 1;
         }
@@ -102,14 +103,13 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
             let params = EdgeMegParams::with_stationary(n, p_hat, q);
             let mut meg = SparseEdgeMeg::stationary(params, seed);
             for step in 0..3 {
-                let alive_before = meg.alive_edges();
-                let snap = meg.advance();
+                let snap = meg.advance().clone();
                 assert_eq!(
                     snap.num_edges(),
-                    alive_before,
+                    meg.alive_edges(),
                     "sparse seed {seed} step {step}: snapshot != alive set"
                 );
-                assert_snapshot_matches_adjacency_semantics(snap, "sparse");
+                assert_snapshot_matches_adjacency_semantics(&snap, "sparse");
             }
             draws += 1;
         }
@@ -126,15 +126,14 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
             };
             let mut meg = GeometricMeg::from_params(params, seed);
             for _ in 0..2 {
-                // Positions *before* advance are what the snapshot is built
-                // from (advance builds, then moves).
-                let positions = meg.mobility().positions().to_vec();
-                let region = meg.region();
-                let snap = meg.advance();
+                // Positions *after* advance are what the snapshot is built
+                // from (advance moves the nodes, then builds).
+                let snap = meg.advance().clone();
+                let positions = meg.mobility().positions();
                 let brute =
-                    radius_graph_brute_force(&positions, params.transmission_radius, region);
-                assert_same_edge_set(snap, &brute, "geometric/square");
-                assert_snapshot_matches_adjacency_semantics(snap, "geometric/square");
+                    radius_graph_brute_force(positions, params.transmission_radius, meg.region());
+                assert_same_edge_set(&snap, &brute, "geometric/square");
+                assert_snapshot_matches_adjacency_semantics(&snap, "geometric/square");
             }
             draws += 1;
         }
@@ -146,12 +145,13 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
             let radius = rng.gen_range(0.4..side);
             let walkers = TorusWalkers::new(n, side, rng.gen_range(0.2..2.0), 1.0, &mut rng);
             let mut meg = GeometricMeg::new(walkers, radius, seed);
-            let positions = meg.mobility().positions().to_vec();
-            let region = meg.region();
-            let snap = meg.advance();
-            let brute = radius_graph_brute_force(&positions, radius, region);
-            assert_same_edge_set(snap, &brute, "geometric/torus");
-            assert_snapshot_matches_adjacency_semantics(snap, "geometric/torus");
+            for _ in 0..2 {
+                let snap = meg.advance().clone();
+                let brute =
+                    radius_graph_brute_force(meg.mobility().positions(), radius, meg.region());
+                assert_same_edge_set(&snap, &brute, "geometric/torus");
+                assert_snapshot_matches_adjacency_semantics(&snap, "geometric/torus");
+            }
             draws += 1;
         }
 

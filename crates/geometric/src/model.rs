@@ -45,10 +45,11 @@ impl GeometricMegParams {
 /// transmission radius.
 ///
 /// The snapshot returned by the `t`-th call to
-/// [`advance`](EvolvingGraph::advance) is the radius graph of the node
-/// positions `P_t`; positions then move to `P_{t+1}`. With a stationary
-/// mobility initialisation this is exactly the *stationary geometric-MEG* of
-/// the paper.
+/// [`advance`](EvolvingGraph::advance) (counting from 0) is the radius graph
+/// of the node positions `P_t`: every call but the first moves the nodes from
+/// `P_{t−1}` to `P_t` before it builds. With a stationary mobility
+/// initialisation this is exactly the *stationary geometric-MEG* of the
+/// paper.
 #[derive(Clone, Debug)]
 pub struct GeometricMeg<M: Mobility> {
     mobility: M,
@@ -103,7 +104,10 @@ impl<M: Mobility> GeometricMeg<M> {
     }
 
     /// Builds (and returns a reference to) the snapshot of the *current*
-    /// positions without advancing the mobility process.
+    /// positions without moving the nodes: `G_0` before the first
+    /// [`advance`](EvolvingGraph::advance), and afterwards the snapshot the
+    /// last `advance` returned (the nodes move at the start of the next
+    /// call).
     pub fn current_snapshot(&mut self) -> &SnapshotBuf {
         radius_graph_into(
             self.mobility.positions(),
@@ -144,18 +148,18 @@ impl<M: Mobility> EvolvingGraph for GeometricMeg<M> {
 
     fn advance(&mut self) -> &SnapshotBuf {
         let _span = meg_obs::span("advance");
-        {
-            let _build = meg_obs::span("build");
-            radius_graph_into(
-                self.mobility.positions(),
-                self.radius,
-                self.mobility.region(),
-                &mut self.workspace,
-                &mut self.snapshot,
-            );
+        if self.time > 0 {
+            let _step = meg_obs::span("step");
+            self.mobility.advance(&mut self.rng);
         }
-        let _step = meg_obs::span("step");
-        self.mobility.advance(&mut self.rng);
+        let _build = meg_obs::span("build");
+        radius_graph_into(
+            self.mobility.positions(),
+            self.radius,
+            self.mobility.region(),
+            &mut self.workspace,
+            &mut self.snapshot,
+        );
         self.time += 1;
         &self.snapshot
     }

@@ -120,18 +120,20 @@ impl PairBits {
         }
     }
 
-    /// Invokes `f` on every set bit in increasing index order, skipping
-    /// zero words, via `trailing_zeros` within each word.
+    /// The set bits in increasing index order, skipping zero words, via
+    /// `trailing_zeros` within each word. The iterator is `Clone`, so one
+    /// walk can be replayed (the two passes of
+    /// [`SnapshotBuf::build_from_pairs`](crate::SnapshotBuf::build_from_pairs)).
     #[inline]
-    pub fn for_each_set_bit(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.words.iter().enumerate() {
+    pub fn ones(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
             let mut bits = word;
-            while bits != 0 {
+            std::iter::from_fn(move || {
                 let b = bits.trailing_zeros() as usize;
-                f(wi * 64 + b);
-                bits &= bits - 1;
-            }
-        }
+                bits &= bits.wrapping_sub(1);
+                (b < 64).then_some(wi * 64 + b)
+            })
+        })
     }
 
     /// Debug check of the tail invariant: bits `len..` of the last word are
@@ -180,9 +182,7 @@ mod tests {
         assert_eq!(b.words().len(), 0);
         assert_eq!(b.last_word_bits(), 0);
         assert!(b.tail_is_clean());
-        let mut visited = 0;
-        b.for_each_set_bit(|_| visited += 1);
-        assert_eq!(visited, 0);
+        assert_eq!(b.ones().count(), 0);
     }
 
     #[test]
@@ -205,15 +205,19 @@ mod tests {
     }
 
     #[test]
-    fn for_each_set_bit_in_order() {
+    fn ones_walks_set_bits_in_order() {
         let mut b = PairBits::new(300);
         let idx = [0usize, 1, 63, 64, 65, 127, 128, 255, 299];
         for &k in &idx {
             b.set(k);
         }
-        let mut seen = Vec::new();
-        b.for_each_set_bit(|k| seen.push(k));
-        assert_eq!(seen, idx);
+        assert_eq!(b.ones().collect::<Vec<_>>(), idx);
+        // A clone taken mid-walk yields the rest, and both walks agree.
+        let mut walk = b.ones().skip(3);
+        assert_eq!(walk.next(), Some(64));
+        let rest: Vec<usize> = walk.clone().collect();
+        assert_eq!(rest, idx[4..]);
+        assert_eq!(walk.collect::<Vec<_>>(), rest);
     }
 
     #[test]

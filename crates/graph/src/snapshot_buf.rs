@@ -15,23 +15,33 @@
 //!   their capacities have grown to the high-water mark of the run
 //!   (**warm-up**), a rebuild performs **zero** heap allocations.
 //!
-//! There are two ways to fill it:
+//! There are three ways to fill it:
 //!
+//! * **Pair list** — [`build_from_pairs`](SnapshotBuf::build_from_pairs)
+//!   takes the snapshot's edges as strictly ascending linear pair indices
+//!   and fills the rows in two passes over the list, without staging an
+//!   edge. Every row comes out ascending. The per-pair edge-MEG engines use
+//!   it: the sparse engine's alive list and the dense engine's set-bit walk
+//!   are both ascending pair indices.
+//! * **Rows** — [`build_rows`](SnapshotBuf::build_rows) asks the producer for
+//!   each row in node order and appends it straight into `targets` through a
+//!   [`RowWriter`]; no edge is staged and nothing is sorted. The producer
+//!   lists both arcs of every edge itself, in whatever order the rows must
+//!   have. Geometric snapshots and the adversarial constructions use it:
+//!   every node gathers its own row from the bucket grid, or lists its
+//!   clique or star neighbors.
 //! * **Edge stream** — [`begin`](SnapshotBuf::begin) /
 //!   [`push_edge`](SnapshotBuf::push_edge) / [`build`](SnapshotBuf::build).
 //!   Producers stage each undirected edge once into `edges` (degrees counted
 //!   in `deg`), and the build is a stable counting sort: node `u`'s
 //!   neighbors end up in exactly the order edges incident to `u` were
-//!   pushed. This matches the push order of the `AdjacencyList`
-//!   construction it replaced, which is what keeps RNG-consuming consumers
-//!   (push–pull's random neighbor choice, BFS-ball sampling) byte-identical.
-//!   The edge-MEG engines use it.
-//! * **Rows** — [`build_rows`](SnapshotBuf::build_rows) asks the producer for
-//!   each row in node order and appends it straight into `targets` through a
-//!   [`RowWriter`]; no edge is staged and nothing is sorted. The producer
-//!   lists both arcs of every edge itself, in whatever order the rows must
-//!   have. Geometric snapshots use it: every node gathers its own row from
-//!   the bucket grid.
+//!   pushed, the order of the `AdjacencyList` construction it replaced.
+//!   Only the `Stepping::Transitions` paths (whose first build reserves
+//!   row slack for the deltas below) and test oracles use it.
+//!
+//! Each path reproduces the row order the adjacency-list construction gave,
+//! which is what keeps RNG-consuming consumers (push–pull's random neighbor
+//! choice, BFS-ball sampling) byte-identical.
 //!
 //! ## Delta maintenance
 //!
@@ -91,9 +101,9 @@ impl DeltaOutcome {
 /// Lifecycle: [`begin(n)`](SnapshotBuf::begin) →
 /// [`push_edge`](SnapshotBuf::push_edge)`*` → [`build`](SnapshotBuf::build) →
 /// query (via [`Graph`] or [`neighbors`](SnapshotBuf::neighbors)) → `begin`
-/// again; or one [`build_rows`](SnapshotBuf::build_rows) call in place of
-/// the first three. Queries before `build` are a logic error (checked by
-/// `debug_assert`).
+/// again; or one [`build_from_pairs`](SnapshotBuf::build_from_pairs) or
+/// [`build_rows`](SnapshotBuf::build_rows) call in place of the first three.
+/// Queries before `build` are a logic error (checked by `debug_assert`).
 ///
 /// Producers must push each undirected edge exactly once and never push
 /// self-loops — the same contract as
@@ -118,15 +128,21 @@ impl DeltaOutcome {
 /// }
 /// assert_eq!(buf.num_edges(), 3);
 /// assert_eq!(buf.neighbors(1), &[0, 2]);
+///
+/// // The same graph from its ascending pair indices: (0,1) is 0, (1,2) is 3
+/// // and (2,3) is 5 in the row-major numbering of the 4-node triangle.
+/// buf.build_from_pairs(4, [0, 3, 5]);
+/// assert_eq!(buf.num_edges(), 3);
+/// assert_eq!(buf.neighbors(1), &[0, 2]);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotBuf {
     n: usize,
     /// Staged edge stream of the snapshot under construction (edge-stream
-    /// path only; row-built snapshots never touch it).
+    /// path only; pair-list and row-built snapshots never touch it).
     edges: Vec<(Node, Node)>,
-    /// Degree counts during staging; reused as fill cursors inside `build`
-    /// (edge-stream path only).
+    /// Degree counts during staging or the pair list's counting pass;
+    /// reused as fill cursors by the fill pass (not by row builds).
     /// `u32` keeps the cursor array half the size of the offset array, which
     /// matters in the scatter-heavy fill pass (`2m` random writes driven
     /// through it).
@@ -167,8 +183,7 @@ impl SnapshotBuf {
     /// Creates a built, edgeless snapshot over `n` nodes.
     pub fn with_nodes(n: usize) -> Self {
         let mut buf = Self::new();
-        buf.begin(n);
-        buf.build();
+        buf.build_rows(n, |_, _| {});
         buf
     }
 
@@ -218,6 +233,23 @@ impl SnapshotBuf {
 
     fn finish_build(&mut self, slack: u32) {
         debug_assert!(!self.built, "build called twice without begin");
+        self.lay_out_rows(slack);
+        for &(u, v) in &self.edges {
+            self.targets[self.deg[u as usize] as usize] = v;
+            self.deg[u as usize] += 1;
+            self.targets[self.deg[v as usize] as usize] = u;
+            self.deg[v as usize] += 1;
+        }
+        self.m = self.edges.len();
+        self.slack = slack;
+        self.built = true;
+    }
+
+    /// Turns the degree counts in `deg` into the row layout: `row_len`, the
+    /// capacity `offsets` (`degree + slack` per row), `targets` sized to
+    /// match, and `deg` reused as each row's fill cursor (one pass instead
+    /// of prefix-sum + copy-back).
+    fn lay_out_rows(&mut self, slack: u32) {
         let n = self.n;
         self.offsets.clear();
         self.offsets.reserve(n + 1);
@@ -226,8 +258,6 @@ impl SnapshotBuf {
         let mut acc = 0usize;
         self.offsets.push(0);
         for u in 0..n {
-            // Reuse `deg` as the per-node fill cursor while accumulating the
-            // offsets (one pass instead of prefix-sum + copy-back).
             let d = self.deg[u];
             self.row_len.push(d);
             self.deg[u] = acc as u32;
@@ -239,17 +269,76 @@ impl SnapshotBuf {
             "snapshot arc count {acc} exceeds the u32 cursor range"
         );
         // Resize without `clear()`: every live slot is overwritten by the
-        // fill pass below (slack slots stay unread garbage), so re-zeroing
-        // the kept prefix would be wasted work.
+        // fill pass (slack slots stay unread garbage), so re-zeroing the
+        // kept prefix would be wasted work.
         self.targets.resize(acc, 0);
-        for &(u, v) in &self.edges {
-            self.targets[self.deg[u as usize] as usize] = v;
-            self.deg[u as usize] += 1;
-            self.targets[self.deg[v as usize] as usize] = u;
-            self.deg[v as usize] += 1;
+    }
+
+    /// Builds the snapshot whose edges are the pairs with the given linear
+    /// indices ([`pair_from_index`] numbering), which must be strictly
+    /// ascending; an index at or past `C(n, 2)` panics. Each row comes out
+    /// ascending, equal in order to pushing the same pairs through
+    /// [`push_edge`](SnapshotBuf::push_edge) and [`build`](SnapshotBuf::build).
+    ///
+    /// Two passes over `pairs` (hence `Clone`), row by row, and no staged
+    /// edge: row `a`'s pairs `(a, b)`, `b > a`, are the consecutive indices
+    /// below the row's end, and `b` is the index plus a per-row constant. The
+    /// first pass counts degrees. The second writes each row's forward part
+    /// through a register cursor and each transposed arc `a` into row `b`
+    /// through `b`'s own cursor. Every pair `(x, a)`, `x < a`, precedes row
+    /// `a`, so when the walk reaches row `a` its cursor stands just past that
+    /// low part, where the forward part begins.
+    ///
+    /// [`pair_from_index`]: crate::generators::pair_from_index
+    pub fn build_from_pairs<I>(&mut self, n: usize, pairs: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        self.n = n;
+        self.deg.clear();
+        self.deg.resize(n, 0);
+        let (mut it, mut m) = (pairs.clone(), 0usize);
+        let (mut next, mut row_start) = (it.next(), 0u64);
+        for a in 0..n {
+            let row_end = row_start + (n - 1 - a) as u64;
+            let to_b = (a as u64 + 1).wrapping_sub(row_start);
+            let mut forward = 0u32;
+            while let Some(k) = next.filter(|&k| k < row_end) {
+                self.deg[k.wrapping_add(to_b) as usize] += 1;
+                forward += 1;
+                next = it.next();
+                debug_assert!(next.is_none_or(|j| j > k), "pair indices must ascend");
+            }
+            self.deg[a] += forward;
+            m += forward as usize;
+            row_start = row_end;
         }
-        self.m = self.edges.len();
-        self.slack = slack;
+        if let Some(k) = next {
+            panic!("pair index {k} outside the triangle of n = {n}");
+        }
+        self.lay_out_rows(0);
+        let (targets, cursor) = (&mut self.targets, &mut self.deg);
+        let (mut it, mut row_start) = (pairs, 0u64);
+        let mut next = it.next();
+        for a in 0..n {
+            let row_end = row_start + (n - 1 - a) as u64;
+            let to_b = (a as u64 + 1).wrapping_sub(row_start);
+            let mut w = cursor[a] as usize;
+            while let Some(k) = next.filter(|&k| k < row_end) {
+                let b = k.wrapping_add(to_b) as usize;
+                targets[w] = b as Node;
+                w += 1;
+                let c = &mut cursor[b];
+                targets[*c as usize] = a as Node;
+                *c += 1;
+                next = it.next();
+            }
+            row_start = row_end;
+        }
+        self.m = m;
+        self.slack = 0;
         self.built = true;
     }
 
@@ -838,6 +927,31 @@ mod tests {
             rebuild(&mut buf);
             assert_eq!(buf.capacities(), warm, "capacity drifted after warm-up");
         }
+    }
+
+    #[test]
+    fn build_from_pairs_lists_low_part_then_forward_part_and_stages_nothing() {
+        // n = 5: pairs 0 (0,1), 3 (0,4), 4 (1,2), 6 (1,4), 9 (3,4).
+        let mut buf = SnapshotBuf::new();
+        buf.build_from_pairs(5, [0, 3, 4, 6, 9]);
+        assert_eq!(buf.num_nodes(), 5);
+        assert_eq!(buf.num_edges(), 5);
+        assert_eq!(buf.neighbors(0), &[1, 4]);
+        assert_eq!(buf.neighbors(1), &[0, 2, 4]);
+        assert_eq!(buf.neighbors(2), &[1]);
+        assert_eq!(buf.neighbors(3), &[4]);
+        assert_eq!(buf.neighbors(4), &[0, 1, 3]);
+        assert_eq!(buf.capacities().0, 0, "no edge is staged");
+        buf.build_from_pairs(3, []);
+        assert_eq!((buf.num_nodes(), buf.num_edges()), (3, 0));
+        assert!((0..3).all(|u| buf.neighbors(u).is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the triangle")]
+    fn build_from_pairs_rejects_a_pair_index_past_the_triangle() {
+        // C(5, 2) = 10, so index 10 names no pair.
+        SnapshotBuf::new().build_from_pairs(5, [0, 4, 10]);
     }
 
     #[test]

@@ -1,13 +1,82 @@
 //! Property-based tests for the static-graph substrate.
 
-use meg_graph::{bfs, connectivity, diameter, expansion, generators, AdjacencyList, Graph};
+use meg_graph::generators::pair_from_index;
+use meg_graph::{
+    bfs, connectivity, diameter, expansion, generators, AdjacencyList, Graph, Node, SnapshotBuf,
+};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+
+/// A strictly ascending pair list over the `n`-node triangle in one of six
+/// shapes: empty, complete, a star at node 0 (its row has only a forward
+/// part, every other row only a low part), a star at node `n − 1` (the
+/// reverse), a Bernoulli subset at a density spread over (0, 1), or a few
+/// whole rows' worth of random pairs.
+fn pair_list(n: usize, shape: u32, density: f64, seed: u64) -> Vec<u64> {
+    let total = (n * n.saturating_sub(1) / 2) as u64;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let pair = |a: usize, b: usize| generators::index_of_pair(n as u64, a as u64, b as u64);
+    match shape {
+        0 => Vec::new(),
+        1 => (0..total).collect(),
+        2 => (1..n).map(|b| pair(0, b)).collect(),
+        3 => (0..n.saturating_sub(1)).map(|a| pair(a, n - 1)).collect(),
+        4 => (0..total).filter(|_| rng.gen_bool(density)).collect(),
+        _ if total == 0 => Vec::new(),
+        _ => {
+            let mut pairs: Vec<u64> = (0..3 * n).map(|_| rng.gen_range(0..total)).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            pairs
+        }
+    }
+}
+
+/// Every row in stored order.
+fn rows(buf: &SnapshotBuf) -> Vec<Vec<Node>> {
+    (0..buf.num_nodes() as Node)
+        .map(|u| buf.neighbors(u).to_vec())
+        .collect()
+}
 
 fn edges_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2..max_n).prop_flat_map(|n| {
         let edge = (0..n as u32, 0..n as u32);
         (Just(n), proptest::collection::vec(edge, 0..(4 * n)))
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn pair_list_build_equals_the_staged_build_row_for_row(
+        n in 0usize..200,
+        shape in 0u32..6,
+        density in 0.0f64..1.0,
+        seed in 0u64..1_000_000,
+        earlier in 0u32..6,
+    ) {
+        // The buffer first holds another snapshot of the same kind, so the
+        // build must also clear whatever it reuses.
+        let mut built = SnapshotBuf::new();
+        built.build_from_pairs(n / 2, pair_list(n / 2, earlier, 0.3, seed ^ 1));
+        let pairs = pair_list(n, shape, density, seed);
+        built.build_from_pairs(n, pairs.iter().copied());
+        let mut staged = SnapshotBuf::new();
+        staged.begin(n);
+        for &k in &pairs {
+            let (a, b) = pair_from_index(n as u64, k);
+            staged.push_edge(a as Node, b as Node);
+        }
+        staged.build();
+        prop_assert_eq!(built.num_nodes(), n);
+        prop_assert_eq!(built.num_edges(), pairs.len());
+        prop_assert_eq!(rows(&built), rows(&staged));
+        for u in 0..n as Node {
+            prop_assert_eq!(Graph::degree(&built, u), Graph::degree(&staged, u));
+        }
+    }
 }
 
 proptest! {

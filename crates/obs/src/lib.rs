@@ -180,15 +180,20 @@ impl Gauge {
 /// (with a debug assertion to catch typos). `advance` is one substrate round;
 /// `step` and `build` nest inside it: `step` moves the substrate's state (the
 /// edge chain or the node walk) and `build` turns it into the returned
-/// snapshot (a full CSR build or a delta). `probe` is one measurement-probe
+/// snapshot (a full CSR build or a delta). Substrates step lazily, at the
+/// start of every `advance` but the first, so a trial of `k` rounds records
+/// `k` `build`s and `k − 1` `step`s. `init` is one trial's substrate
+/// construction (the stationary draw, the mobility initialisation or the
+/// static generator), nested in `trial`. `probe` is one measurement-probe
 /// trial's body (the `advance` calls it makes keep their own span); `sweep`
 /// is one in-process sweep from its first queued trial to its last released
 /// row (a pool worker's requests record none); `cell` runs from a cell's
 /// first trial start to its row's release.
-pub const SPAN_NAMES: [&str; 8] = [
+pub const SPAN_NAMES: [&str; 9] = [
     "advance",
     "step",
     "build",
+    "init",
     "probe",
     "trial",
     "cell",
