@@ -88,6 +88,8 @@ if [ "$MODE" != "quick" ]; then
     cargo test -q --release --offline -p meg-stats gof
     cargo test -q --release --offline -p meg-edge --test stepping_equivalence
     cargo test -q --release --offline -p meg-graph --test delta_consistency
+    # The radius-graph oracle, culling and boundary tests, at release speed.
+    cargo test -q --release --offline -p meg-geometric
 fi
 
 step "cargo doc --workspace --no-deps (must be warning-free)"
@@ -228,6 +230,22 @@ PYEOF
             ;;
     esac
 
+    step "geometric culling pin (geo_flood_n4096 checksum and candidate-test count)"
+    # Rows alone cannot see the row gather's bucket culling: a gather that
+    # stops skipping buckets beyond R builds the same snapshots. Its exact
+    # candidate-test count can, so both numbers are pinned.
+    GEO_LINE=$(cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
+        bench geo_flood_n4096 --counters --repetitions 1 --warmup 0)
+    case "$GEO_LINE" in
+        *'"checksum":12312,'*'"bucket_scan_visits":29266334,'*)
+            echo "geo culling pin: checksum 12312, bucket_scan_visits 29266334 ok" ;;
+        *)
+            printf 'geo_flood_n4096 drifted (want checksum 12312, bucket_scan_visits 29266334): %s\n' \
+                "$GEO_LINE" >&2
+            exit 1
+            ;;
+    esac
+
     step "bench baseline gate smoke (--baseline BENCH_GATE.json: calibration + one workload)"
     # Full-scale, ~1 s: the geo_flood_n4096 checksum must equal the recorded
     # one (12312) exactly, and its median must stay within 1.5x of the
@@ -283,7 +301,7 @@ PYEOF
         }
     done
     # Span timings must have been recorded for the core phases.
-    for s in advance step build init trial cell sweep; do
+    for s in advance step build init protocol teardown trial cell sweep; do
         grep -qE "^  $s +[1-9][0-9]*" "$MET_DIR/metrics.txt" || {
             echo "span $s missing from the metrics report" >&2
             rm -rf "$MET_DIR"
@@ -297,7 +315,11 @@ PYEOF
     report_value() { awk -v k="$1" '$1 == k { print $2 }' "$MET_DIR/metrics.txt"; }
     ADVANCES=$(report_value advance)
     TRIALS=$(report_value trials)
-    for want in "build $ADVANCES" "step $((ADVANCES - TRIALS))" "init $TRIALS"; do
+    # Every trial runs one body, a `protocol` or a `probe` span, and then
+    # drops its substrate inside one `teardown` span.
+    BODIES=$(( $(report_value protocol) + $(report_value probe) ))
+    for want in "build $ADVANCES" "step $((ADVANCES - TRIALS))" "init $TRIALS" \
+        "teardown $TRIALS"; do
         read -r s n <<< "$want"
         [ "$(report_value "$s")" = "$n" ] || {
             echo "span $s count is not $n (advance $ADVANCES, trials $TRIALS):" >&2
@@ -306,6 +328,12 @@ PYEOF
             exit 1
         }
     done
+    [ "$BODIES" = "$TRIALS" ] || {
+        echo "protocol + probe spans $BODIES != trials $TRIALS:" >&2
+        cat "$MET_DIR/metrics.txt" >&2
+        rm -rf "$MET_DIR"
+        exit 1
+    }
     echo "metrics report carries live counters and spans; rows byte-identical"
     rm -rf "$MET_DIR"
 

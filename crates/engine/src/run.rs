@@ -639,6 +639,8 @@ impl TrialOutcome {
     }
 }
 
+/// Runs a spreading or epidemic protocol against an evolving graph, timed
+/// as the `protocol` span (the `advance` calls inside keep their own).
 fn protocol_trial<M: EvolvingGraph>(
     meg: &mut M,
     protocol: &Protocol,
@@ -646,6 +648,7 @@ fn protocol_trial<M: EvolvingGraph>(
     budget: u64,
     rng: &mut ChaCha8Rng,
 ) -> TrialOutcome {
+    let _span = obs::span("protocol");
     let n = meg.num_nodes();
     // Spreading protocols measure their completion round count; the
     // epidemic and Byzantine arms run their machines directly so the
@@ -774,18 +777,22 @@ fn probe_trial<M: EvolvingGraph>(
     }
 }
 
-/// Dispatches one trial to the spreading engine or the probe machinery.
+/// Dispatches one trial to the spreading engine or the probe machinery,
+/// then drops the substrate inside the `teardown` span.
 fn drive<M: EvolvingGraph>(
-    meg: &mut M,
+    mut meg: M,
     cell: &Cell,
     source: meg_graph::Node,
     rng: &mut ChaCha8Rng,
 ) -> TrialOutcome {
-    if cell.protocol.is_probe() {
-        probe_trial(meg, &cell.protocol, rng)
+    let outcome = if cell.protocol.is_probe() {
+        probe_trial(&mut meg, &cell.protocol, rng)
     } else {
-        protocol_trial(meg, &cell.protocol, source, cell.round_budget, rng)
-    }
+        protocol_trial(&mut meg, &cell.protocol, source, cell.round_budget, rng)
+    };
+    let _span = obs::span("teardown");
+    drop(meg);
+    outcome
 }
 
 fn geometric_occupancy_trial(
@@ -845,14 +852,14 @@ pub(crate) fn execute_trial(cell: &Cell, _trial: usize, rng: &mut ChaCha8Rng) ->
             let sub_seed: u64 = rng.gen();
             match engine {
                 EdgeEngine::Sparse => {
-                    let mut meg =
+                    let meg =
                         init(|| SparseEdgeMeg::with_stepping(*params, *start, *stepping, sub_seed));
-                    drive(&mut meg, cell, 0, rng)
+                    drive(meg, cell, 0, rng)
                 }
                 EdgeEngine::Dense => {
-                    let mut meg =
+                    let meg =
                         init(|| DenseEdgeMeg::with_stepping(*params, *start, *stepping, sub_seed));
-                    drive(&mut meg, cell, 0, rng)
+                    drive(meg, cell, 0, rng)
                 }
             }
         }
@@ -870,53 +877,53 @@ pub(crate) fn execute_trial(cell: &Cell, _trial: usize, rng: &mut ChaCha8Rng) ->
             let sub_seed: u64 = rng.gen();
             match mobility {
                 MobilityKind::GridWalk => {
-                    let mut meg = init(|| {
+                    let meg = init(|| {
                         GeometricMeg::from_params(
                             GeometricMegParams::new(n, move_radius, radius),
                             sub_seed,
                         )
                     });
-                    drive(&mut meg, cell, 0, rng)
+                    drive(meg, cell, 0, rng)
                 }
                 MobilityKind::Waypoint => {
-                    let mut meg = init(|| {
+                    let meg = init(|| {
                         let model =
                             RandomWaypoint::new(n, side, move_radius * 0.5, move_radius, rng);
                         GeometricMeg::new(model, radius, sub_seed)
                     });
-                    drive(&mut meg, cell, 0, rng)
+                    drive(meg, cell, 0, rng)
                 }
                 MobilityKind::Billiard => {
-                    let mut meg = init(|| {
+                    let meg = init(|| {
                         let model =
                             Billiard::new(n, side, move_radius * 0.5, move_radius, 0.1, rng);
                         GeometricMeg::new(model, radius, sub_seed)
                     });
-                    drive(&mut meg, cell, 0, rng)
+                    drive(meg, cell, 0, rng)
                 }
                 MobilityKind::Walkers => {
-                    let mut meg = init(|| {
+                    let meg = init(|| {
                         let model = TorusWalkers::new(n, side, move_radius, 1.0, rng);
                         GeometricMeg::new(model, radius, sub_seed)
                     });
-                    drive(&mut meg, cell, 0, rng)
+                    drive(meg, cell, 0, rng)
                 }
             }
         }
         ResolvedSubstrate::Adversarial { n, construction } => match construction {
             AdversarialKind::RotatingStar => {
-                let mut meg = init(|| RotatingStar::new(*n, 0));
+                let meg = init(|| RotatingStar::new(*n, 0));
                 // The separation claim concerns the worst-case source.
                 let source = meg.worst_source();
-                drive(&mut meg, cell, source, rng)
+                drive(meg, cell, source, rng)
             }
             AdversarialKind::RotatingBridge => {
-                let mut meg = init(|| RotatingBridge::new(*n));
-                drive(&mut meg, cell, 1, rng)
+                let meg = init(|| RotatingBridge::new(*n));
+                drive(meg, cell, 1, rng)
             }
         },
         ResolvedSubstrate::Static { n, graph, p_hat } => {
-            let mut meg = init(|| {
+            let meg = init(|| {
                 FrozenGraph::new(match graph {
                     StaticKind::ErdosRenyi { .. } => generators::erdos_renyi(*n, *p_hat, rng),
                     StaticKind::Grid2d => {
@@ -925,7 +932,7 @@ pub(crate) fn execute_trial(cell: &Cell, _trial: usize, rng: &mut ChaCha8Rng) ->
                     }
                 })
             });
-            drive(&mut meg, cell, 0, rng)
+            drive(meg, cell, 0, rng)
         }
     }
 }

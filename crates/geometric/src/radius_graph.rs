@@ -21,6 +21,16 @@
 //! finds on the current toolchain). Each edge is tested once from each end;
 //! no edge is staged and nothing is sorted.
 //!
+//! ## Culling
+//!
+//! The index also records each bucket's node bounding box. A node skips
+//! every neighbour bucket whose box lies more than `R` from it under the
+//! plain metric: correctly rounded subtraction, squaring and addition are
+//! monotone, so each node in such a box has a squared distance at least the
+//! box's, and the per-pair test would reject it. Rows stay exact. Runs that
+//! need the torus fold (wrapped bucket pairs, and every run at `k ≤ 3`) are
+//! scanned whole.
+//!
 //! ## Row order
 //!
 //! Rows keep the order of the historical construction, a half-plane scan
@@ -32,7 +42,8 @@
 //! lists, visit by visit, the other bucket's in-range nodes in slot order
 //! (for `u`'s own bucket: slot order without `u`). Each bucket's visits are
 //! tabulated once per grid, consecutive bucket indices coalesced into one
-//! contiguous slot range; on the square every node scans three ranges.
+//! contiguous slot range; on the square every node scans three ranges,
+//! split where it skips a bucket.
 //!
 //! The distance test is symmetric bit for bit (`a − b = −(b − a)` exactly),
 //! so both ends of a pair make the same accept decision. [`radius_graph`] is
@@ -57,6 +68,8 @@ pub struct RadiusGraphWorkspace {
     counts: Vec<usize>,
     /// Per-bucket start offset into the three flat arrays (`k² + 1` entries).
     starts: Vec<usize>,
+    /// Per-bucket node bounding box (`k²` entries).
+    boxes: Vec<BucketBox>,
     /// Node ids, grouped by bucket, index order preserved inside each bucket.
     nodes: Vec<Node>,
     /// `x` coordinate of `nodes[i]` (flat, parallel to `nodes`).
@@ -74,6 +87,51 @@ pub struct RadiusGraphWorkspace {
     run_starts: Vec<usize>,
     /// The `(k, wrap)` grid `runs` was tabulated for (`k == 0`: none yet).
     runs_grid: (usize, bool),
+    /// Candidate distance tests the last build made (the
+    /// `BucketScanVisits` count of one snapshot).
+    scan_visits: u64,
+}
+
+/// The bounding box of one bucket's nodes: min and max `x` and `y` over the
+/// coordinates it actually holds. An empty bucket has the empty box
+/// ([`BucketBox::EMPTY`]), which lies beyond every radius.
+#[derive(Clone, Copy, Debug)]
+struct BucketBox {
+    x0: f64,
+    x1: f64,
+    y0: f64,
+    y1: f64,
+}
+
+impl BucketBox {
+    const EMPTY: BucketBox = BucketBox {
+        x0: f64::INFINITY,
+        x1: f64::NEG_INFINITY,
+        y0: f64::INFINITY,
+        y1: f64::NEG_INFINITY,
+    };
+
+    /// The smallest box holding `self` and `(x, y)`.
+    #[inline]
+    fn grow(self, x: f64, y: f64) -> BucketBox {
+        BucketBox {
+            x0: self.x0.min(x),
+            x1: self.x1.max(x),
+            y0: self.y0.min(y),
+            y1: self.y1.max(y),
+        }
+    }
+
+    /// Whether the box lies more than `√r2` from `(ux, uy)` under the plain
+    /// metric. Each axis gap is one of the subtractions `within_square`
+    /// makes against the box's nearest node on that axis (or 0), so when it
+    /// holds, every node in the box fails `within_square`.
+    #[inline(always)]
+    fn beyond(&self, ux: f64, uy: f64, r2: f64) -> bool {
+        let dx = (self.x0 - ux).max(ux - self.x1).max(0.0);
+        let dy = (self.y0 - uy).max(uy - self.y1).max(0.0);
+        dx * dx + dy * dy > r2
+    }
 }
 
 /// Consecutive buckets `first..end` in one bucket's visit order: their nodes
@@ -213,17 +271,19 @@ fn gather_close<M: LaneMetric>(
     cnt
 }
 
-/// Buckets per axis for a region of side `side`: each bucket has side
-/// `≥ radius`, so any pair within the radius lies in the same or an adjacent
-/// bucket.
+/// Buckets per axis for `n` nodes in a region of side `side`: each bucket
+/// has side `≥ radius`, so any pair within the radius lies in the same or an
+/// adjacent bucket, and there are at most `n` buckets, so a tiny radius
+/// cannot make the grid outgrow the nodes.
 #[inline]
-fn grid_k(side: f64, radius: f64) -> usize {
-    ((side / radius).floor() as usize).max(1)
+fn grid_k(side: f64, radius: f64, n: usize) -> usize {
+    ((side / radius).floor() as usize).min(n.isqrt()).max(1)
 }
 
 /// Counting sort of the nodes into buckets: three flat arrays
 /// (`nodes`/`xs`/`ys` grouped by bucket, `starts` delimiting each group),
-/// node index order preserved within each bucket.
+/// node index order preserved within each bucket, then each bucket's node
+/// bounding box.
 fn build_bucket_index(
     positions: &[Point],
     k: usize,
@@ -266,6 +326,13 @@ fn build_bucket_index(
         ws.ys[*slot] = p.1;
         *slot += 1;
     }
+    ws.boxes.clear();
+    ws.boxes.extend(ws.starts.windows(2).map(|w| {
+        let (xs, ys) = (&ws.xs[w[0]..w[1]], &ws.ys[w[0]..w[1]]);
+        xs.iter()
+            .zip(ys)
+            .fold(BucketBox::EMPTY, |b, (&x, &y)| b.grow(x, y))
+    }));
 }
 
 /// Forward neighbour offsets of the half-plane scan: E, SW, S, SE.
@@ -359,28 +426,14 @@ impl RadiusGraphWorkspace {
             self.run_starts.push(self.runs.len());
         }
     }
-
-    /// Candidate tests of the row gather over the current index: each node
-    /// tests every node of its runs but itself, so every unordered candidate
-    /// pair of the half-plane scan counts twice.
-    fn gather_visits(&self) -> u64 {
-        (0..self.starts.len() - 1)
-            .map(|b| {
-                let members = (self.starts[b + 1] - self.starts[b]) as u64;
-                let scanned: u64 = self.runs[self.run_starts[b]..self.run_starts[b + 1]]
-                    .iter()
-                    .map(|run| (self.starts[run.end] - self.starts[run.first]) as u64)
-                    .sum();
-                members * scanned.saturating_sub(1)
-            })
-            .sum()
-    }
 }
 
 /// The row gather over an already-built index and run table: node `u`'s
 /// row is every run's in-range nodes, run by run, in slot order. Runs marked
 /// `plain` are tested with `plain`, the others with `folded` (the region's
-/// own metric).
+/// own metric). In a `plain` run, `u` skips each bucket whose box lies
+/// beyond the radius and scans the kept buckets, consecutive ones coalesced
+/// into one slot range. Records the number of candidate tests made.
 fn gather_rows<W: LaneMetric>(
     ws: &mut RadiusGraphWorkspace,
     out: &mut SnapshotBuf,
@@ -390,19 +443,24 @@ fn gather_rows<W: LaneMetric>(
     let RadiusGraphWorkspace {
         counts,
         starts,
+        boxes,
         nodes,
         xs,
         ys,
         bucket_of,
         runs,
         run_starts,
+        scan_visits,
         ..
     } = ws;
     // Replay the placement pass's cursors: it filled each bucket in id
     // order, so node `u`'s slot is the next one of its bucket.
     let nb = counts.len();
     counts.copy_from_slice(&starts[..nb]);
-    out.build_rows(bucket_of.len(), |u, row| {
+    let n = bucket_of.len();
+    // Every slot scanned, `u`'s own included; each node skips itself.
+    let mut scanned = 0usize;
+    out.build_rows(n, |u, row| {
         let b = bucket_of[u as usize];
         let own = counts[b];
         counts[b] += 1;
@@ -417,17 +475,34 @@ fn gather_rows<W: LaneMetric>(
             };
             row.commit(kept);
         };
-        for run in &runs[run_starts[b]..run_starts[b + 1]] {
-            let (lo, hi) = (starts[run.first], starts[run.end]);
+        let mut scan = |lo: usize, hi: usize, plain_run: bool, row: &mut RowWriter<'_>| {
+            scanned += hi - lo;
             if (lo..hi).contains(&own) {
-                // The run holding `u`'s own bucket: scan around `u`.
-                gather(lo, own, run.plain, row);
-                gather(own + 1, hi, run.plain, row);
+                // The range holding `u`'s own bucket: scan around `u`.
+                gather(lo, own, plain_run, row);
+                gather(own + 1, hi, plain_run, row);
             } else {
-                gather(lo, hi, run.plain, row);
+                gather(lo, hi, plain_run, row);
             }
+        };
+        for run in &runs[run_starts[b]..run_starts[b + 1]] {
+            let (mut lo, mut hi) = (starts[run.first], starts[run.end]);
+            if run.plain {
+                // `u`'s own box holds `u`, so its bucket is always kept.
+                hi = lo;
+                for t in run.first..run.end {
+                    let end = starts[t + 1];
+                    if end > hi && boxes[t].beyond(ux, uy, plain.r2) {
+                        scan(lo, hi, true, row);
+                        lo = end;
+                    }
+                    hi = end;
+                }
+            }
+            scan(lo, hi, run.plain, row);
         }
     });
+    *scan_visits = (scanned - n) as u64;
 }
 
 /// Builds the radius graph of `positions` **in place**: the snapshot lands in
@@ -447,6 +522,7 @@ pub fn radius_graph_into(
     let n = positions.len();
     if n == 0 || radius <= 0.0 {
         out.build_rows(n, |_, _| {});
+        ws.scan_visits = 0;
         return;
     }
     let side = region.side();
@@ -454,12 +530,9 @@ pub fn radius_graph_into(
     let wrap = region.is_torus();
     // Number of buckets per axis; each bucket has side ≥ radius so only the
     // 8-neighborhood needs to be examined. On a torus the neighborhood wraps.
-    let k = grid_k(side, radius);
+    let k = grid_k(side, radius, n);
     build_bucket_index(positions, k, side / k as f64, ws);
     ws.tabulate_runs(k, wrap);
-    if obs::installed() {
-        obs::add(obs::Counter::BucketScanVisits, ws.gather_visits());
-    }
     // Monomorphise the gather per metric so the inner lane kernel carries no
     // per-pair branch on the region kind.
     let plain = SquareMetric { r2 };
@@ -467,6 +540,9 @@ pub fn radius_graph_into(
         gather_rows(ws, out, plain, TorusMetric { r2, side });
     } else {
         gather_rows(ws, out, plain, plain);
+    }
+    if obs::installed() {
+        obs::add(obs::Counter::BucketScanVisits, ws.scan_visits);
     }
 }
 
@@ -651,7 +727,7 @@ mod half_scan {
         }
         let side = region.side();
         let r2 = radius * radius;
-        let k = grid_k(side, radius);
+        let k = grid_k(side, radius, n);
         build_bucket_index(positions, k, side / k as f64, ws);
         if region.is_torus() {
             scan_buckets(ws, k, true, TorusMetric { r2, side }, emit)
@@ -702,14 +778,15 @@ mod tests {
 
     /// Row-for-row (order included) equality of a row-built snapshot with
     /// the half-scan oracle, whose edge set must also be the brute-force one.
+    /// Returns the half scan's candidate-pair count.
     fn assert_rows_match_oracle(
         buf: &SnapshotBuf,
         pos: &[Point],
         radius: f64,
         region: Region,
         context: &str,
-    ) {
-        let (oracle, _) = half_scan::oracle(pos, radius, region);
+    ) -> u64 {
+        let (oracle, half_visits) = half_scan::oracle(pos, radius, region);
         assert_eq!(buf.num_nodes(), oracle.num_nodes(), "{context}");
         assert_eq!(buf.num_edges(), oracle.num_edges(), "{context}");
         for u in 0..pos.len() as Node {
@@ -720,6 +797,65 @@ mod tests {
             );
         }
         assert_same_graph(&oracle, &radius_graph_brute_force(pos, radius, region));
+        half_visits
+    }
+
+    /// The candidate tests the row gather must make over `ws`'s index,
+    /// recounted from the positions: each node scans its runs' buckets but
+    /// itself, and in a `plain` run it skips a bucket whose node bounding
+    /// box lies beyond the radius. Returns the count with that skip and the
+    /// count without it.
+    fn recount_visits(ws: &RadiusGraphWorkspace, pos: &[Point], radius: f64) -> (u64, u64) {
+        let empty = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut boxes = vec![(empty, empty); ws.starts.len() - 1];
+        for (&(x, y), &b) in pos.iter().zip(&ws.bucket_of) {
+            let (bx, by) = &mut boxes[b];
+            *bx = (bx.0.min(x), bx.1.max(x));
+            *by = (by.0.min(y), by.1.max(y));
+        }
+        let gap = |(lo, hi): (f64, f64), c: f64| (lo - c).max(c - hi).max(0.0);
+        let (mut culled, mut unculled) = (0u64, 0u64);
+        for (&(ux, uy), &b) in pos.iter().zip(&ws.bucket_of) {
+            for run in &ws.runs[ws.run_starts[b]..ws.run_starts[b + 1]] {
+                let sizes = ws.starts[run.first..=run.end].windows(2);
+                for (&(bx, by), size) in boxes[run.first..run.end].iter().zip(sizes) {
+                    let size = (size[1] - size[0]) as u64;
+                    let (dx, dy) = (gap(bx, ux), gap(by, uy));
+                    unculled += size;
+                    if !run.plain || dx * dx + dy * dy <= radius * radius {
+                        culled += size;
+                    }
+                }
+            }
+            culled -= 1;
+            unculled -= 1;
+        }
+        (culled, unculled)
+    }
+
+    /// Builds `pos` into a fresh workspace and checks it: rows equal the
+    /// oracle's, and the build's candidate-test count equals the recount and
+    /// lies between twice the edge count and the unculled count, which is
+    /// twice the half scan's. Returns the workspace, the snapshot and the
+    /// unculled count.
+    fn build_checked(
+        pos: &[Point],
+        radius: f64,
+        region: Region,
+        context: &str,
+    ) -> (RadiusGraphWorkspace, SnapshotBuf, u64) {
+        let mut ws = RadiusGraphWorkspace::default();
+        let mut buf = SnapshotBuf::new();
+        radius_graph_into(pos, radius, region, &mut ws, &mut buf);
+        let half_visits = assert_rows_match_oracle(&buf, pos, radius, region, context);
+        let (culled, unculled) = recount_visits(&ws, pos, radius);
+        assert_eq!(ws.scan_visits, culled, "{context}: candidate tests");
+        assert_eq!(unculled, 2 * half_visits, "{context}: unculled tests");
+        assert!(
+            2 * buf.num_edges() as u64 <= culled,
+            "{context}: tests < arcs"
+        );
+        (ws, buf, unculled)
     }
 
     #[test]
@@ -773,6 +909,7 @@ mod tests {
                     );
                 }
                 assert_rows_match_oracle(&buf, &pos, radius, region, &format!("seed {seed}"));
+                assert_eq!(ws.scan_visits, recount_visits(&ws, &pos, radius).0);
                 checked += 1;
             }
         }
@@ -784,7 +921,7 @@ mod tests {
     /// some placed exactly `radius` from an earlier node along one axis.
     fn tricky_positions(n: usize, side: f64, radius: f64, seed: u64) -> Vec<Point> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let bucket_side = side / grid_k(side, radius) as f64;
+        let bucket_side = side / grid_k(side, radius, n) as f64;
         let mut pos: Vec<Point> = Vec::with_capacity(n);
         for i in 0..n {
             let mut p = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
@@ -816,12 +953,12 @@ mod tests {
 
         /// Row-built snapshots equal the half-scan oracle row for row, for
         /// grids of k = 1 (including R beyond the side), 2, 3, 4 and ≥ 5
-        /// buckets per axis on both regions, with coincident nodes, nodes
-        /// on bucket edges and pairs exactly R apart; the candidate-test
-        /// counter is exactly twice the half scan's.
+        /// buckets per axis (k capped at ⌊√n⌋) on both regions, with
+        /// coincident nodes, nodes on bucket edges and pairs exactly R
+        /// apart; the candidate-test count is exactly the culled recount.
         #[test]
         fn row_built_snapshots_equal_the_half_scan_oracle(
-            n in 1usize..110,
+            n in 1usize..300,
             side in 2.0f64..30.0,
             k_sel in 0usize..9,
             torus in 0u32..2,
@@ -832,19 +969,142 @@ mod tests {
             } else {
                 side / (k_sel as f64 + 0.5)
             };
-            prop_assert_eq!(grid_k(side, radius), k_sel.max(1));
+            prop_assert_eq!(grid_k(side, radius, n), k_sel.max(1).min(n.isqrt()));
             let region = if torus == 1 {
                 Region::Torus { side }
             } else {
                 Region::Square { side }
             };
             let pos = tricky_positions(n, side, radius, seed);
-            let mut ws = RadiusGraphWorkspace::default();
-            let mut buf = SnapshotBuf::new();
-            radius_graph_into(&pos, radius, region, &mut ws, &mut buf);
-            assert_rows_match_oracle(&buf, &pos, radius, region, &format!("{region:?} R={radius}"));
-            let (_, half_visits) = half_scan::oracle(&pos, radius, region);
-            prop_assert_eq!(ws.gather_visits(), 2 * half_visits);
+            build_checked(&pos, radius, region, &format!("{region:?} R={radius}"));
+        }
+    }
+
+    /// Pads `pos` to 16 nodes with fillers in the top bucket row of a
+    /// side-20 region, so that a handful of test nodes still gets k = 4 at
+    /// R = 5 (k is capped at ⌊√n⌋).
+    fn with_top_row_fillers(mut pos: Vec<Point>) -> Vec<Point> {
+        let fillers = 16usize.saturating_sub(pos.len());
+        pos.extend((0..fillers).map(|i| (0.5 + 1.2 * i as f64, 17.5)));
+        pos
+    }
+
+    #[test]
+    fn culling_keeps_a_box_exactly_r_away_and_skips_one_ulp_beyond() {
+        // Side 20, R = 5: k = 4 buckets of side 5. Node 0 sits at (2, 2) in
+        // bucket (0, 0); each case puts one or two nodes into one
+        // neighbour bucket (every other neighbour bucket stays empty) whose
+        // box is exactly R from node 0 or one ulp beyond.
+        let (side, radius) = (20.0f64, 5.0f64);
+        let region = Region::Square { side };
+        let cases: [(&str, Vec<Point>, Vec<Point>, bool); 4] = [
+            (
+                "along x",
+                vec![(7.0, 2.0)],
+                vec![(7.0f64.next_up(), 2.0)],
+                true,
+            ),
+            (
+                "along y",
+                vec![(2.0, 7.0)],
+                vec![(2.0, 7.0f64.next_up())],
+                true,
+            ),
+            (
+                "3-4-5 corner",
+                vec![(5.0, 6.0)],
+                vec![(5.0, 6.0f64.next_up())],
+                true,
+            ),
+            // The box corner (5, 6) is no node: kept, but no edge.
+            (
+                "corner of two nodes",
+                vec![(5.0, 9.0), (9.0, 6.0)],
+                vec![(5.0f64.next_up(), 9.0), (9.0, 6.0)],
+                false,
+            ),
+        ];
+        for (name, at_r, beyond, edge) in cases {
+            let mut tests = [0u64; 2];
+            for (i, near) in [at_r, beyond].into_iter().enumerate() {
+                let pos = with_top_row_fillers([vec![(2.0, 2.0)], near].concat());
+                assert_eq!(grid_k(side, radius, pos.len()), 4);
+                let context = format!("{name}, {}", ["at R", "one ulp beyond"][i]);
+                let (ws, buf, _) = build_checked(&pos, radius, region, &context);
+                assert_eq!(buf.has_edge(0, 1), edge && i == 0, "{context}");
+                tests[i] = ws.scan_visits;
+            }
+            assert!(
+                tests[1] < tests[0],
+                "{name}: the box one ulp beyond is kept"
+            );
+        }
+    }
+
+    #[test]
+    fn torus_culls_plain_runs_at_k4_and_scans_folded_runs_whole() {
+        // Torus side 20, R = 5 (k = 4): node 0 at (0.5, 10) meets node 1 at
+        // (19, 10) across the seam, through a wrapped run whose box lies
+        // 18.5 away under the plain metric; node 2's bucket, 9.4 away in a
+        // plain run, is skipped.
+        let (side, radius) = (20.0f64, 5.0f64);
+        let pos = with_top_row_fillers(vec![(0.5, 10.0), (19.0, 10.0), (9.9, 10.0)]);
+        assert_eq!(grid_k(side, radius, pos.len()), 4);
+        let (ws, buf, unculled) = build_checked(&pos, radius, Region::Torus { side }, "k = 4");
+        assert!(buf.has_edge(0, 1));
+        assert!(ws.scan_visits < unculled);
+        // With k ≤ 3 every torus run keeps the fold: nothing is skipped.
+        for (side, k) in [(10.0f64, 2usize), (15.0, 3)] {
+            let pos = random_positions(60, side, k as u64);
+            assert_eq!(grid_k(side, radius, pos.len()), k);
+            let context = format!("k = {k}");
+            let (ws, _, unculled) = build_checked(&pos, radius, Region::Torus { side }, &context);
+            assert_eq!(ws.scan_visits, unculled, "{context}");
+        }
+    }
+
+    #[test]
+    fn crowded_buckets_are_culled_exactly() {
+        // 100 to 200 nodes per bucket (k = 2, 3 and 4). Every square grid
+        // and the k = 4 torus must skip some bucket; the k ≤ 3 torus none.
+        for (n, side, radius) in [
+            (800usize, 10.0f64, 3.4f64),
+            (900, 15.0, 3.8),
+            (1600, 20.0, 4.1),
+        ] {
+            let pos = random_positions(n, side, n as u64);
+            let k = grid_k(side, radius, n);
+            assert_eq!(n / (k * k), [200, 100, 100][k - 2]);
+            for region in [Region::Square { side }, Region::Torus { side }] {
+                let context = format!("{region:?} n = {n}");
+                let (ws, _, unculled) = build_checked(&pos, radius, region, &context);
+                if region.is_torus() && k <= 3 {
+                    assert_eq!(ws.scan_visits, unculled, "{context}");
+                } else {
+                    assert!(ws.scan_visits < unculled, "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tiny_radius_cannot_grow_the_grid_past_the_node_count() {
+        // side/R = 10⁶ and 10¹²: unbounded, these grids would need 10¹² and
+        // 10²⁴ buckets for 3 nodes; bounded by ⌊√3⌋ they have one.
+        for (pos, radius, side, edges) in [
+            (vec![(0.5, 0.5), (0.6, 0.5), (90.0, 90.0)], 1e-4, 100.0, 0),
+            (
+                vec![(0.5, 0.5), (0.5 + 5e-7, 0.5), (9e5, 9e5)],
+                1e-6,
+                1e6,
+                1,
+            ),
+        ] {
+            assert_eq!(grid_k(side, radius, pos.len()), 1);
+            for region in [Region::Square { side }, Region::Torus { side }] {
+                let (_, buf, _) = build_checked(&pos, radius, region, &format!("{region:?}"));
+                assert_eq!(buf.num_edges(), edges);
+            }
         }
     }
 
@@ -857,7 +1117,6 @@ mod tests {
         // ones with the torus fold; rows must still equal the oracle's.
         let side = 8.0f64;
         let radius = 1.999_999_999;
-        assert_eq!(grid_k(side, radius), 4);
         let region = Region::Torus { side };
         let mut coords = Vec::new();
         for edge in [0.0f64, 2.0, 4.0, 6.0, 8.0] {
@@ -871,6 +1130,7 @@ mod tests {
             .iter()
             .flat_map(|&x| [(x, 1.0), (x, 5.0), (1.0, x), (x, x)])
             .collect();
+        assert_eq!(grid_k(side, radius, pos.len()), 4);
         let mut ws = RadiusGraphWorkspace::default();
         let mut buf = SnapshotBuf::new();
         radius_graph_into(&pos, radius, region, &mut ws, &mut buf);
@@ -900,7 +1160,11 @@ mod tests {
         }
         let capacities = |ws: &RadiusGraphWorkspace, buf: &SnapshotBuf| {
             (
-                (ws.counts.capacity(), ws.starts.capacity()),
+                (
+                    ws.counts.capacity(),
+                    ws.starts.capacity(),
+                    ws.boxes.capacity(),
+                ),
                 (ws.nodes.capacity(), ws.xs.capacity(), ws.ys.capacity()),
                 (ws.bucket_of.capacity(), ws.runs.capacity()),
                 buf.capacities(),

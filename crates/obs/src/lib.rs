@@ -74,9 +74,11 @@ pub enum Counter {
     RebuildBytes,
     /// RNG draws consumed by skip-sampling the flip calendar.
     RngDraws,
-    /// Candidate distance tests of the geometric row gather: each node tests
-    /// the nodes of its 3×3 bucket neighbourhood, so every unordered
-    /// candidate pair counts twice (once from each end).
+    /// Candidate distance tests the geometric row gather made: each node
+    /// tests the nodes of the buckets it scans in its 3×3 bucket
+    /// neighbourhood, skipping every bucket whose node bounding box lies
+    /// beyond the radius (torus-folded runs are scanned whole), so a pair
+    /// tested from both ends counts twice.
     BucketScanVisits,
     /// Protocol rounds driven across all trials.
     Rounds,
@@ -184,17 +186,23 @@ impl Gauge {
 /// start of every `advance` but the first, so a trial of `k` rounds records
 /// `k` `build`s and `k − 1` `step`s. `init` is one trial's substrate
 /// construction (the stationary draw, the mobility initialisation or the
-/// static generator), nested in `trial`. `probe` is one measurement-probe
-/// trial's body (the `advance` calls it makes keep their own span); `sweep`
+/// static generator), nested in `trial`. `protocol` is one spreading or
+/// epidemic trial's body and `probe` one measurement-probe trial's body (the
+/// `advance` calls either makes keep their own span, nested inside it);
+/// `teardown` is dropping the trial's substrate, after its body (the
+/// occupancy probe, which reads one snapshot built in `init`, records none
+/// of the three). `sweep`
 /// is one in-process sweep from its first queued trial to its last released
 /// row (a pool worker's requests record none); `cell` runs from a cell's
 /// first trial start to its row's release.
-pub const SPAN_NAMES: [&str; 9] = [
+pub const SPAN_NAMES: [&str; 11] = [
     "advance",
     "step",
     "build",
     "init",
+    "protocol",
     "probe",
+    "teardown",
     "trial",
     "cell",
     "worker_round_trip",
