@@ -246,6 +246,22 @@ PYEOF
             ;;
     esac
 
+    step "epidemic pin (full-scale epidemic_threshold infection, recovery and round totals)"
+    # The golden fixture runs epidemic_threshold at scale 0.1 (n = 60) and
+    # never reaches a 2000-round endemic SIS run at n = 600. These totals
+    # count every infection, recovery and round of the full-scale sweep, so
+    # any drift in the epidemic round's draws or state updates moves them.
+    EPI_REPORT=$(cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
+        run epidemic_threshold --seed 2009 --metrics report 2>&1 >/dev/null)
+    for want in "infections 2228158" "recoveries 2225975" "rounds 12089"; do
+        printf '%s\n' "$EPI_REPORT" | grep -qE "^  ${want% *} +${want#* }$" || {
+            echo "epidemic pin: want $want" >&2
+            printf '%s\n' "$EPI_REPORT" >&2
+            exit 1
+        }
+    done
+    echo "epidemic pin: infections 2228158, recoveries 2225975, rounds 12089 ok"
+
     step "bench baseline gate smoke (--baseline BENCH_GATE.json: calibration + one workload)"
     # Full-scale, ~1 s: the geo_flood_n4096 checksum must equal the recorded
     # one (12312) exactly, and its median must stay within 1.5x of the

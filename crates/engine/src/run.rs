@@ -1786,6 +1786,47 @@ mod tests {
     }
 
     #[test]
+    fn a_swept_count_that_is_not_finite_or_reaches_2_pow_53_is_an_error() {
+        // `round() as u64` saturates: these used to run as u64::MAX.
+        for param in [Param::InfectionRounds, Param::ImmunityRounds] {
+            for (value, shown) in [
+                (1e30, "1e30"),
+                (f64::INFINITY, "inf"),
+                (9_007_199_254_740_992.0, "9.007199254740992e15"),
+            ] {
+                let mut s = tiny_scenario();
+                s.sweep = Sweep::over(param, [2.0, value]);
+                let err = resolve_cells(&s).unwrap_err();
+                let axis = format!("sweep axis `{}`: ", param.id());
+                assert!(err.0.contains(&axis), "{param:?}: {err}");
+                assert!(
+                    err.0
+                        .contains(&format!("{shown} is not a finite count below 2^53")),
+                    "{param:?}: {err}"
+                );
+            }
+            let mut s = tiny_scenario();
+            s.sweep = Sweep::over(param, [9_007_199_254_740_991.0]);
+            assert!(resolve_cells(&s).is_ok(), "{param:?}: 2^53 − 1 is a count");
+        }
+        for param in [
+            Param::N,
+            Param::Trials,
+            Param::SetSize,
+            Param::ActiveRounds,
+            Param::ByzantineCount,
+        ] {
+            let mut s = tiny_scenario();
+            s.sweep = Sweep::over(param, [f64::INFINITY]);
+            let err = resolve_cells(&s).unwrap_err();
+            assert!(
+                err.0.contains("inf is not a finite count"),
+                "{param:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn swept_protocol_values_on_their_domain_edges_resolve_unchanged() {
         let mut s = tiny_scenario();
         s.substrates.truncate(1);

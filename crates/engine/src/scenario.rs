@@ -1290,6 +1290,23 @@ impl Scenario {
                 }),
                 _ => Ok(()),
             }?;
+            // A count must also round to an integer below 2⁵³: `round() as
+            // u64` saturates, so 1e30 or ∞ (JSON `1e400`) would otherwise
+            // run as u64::MAX.
+            if matches!(
+                axis.param,
+                Param::N
+                    | Param::Trials
+                    | Param::SetSize
+                    | Param::ActiveRounds
+                    | Param::InfectionRounds
+                    | Param::ImmunityRounds
+                    | Param::ByzantineCount
+            ) {
+                check(|v| v.is_finite() && v.round() < (1u64 << 53) as f64, &|v| {
+                    format!("{v:e} is not a finite count below 2^53")
+                })?;
+            }
         }
         Ok(())
     }

@@ -640,7 +640,8 @@ fn cli_transitions_past_u32_pairs_exits_2_naming_the_cell() {
 #[test]
 fn cli_swept_protocol_value_outside_its_domain_exits_2_naming_the_axis() {
     // The same bounds as the protocol spec's: a swept contagion of 2 or an
-    // infection duration of 0 is an input error, not a clamped row.
+    // infection duration of 0 is an input error, not a clamped row; so is a
+    // count too large to run as itself.
     let shown = run_ok(&["show", "epidemic_threshold"]);
     let dir = tmp("swept-domain");
     std::fs::create_dir_all(&dir).unwrap();
@@ -648,6 +649,11 @@ fn cli_swept_protocol_value_outside_its_domain_exits_2_naming_the_axis() {
     for (axis, values, wording) in [
         ("contagion", "[2.0]", "contagion=2 outside [0, 1]"),
         ("infection_rounds", "[0]", "infection_rounds must be ≥ 1"),
+        // Counts that `round() as u64` would saturate; 1e400 parses as ∞.
+        ("infection_rounds", "[1e30]", "1e30 is not a finite count"),
+        ("immunity_rounds", "[1e400]", "inf is not a finite count"),
+        ("infection_rounds", "[1e400]", "inf is not a finite count"),
+        ("immunity_rounds", "[1e30]", "1e30 is not a finite count"),
     ] {
         let edited = shown
             .replace(r#""param": "contagion""#, &format!(r#""param": "{axis}""#))

@@ -15,15 +15,21 @@
 //!   edge-Markovian dynamics but censors on a static graph of matched
 //!   density — dynamic completion times must be stochastically smaller and
 //!   KS-distinguishable from the static ones.
+//! * **Independent epidemic reference**: a plain set-based two-phase
+//!   SIR/SIRS loop (every infectious–susceptible pair draws on its own,
+//!   then all states update) and `EpidemicMachine` must agree in
+//!   distribution on final size and extinction round.
 
-use meg_core::evolving::FrozenGraph;
-use meg_core::protocols::{run_machine, EpidemicMachine};
+use meg_core::evolving::{FrozenGraph, ScheduledGraph};
+use meg_core::protocols::{run_machine, EpidemicMachine, RunOutcome};
 use meg_engine::builtin;
 use meg_engine::run::{cell_seed, resolve_cells, run_cell_range, Cell};
 use meg_engine::scenario::Scenario;
-use meg_graph::generators;
+use meg_graph::{generators, AdjacencyList, Graph, Node};
 use meg_stats::{ks_two_sample, run_trials, Alpha};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::{BTreeMap, BTreeSet};
 
 const MASTER_SEED: u64 = 20260807;
 
@@ -180,4 +186,118 @@ fn rumor_completes_faster_under_dynamics_than_on_matched_static_graphs() {
         "dynamic and static completion-time distributions must differ: D={} critical={}",
         ks.statistic, ks.critical
     );
+}
+
+/// The plain two-phase epidemic of SNIPPETS.md Snippet 1, written with
+/// sets and no code shared with `EpidemicMachine`: each round every
+/// infectious–susceptible pair draws on its own (a node exposed k times is
+/// infected with probability 1 − (1 − c)^k, as in the machine, whose first
+/// hit ends a node's draws), then every node's state updates. A state ends
+/// at a recorded round: an infection begun at round r (the source at
+/// round 0) ends after round r + d; a recovery at round r into immunity
+/// (`Some(w)`, w ≥ 1) ends after round r + w. `None` is SIR.
+///
+/// Returns (final size, rounds until no node is infectious, capped at
+/// `budget`).
+fn reference_epidemic(
+    schedule: &[AdjacencyList],
+    source: Node,
+    contagion: f64,
+    d: u64,
+    immunity: Option<u64>,
+    budget: u64,
+    rng: &mut ChaCha8Rng,
+) -> (usize, u64) {
+    let n = schedule[0].num_nodes() as Node;
+    let mut susceptible: BTreeSet<Node> = (0..n).filter(|&v| v != source).collect();
+    let mut infectious: BTreeSet<Node> = BTreeSet::from([source]);
+    let mut recovered: BTreeSet<Node> = BTreeSet::new();
+    let mut state_end: BTreeMap<Node, u64> = BTreeMap::from([(source, d)]);
+    let mut ever_infected = BTreeSet::from([source]);
+    let mut round = 0;
+    while !infectious.is_empty() && round < budget {
+        let snapshot = &schedule[round as usize % schedule.len()];
+        round += 1;
+        // 1. Infectious nodes try to infect their susceptible neighbours.
+        let mut infected = BTreeSet::new();
+        for &i in &infectious {
+            snapshot.for_each_neighbor(i, &mut |v| {
+                if susceptible.contains(&v) && rng.gen::<f64>() < contagion {
+                    infected.insert(v);
+                }
+            });
+        }
+        // 2. Every node's state is updated for the next round.
+        for v in 0..n {
+            if susceptible.contains(&v) && infected.contains(&v) {
+                susceptible.remove(&v);
+                infectious.insert(v);
+                state_end.insert(v, round + d);
+                ever_infected.insert(v);
+            } else if infectious.contains(&v) && state_end[&v] == round {
+                infectious.remove(&v);
+                recovered.insert(v);
+                if let Some(w) = immunity {
+                    state_end.insert(v, round + w);
+                }
+            } else if recovered.contains(&v) && immunity.is_some() && state_end[&v] == round {
+                recovered.remove(&v);
+                susceptible.insert(v);
+            }
+        }
+    }
+    (ever_infected.len(), round)
+}
+
+#[test]
+fn epidemic_machine_matches_an_independent_set_based_reference_in_distribution() {
+    // One fixed scheduled graph: 5 Erdős–Rényi snapshots on 80 nodes with
+    // mean degree 4, replayed periodically.
+    let n = 80;
+    let mut gen = ChaCha8Rng::seed_from_u64(7);
+    let schedule: Vec<AdjacencyList> = (0..5)
+        .map(|_| generators::erdos_renyi(n, 4.0 / n as f64, &mut gen))
+        .collect();
+    let budget = 400;
+    let trials = 200;
+    // SIR just above the threshold (bimodal final size) and SIRS, whose
+    // re-infections lengthen the extinction round.
+    for (contagion, d, immunity) in [(0.3, 2, None), (0.25, 2, Some(2)), (0.5, 1, Some(3))] {
+        let mut machine_sizes = Vec::new();
+        let mut machine_rounds = Vec::new();
+        let mut reference_sizes = Vec::new();
+        let mut reference_rounds = Vec::new();
+        for t in 0..trials {
+            let mut rng = ChaCha8Rng::seed_from_u64(1_000_000 + t);
+            let mut meg = ScheduledGraph::new(schedule.clone());
+            let mut machine = EpidemicMachine::new(n, 0, contagion, d, immunity);
+            let run = run_machine(&mut meg, &mut machine, budget, &mut rng);
+            assert_ne!(run.outcome, RunOutcome::Stalled);
+            machine_sizes.push(machine.final_size() as f64);
+            machine_rounds.push(run.rounds as f64);
+            let mut rng = ChaCha8Rng::seed_from_u64(2_000_000 + t);
+            let (size, rounds) =
+                reference_epidemic(&schedule, 0, contagion, d, immunity, budget, &mut rng);
+            reference_sizes.push(size as f64);
+            reference_rounds.push(rounds as f64);
+        }
+        let what = format!("contagion={contagion} d={d} immunity={immunity:?}");
+        for (observable, a, b) in [
+            ("final size", &machine_sizes, &reference_sizes),
+            ("extinction round", &machine_rounds, &reference_rounds),
+        ] {
+            let ks = ks_two_sample(a, b, Alpha::P01).expect("non-empty samples");
+            assert!(
+                ks.pass,
+                "{what}: {observable} differs from the reference: D={} critical={}",
+                ks.statistic, ks.critical
+            );
+        }
+        // Not vacuous: the epidemic spreads in a good share of the runs.
+        let spread = machine_sizes.iter().filter(|&&s| s >= 10.0).count();
+        assert!(
+            spread >= trials as usize / 4,
+            "{what}: only {spread} runs spread"
+        );
+    }
 }

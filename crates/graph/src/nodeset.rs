@@ -131,6 +131,29 @@ impl NodeSet {
         }
     }
 
+    /// Removes `node` if `cond` holds, branching on neither: the node's
+    /// bit is masked out by arithmetic and the length adjusted by the same
+    /// bit, so a loop removing data-dependent members runs no unpredictable
+    /// branch. Returns `true` if the node was present and removed.
+    ///
+    /// A node outside the universe is never present (tail bits stay
+    /// clear), so the set cannot change; one past the last word panics on
+    /// the index, and debug builds check the universe as `contains` does.
+    #[inline]
+    pub fn remove_if(&mut self, node: Node, cond: bool) -> bool {
+        let i = node as usize;
+        debug_assert!(
+            i < self.universe,
+            "node {i} outside universe {}",
+            self.universe
+        );
+        let w = &mut self.words[i / 64];
+        let hit = (*w >> (i % 64)) & cond as u64;
+        *w &= !(hit << (i % 64));
+        self.len -= hit as usize;
+        hit == 1
+    }
+
     /// Removes every node.
     pub fn clear(&mut self) {
         for w in self.words.iter_mut() {
@@ -318,6 +341,31 @@ mod tests {
         assert!(!s.remove(64));
         assert_eq!(s.len(), 2);
         assert!(!s.contains(64));
+    }
+
+    #[test]
+    fn remove_if_removes_exactly_the_present_members_it_is_told_to() {
+        // 130 nodes: two full words and a partial third.
+        let mut s = NodeSet::from_iter(130, [0u32, 63, 64, 100, 129]);
+        assert!(!s.remove_if(63, false));
+        assert!(s.contains(63));
+        assert!(!s.remove_if(1, true), "an absent node is not removed");
+        assert!(!s.remove_if(1, false));
+        assert_eq!(s.len(), 5);
+        for v in [0u32, 64, 129] {
+            assert!(s.remove_if(v, true));
+            assert!(!s.contains(v));
+            assert!(!s.remove_if(v, true), "removed twice");
+        }
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.to_vec(), vec![63, 100]);
+        assert_eq!(s.len(), s.iter().count());
+        // The same sequence through `remove` gives the same set.
+        let mut t = NodeSet::from_iter(130, [0u32, 63, 64, 100, 129]);
+        for v in [0u32, 64, 129] {
+            t.remove(v);
+        }
+        assert_eq!(s, t);
     }
 
     #[test]

@@ -23,10 +23,14 @@
 //! stepping modes (an ascending pair-index list merged in place per-pair, a
 //! swap-removed array under transitions), and both are held to the same bar.
 //!
+//! The protocol layer is held to the same bar at `epidemic_threshold`'s
+//! operating point: `EpidemicMachine::step` on word-packed compartment sets
+//! with buffers sized at construction.
+//!
 //! The test counts `alloc` / `realloc` / `alloc_zeroed` calls around the
 //! measured loop on the test's own single thread; nothing else runs
 //! concurrently in this integration-test binary (one `#[test]`), so a
-//! non-zero delta is attributable to `advance()`.
+//! non-zero delta is attributable to the measured call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,6 +216,35 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     assert_eq!(
         sparse_pp_allocs, 0,
         "sparse per-pair advance() allocated {sparse_pp_allocs} times after warm-up"
+    );
+
+    // --- epidemic round on the same operating point ----------------------
+    // `epidemic_threshold`'s SIS cell (contagion 0.5, d = 2, w = 0) on a
+    // fresh sparse per-pair edge-MEG: the machine's compartment sets, timers
+    // and its row, infection and walk buffers are all sized for n at
+    // construction, so only the substrate's capacities need the warm-up.
+    use meg::core::protocols::{EpidemicMachine, ProtocolMachine};
+    use rand_chacha::ChaCha8Rng;
+    let params = EdgeMegParams::with_stationary(600, phat, 0.5);
+    let mut contact = SparseEdgeMeg::stationary(params, 23);
+    let mut sis = EpidemicMachine::new(600, 0, 0.5, 2, Some(0));
+    let mut sis_rng = ChaCha8Rng::seed_from_u64(29);
+    for _ in 0..100 {
+        sis.step(contact.advance(), &mut sis_rng);
+    }
+    let infections_before = sis.infections();
+    let mut sis_allocs = 0;
+    for _ in 0..200 {
+        let snapshot = contact.advance();
+        sis_allocs += allocations_during(|| sis.step(snapshot, &mut sis_rng)).0;
+    }
+    assert!(
+        sis.infectious_count() > 0 && sis.infections() > infections_before + 10_000,
+        "the endemic SIS workload degenerated"
+    );
+    assert_eq!(
+        sis_allocs, 0,
+        "EpidemicMachine::step allocated {sis_allocs} times after warm-up"
     );
 
     // --- raw SnapshotBuf delta rounds -------------------------------------
