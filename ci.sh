@@ -246,21 +246,42 @@ PYEOF
             ;;
     esac
 
-    step "epidemic pin (full-scale epidemic_threshold infection, recovery and round totals)"
+    # Requires every "name value" pair after the label in a report's counter
+    # block ("  name   value" lines).
+    require_counters() {
+        local label=$1 report=$2 want
+        shift 2
+        for want in "$@"; do
+            printf '%s\n' "$report" | grep -qE "^  ${want% *} +${want#* }$" || {
+                echo "$label: want $want" >&2
+                printf '%s\n' "$report" >&2
+                exit 1
+            }
+        done
+        echo "$label: $* ok"
+    }
+
+    step "epidemic pin (full-scale epidemic_threshold infection, recovery, round and chain totals)"
     # The golden fixture runs epidemic_threshold at scale 0.1 (n = 60) and
     # never reaches a 2000-round endemic SIS run at n = 600. These totals
-    # count every infection, recovery and round of the full-scale sweep, so
-    # any drift in the epidemic round's draws or state updates moves them.
+    # count every infection, recovery and round of the full-scale sweep, and
+    # every birth, death and birth-sampler draw of its fast-churn sparse
+    # chain (q = 0.5), so any drift in the epidemic round or in the chain
+    # step moves them.
     EPI_REPORT=$(cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
         run epidemic_threshold --seed 2009 --metrics report 2>&1 >/dev/null)
-    for want in "infections 2228158" "recoveries 2225975" "rounds 12089"; do
-        printf '%s\n' "$EPI_REPORT" | grep -qE "^  ${want% *} +${want#* }$" || {
-            echo "epidemic pin: want $want" >&2
-            printf '%s\n' "$EPI_REPORT" >&2
-            exit 1
-        }
-    done
-    echo "epidemic pin: infections 2228158, recoveries 2225975, rounds 12089 ok"
+    require_counters "epidemic pin" "$EPI_REPORT" "infections 2228158" \
+        "recoveries 2225975" "rounds 12089" "edge_births 34684381" \
+        "edge_deaths 34684783" "rng_draws 35842064"
+
+    step "edge chain pin (full-scale edge_vs_n birth, death, draw and round totals)"
+    # The sparse per-pair chain at n = 1000–16000 and both churn rates: the
+    # q = 0.02 cells move most of the alive list as blocks in the merge, the
+    # q = 0.5 cells mostly element by element.
+    EDGE_REPORT=$(cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
+        run edge_vs_n --seed 2009 --metrics report 2>&1 >/dev/null)
+    require_counters "edge chain pin" "$EDGE_REPORT" "edge_births 3272383" \
+        "edge_deaths 3273368" "rng_draws 3284400" "rounds 193"
 
     step "bench baseline gate smoke (--baseline BENCH_GATE.json: calibration + one workload)"
     # Full-scale, ~1 s: the geo_flood_n4096 checksum must equal the recorded

@@ -31,12 +31,13 @@ const DEAD: u64 = 1 << 63;
 /// Edge-MEG storing only the alive edges.
 ///
 /// Under the default [`Stepping::PerPair`] the alive set is an ascending flat
-/// `Vec<u64>` of pair indices: deaths draw one Bernoulli per entry in that
-/// order, births are skip-sampled pair indices recorded bare, one forward
-/// pass compacts the survivors and drops the candidates that were alive
-/// before the step, and the births are merged in place; the snapshot's rows
-/// are filled straight from the list — no tree, no per-edge square root, no
-/// per-round allocation after warm-up. Under
+/// `Vec<u64>` of pair indices kept above a gap of free slots: deaths draw one
+/// Bernoulli per entry in that order, and one forward pass writes the
+/// survivors and the births from the front of the buffer as the skip sampler
+/// hands out its candidates, one chunk at a time, then puts the list back
+/// above the gap; the snapshot's rows are filled straight from the list — no
+/// tree, no candidate buffer, no per-edge square root, no per-round
+/// allocation after warm-up. Under
 /// [`Stepping::Transitions`] it is a flat `Vec<u32>` of pair indices instead:
 /// deaths are skip-sampled as positions in that array and swap-removed,
 /// births are skip-sampled pair indices checked against the pre-step snapshot,
@@ -44,16 +45,18 @@ const DEAD: u64 = 1 << 63;
 #[derive(Clone, Debug)]
 pub struct SparseEdgeMeg {
     params: EdgeMegParams,
-    /// Linear pair indices of the alive edges (per-pair stepping), strictly
-    /// ascending outside a step. The death phase consumes its RNG draws in
-    /// this order, so trajectories are a function of the seed alone, and the
-    /// order is also row-major, so the snapshot is built straight from it
-    /// ([`SnapshotBuf::build_from_pairs`]).
+    /// Per-pair stepping: `alive[gap..]` holds the linear pair indices of the
+    /// alive edges, strictly ascending outside a step, and `alive[..gap]` is
+    /// the room the step's merge writes into. The death phase consumes its
+    /// RNG draws in this order, so trajectories are a function of the seed
+    /// alone, and the order is also row-major, so the snapshot is built
+    /// straight from it ([`SnapshotBuf::build_from_pairs`]).
     alive: Vec<u64>,
-    /// Scratch: this step's birth candidates in ascending index order
-    /// (per-pair stepping); after the survivor pass, the births, merged into
-    /// `alive` at the end of the step.
-    born: Vec<u64>,
+    /// Free slots below the alive list (per-pair stepping). It starts at the
+    /// square root of a stationary round's expected flips, the scale on which
+    /// births run ahead of deaths, is kept across steps, and doubles whenever
+    /// a step's births run ahead of it.
+    gap: usize,
     rng: StdRng,
     snapshot: SnapshotBuf,
     time: u64,
@@ -93,22 +96,33 @@ impl SparseEdgeMeg {
         let mut rng = StdRng::seed_from_u64(seed);
         let total_pairs = params.num_pairs();
         let mut alive: Vec<u64> = Vec::new();
+        let mut gap = 0;
         let mut alive_vec: Vec<u32> = Vec::new();
         match stepping {
-            Stepping::PerPair => match init {
-                InitialDistribution::Empty => {}
-                InitialDistribution::Full => alive = (0..total_pairs).collect(),
-                InitialDistribution::Stationary => {
-                    // Sized once, for the mean count plus six standard
-                    // deviations: growing by doubling instead leaves a trail
-                    // of freed blocks that raised the peak memory of
-                    // two-thread sweeps by a few MB.
-                    let mean = params.expected_stationary_edges();
-                    alive.reserve((mean + 6.0 * mean.sqrt()) as usize + 64);
-                    let phat = params.stationary_edge_probability();
-                    sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| alive.push(idx));
+            Stepping::PerPair => {
+                // √(a stationary round's expected flips): the scale on which
+                // a round's births run ahead of its deaths, which is the
+                // lead the merge's writes take on its reads. A round that
+                // runs further ahead doubles it.
+                gap = params.expected_stationary_flips().sqrt().ceil() as usize;
+                // Sized once, for the gap and the mean count plus six
+                // standard deviations: growing by doubling instead leaves a
+                // trail of freed blocks that raised the peak memory of
+                // two-thread sweeps by a few MB.
+                let mean = params.expected_stationary_edges();
+                alive.reserve_exact(gap + (mean + 6.0 * mean.sqrt()) as usize + 64);
+                alive.resize(gap, 0);
+                match init {
+                    InitialDistribution::Empty => {}
+                    InitialDistribution::Full => alive.extend(0..total_pairs),
+                    InitialDistribution::Stationary => {
+                        let phat = params.stationary_edge_probability();
+                        sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| {
+                            alive.push(idx)
+                        });
+                    }
                 }
-            },
+            }
             Stepping::Transitions => {
                 assert!(
                     total_pairs <= MAX_TRANSITION_PAIRS,
@@ -130,7 +144,7 @@ impl SparseEdgeMeg {
         SparseEdgeMeg {
             params,
             alive,
-            born: Vec::new(),
+            gap,
             rng,
             snapshot: SnapshotBuf::with_nodes(params.n),
             time: 0,
@@ -164,9 +178,15 @@ impl SparseEdgeMeg {
     /// it returned (the chain steps at the start of the next call).
     pub fn alive_edges(&self) -> usize {
         match self.stepping {
-            Stepping::PerPair => self.alive.len(),
+            Stepping::PerPair => self.pairs().len(),
             Stepping::Transitions => self.alive_vec.len(),
         }
+    }
+
+    /// The ascending alive list of per-pair stepping (empty under
+    /// transitions).
+    fn pairs(&self) -> &[u64] {
+        &self.alive[self.gap..]
     }
 
     /// The next draw of a *clone* of the engine RNG — a cursor probe for
@@ -182,43 +202,41 @@ impl SparseEdgeMeg {
     /// `q > 0`), then the birth skip-sampling over all pairs (only when
     /// `p > 0`).
     ///
-    /// Four passes: the death marks; the bare birth sampler, whose `visit`
-    /// only records candidates, so its `ln`-bound loop has no data-dependent
-    /// exit; [`drop_known_pairs`], which compacts the survivors and resolves
-    /// birth membership in one forward pass; and [`merge_from_back`]. The
-    /// last two advance by comparison results, not branches, except where a
-    /// run of [`RUN`] entries moves as one block.
+    /// Two passes over the list: the death marks, then [`merge_births`],
+    /// which pulls the birth candidates from the resumable [`SkipSampler`]
+    /// one chunk at a time and writes the survivors and the births from the
+    /// front of the buffer as it reads the marked list above the gap. The
+    /// sampler only fills its chunk, so its `ln`-bound loop has no
+    /// data-dependent exit, and no candidate is stored beyond one chunk.
     fn step_chain(&mut self) {
         let total_pairs = self.params.num_pairs();
         let p = self.params.p;
         let q = self.params.q;
+        let before = self.pairs().len() as u64;
         // Deaths: mark each alive edge dead with probability q, in place, so
         // the list still holds the pre-step set for the birth phase. The
         // integer compare is `gen_bool(q)` draw for draw.
         let mut died = 0u64;
         if q > 0.0 {
             let threshold = gen_bool_threshold(q);
-            for idx in self.alive.iter_mut() {
+            for idx in self.alive[self.gap..].iter_mut() {
                 let dies = (self.rng.next_u64() >> 11) < threshold;
                 *idx |= DEAD * dies as u64;
                 died += dies as u64;
             }
         }
-        // Birth candidates: every pair, with probability p, in ascending
-        // order. Membership is resolved after sampling, so the sampler's loop
-        // carries no data-dependent exit.
-        self.born.clear();
-        let mut draws = 0u64;
-        if p > 0.0 {
-            let born = &mut self.born;
-            draws = sample_bernoulli_indices(total_pairs, p, &mut self.rng, |idx| born.push(idx));
-        }
-        drop_known_pairs(&mut self.alive, &mut self.born);
-        merge_from_back(&mut self.alive, &self.born);
+        // Births: every pair, with probability p, in ascending order; the
+        // sampler draws nothing when p = 0.
+        let mut births = SkipSampler::new(total_pairs, p);
+        let rng = &mut self.rng;
+        merge_births(&mut self.alive, &mut self.gap, |chunk| {
+            births.fill(rng, chunk)
+        });
         if obs::installed() {
+            let born = self.pairs().len() as u64 + died - before;
             obs::add(obs::Counter::EdgeDeaths, died);
-            obs::add(obs::Counter::EdgeBirths, self.born.len() as u64);
-            obs::add(obs::Counter::RngDraws, draws);
+            obs::add(obs::Counter::EdgeBirths, born);
+            obs::add(obs::Counter::RngDraws, births.draws());
         }
     }
 
@@ -268,135 +286,213 @@ impl SparseEdgeMeg {
     }
 }
 
-/// Entries both list passes move as one block when the next element of the
-/// other list lies beyond them. At slow churn most of the list moves this way;
-/// at fast churn the per-element steps take over.
+/// Entries the merge moves as one block when the next candidate lies beyond
+/// them. At slow churn most of the list moves this way; at fast churn the
+/// per-element steps take over.
 const RUN: usize = 8;
 
-/// The survivor compaction pass of the per-pair step. `alive` is the
-/// ascending pre-step list with this step's deaths marked [`DEAD`]; `born`
-/// holds the ascending birth candidates. One forward pass over both lists
-/// removes the dead entries from `alive` and drops every candidate equal to
-/// a pre-step pair (alive or just died, marks masked off): a survivor stays
-/// alive anyway, and a pair that just died needs a full step absent before
-/// it can be reborn, so each pre-step absent pair turns on with probability
-/// `p`. Both lists keep their order.
+/// Candidates the birth sampler hands the merge per call: the size of the
+/// merge's one stack array.
+const CHUNK: usize = 64;
+
+/// Stands after the last entry during the merge. Its key lies above every
+/// pair index (`C(n, 2) < 2⁶³`), so every candidate is placed before it and
+/// the merge never moves it.
+const END: u64 = !DEAD;
+
+/// The per-pair step's merge: one forward pass, in place. On entry
+/// `alive[*gap..]` is the ascending pre-step list with this step's deaths
+/// marked [`DEAD`] and `alive[..*gap]` is free; `fill` writes the next
+/// ascending birth candidates into the chunk it is given and returns how
+/// many, 0 once there are none. On return `alive[*gap..]` is the post-step
+/// list: every survivor, and every candidate equal to no pre-step pair (alive
+/// or just died, marks masked off) — a survivor stays alive anyway, and a
+/// pair that just died needs a full step absent before it can be reborn, so
+/// each pre-step absent pair turns on with probability `p`.
 ///
-/// Each step either keeps the next candidate (it lies before the next entry)
-/// or moves the next entry (`alive[w] = x; w += !dead`), consuming an equal
-/// candidate with it; the counters advance by comparison results, not
-/// branches. A run of [`RUN`] entries that all lie before the next
-/// candidate moves after one comparison.
-fn drop_known_pairs(alive: &mut Vec<u64>, born: &mut Vec<u64>) {
-    let len = alive.len();
-    // A sentinel above every masked entry: the pass never consumes it, so
-    // `c` needs no bound of its own.
-    born.push(u64::MAX);
-    let (mut r, mut w, mut c, mut kept) = (0, 0, 0, 0);
-    while r < len {
-        let b = born[c];
-        if r + RUN <= len && alive[r + RUN - 1] & !DEAD < b {
-            for k in r..r + RUN {
-                let x = alive[k];
-                alive[w] = x;
-                w += (x & DEAD == 0) as usize;
-            }
-            r += RUN;
-            continue;
+/// The pass reads the marked list from above the gap and writes from the
+/// front. Each step either writes the next candidate (it lies before the
+/// next entry) or moves the next entry (`alive[w] = x; w += !dead`),
+/// consuming an equal candidate with it; the indices advance by comparison
+/// results, not branches. The entry and the candidate after the current ones
+/// are loaded before the comparison decides which of them the next step
+/// reads, so a step waits on a select rather than on a load. A run of
+/// [`RUN`] entries that all lie before the next candidate moves after one
+/// comparison. Every candidate of a chunk may be a birth, so before each
+/// chunk the pass makes sure that many slots lie free between the write and
+/// the read position, doubling `*gap` (and moving the unread entries up by
+/// its old size) until they do. At the end the list moves back above the
+/// gap, which the next step keeps.
+fn merge_births(alive: &mut Vec<u64>, gap: &mut usize, mut fill: impl FnMut(&mut [u64]) -> usize) {
+    // One slot past the chunk keeps the load of the candidate after the
+    // last in bounds; its value is never used.
+    let mut chunk = [0u64; CHUNK + 1];
+    let (mut r, mut end, mut w) = (*gap, alive.len(), 0);
+    alive.push(END);
+    loop {
+        let k = fill(&mut chunk[..CHUNK]);
+        if k == 0 {
+            break;
         }
-        let x = alive[r];
-        let key = x & !DEAD;
-        let take = b < key;
-        born[kept] = b;
-        kept += take as usize;
-        c += (b <= key) as usize;
-        alive[w] = x;
-        w += (!take & (x & DEAD == 0)) as usize;
-        r += !take as usize;
+        while r - w < k {
+            let extra = (*gap).max(1);
+            alive.resize(end + 1 + extra, 0);
+            alive.copy_within(r..=end, r + extra);
+            r += extra;
+            end += extra;
+            *gap += extra;
+        }
+        let (mut c, mut x, mut b) = (0, alive[r], chunk[0]);
+        while c < k {
+            if r + RUN <= end && alive[r + RUN - 1] & !DEAD < b {
+                for j in r..r + RUN {
+                    let x = alive[j];
+                    alive[w] = x;
+                    w += (x & DEAD == 0) as usize;
+                }
+                r += RUN;
+                x = alive[r];
+                continue;
+            }
+            let (next_x, next_b) = (alive[(r + 1).min(end)], chunk[c + 1]);
+            let key = x & !DEAD;
+            let take = b < key;
+            let used = b <= key;
+            alive[w] = if take { b } else { x };
+            w += (take | (x & DEAD == 0)) as usize;
+            c += used as usize;
+            r += !take as usize;
+            x = if take { x } else { next_x };
+            b = if used { next_b } else { b };
+        }
     }
-    born.pop();
-    born.copy_within(c.., kept);
-    born.truncate(kept + born.len() - c);
-    alive.truncate(w);
+    for j in r..end {
+        let x = alive[j];
+        alive[w] = x;
+        w += (x & DEAD == 0) as usize;
+    }
+    alive.resize(*gap + w, 0);
+    alive.copy_within(0..w, *gap);
 }
 
-/// Merges the ascending, disjoint `born` into the ascending `alive` in place,
-/// from the back, so every entry moves at most once. A run of [`RUN`]
-/// entries above the largest unplaced birth moves as one block; otherwise
-/// one entry or birth is placed by comparison result.
-fn merge_from_back(alive: &mut Vec<u64>, born: &[u64]) {
-    let (mut i, mut j) = (alive.len(), born.len());
-    alive.resize(i + j, 0);
-    while j > 0 {
-        let b = born[j - 1];
-        if i >= RUN && alive[i - RUN] > b {
-            alive.copy_within(i - RUN..i, i - RUN + j);
-            i -= RUN;
-            continue;
+/// Geometric skip-sampling of the indices in `0..total` selected
+/// independently with probability `prob` (expected cost `O(total · prob)`),
+/// resumable: each [`fill`](SkipSampler::fill) hands out the next selected
+/// indices in ascending order.
+///
+/// This is the one sampler behind the sparse engine's stationary draw and
+/// birth phase and the `Stepping::Transitions` fast path of *both* engines:
+/// the skip `⌊ln U / ln(1−prob)⌋` is exactly a geometric holding time, so
+/// visiting the selected indices is equivalent to walking a pre-drawn
+/// next-flip-time calendar without materialising it. However the calls cut
+/// the walk into chunks, the indices, the draws and their order are those of
+/// one uninterrupted walk.
+pub(crate) struct SkipSampler {
+    total: u64,
+    /// `ln(1 − prob)`.
+    log_q: f64,
+    /// `prob ≥ 1`: every index is selected, without a draw.
+    every: bool,
+    /// The first index the walk has not passed yet.
+    next: u64,
+    /// The walk has left `0..total` (at once when `prob ≤ 0` or
+    /// `total = 0`).
+    ended: bool,
+    draws: u64,
+}
+
+impl SkipSampler {
+    pub(crate) fn new(total: u64, prob: f64) -> Self {
+        SkipSampler {
+            total,
+            log_q: (1.0 - prob).ln(),
+            every: prob >= 1.0,
+            next: 0,
+            ended: prob <= 0.0 || total == 0,
+            draws: 0,
         }
-        let a = alive[i.saturating_sub(1)];
-        let take = (i > 0) & (a > b);
-        alive[i + j - 1] = if take { a } else { b };
-        i -= take as usize;
-        j -= !take as usize;
+    }
+
+    /// The uniform RNG draws consumed so far, so callers can feed the
+    /// `rng_draws` metrics counter without the sampler depending on
+    /// `meg-obs`.
+    pub(crate) fn draws(&self) -> u64 {
+        self.draws
+    }
+
+    /// Writes the next selected indices into `out`, ascending, until it is
+    /// full or the walk ends, and returns how many it wrote: fewer than
+    /// `out.len()` only at the end of the walk, 0 after it.
+    pub(crate) fn fill<R: Rng>(&mut self, rng: &mut R, out: &mut [u64]) -> usize {
+        if self.ended {
+            return 0;
+        }
+        let total = self.total;
+        let (mut idx, mut k) = (self.next, 0);
+        if self.every {
+            while k < out.len() && idx < total {
+                out[k] = idx;
+                idx += 1;
+                k += 1;
+            }
+            self.next = idx;
+            self.ended = idx == total;
+            return k;
+        }
+        let mut draws = 0;
+        while k < out.len() {
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            draws += 1;
+            // `ln u < 0`, so the ratio is NaN, ±∞ or strictly positive: the
+            // range test ends the walk exactly where `!floor(x).is_finite()
+            // || floor(x) >= total` did (`total as f64` is a whole number),
+            // and on the range kept truncation is `floor`, without a libm
+            // call.
+            let skip = u.ln() / self.log_q;
+            if !(skip >= 0.0 && skip < total as f64) {
+                self.ended = true;
+                break;
+            }
+            idx = match idx.checked_add(skip as u64) {
+                Some(v) if v < total => v,
+                _ => {
+                    self.ended = true;
+                    break;
+                }
+            };
+            out[k] = idx;
+            k += 1;
+            idx += 1;
+            if idx >= total {
+                self.ended = true;
+                break;
+            }
+        }
+        self.next = idx;
+        self.draws += draws;
+        k
     }
 }
 
 /// Calls `visit` on each index in `0..total` selected independently with
-/// probability `prob`, using geometric skip-sampling (expected cost
-/// `O(total · prob)`).
+/// probability `prob`: a loop over one [`SkipSampler`]'s chunks.
 ///
-/// This is the shared primitive behind the sparse engine's stationary draw
-/// and birth phase and the `Stepping::Transitions` fast path of *both*
-/// engines: the skip `⌊ln U / ln(1−prob)⌋` is exactly a geometric holding
-/// time, so visiting the selected indices is equivalent to walking a
-/// pre-drawn next-flip-time calendar without materialising it.
-///
-/// Returns the number of uniform RNG draws consumed, so callers can feed the
-/// `rng_draws` metrics counter without the sampler depending on `meg-obs`.
+/// Returns the number of uniform RNG draws consumed.
 pub(crate) fn sample_bernoulli_indices<R: Rng>(
     total: u64,
     prob: f64,
     rng: &mut R,
     mut visit: impl FnMut(u64),
 ) -> u64 {
-    if prob <= 0.0 || total == 0 {
-        return 0;
-    }
-    if prob >= 1.0 {
-        for idx in 0..total {
-            visit(idx);
-        }
-        return 0;
-    }
-    let log_q = (1.0 - prob).ln();
-    let mut idx: u64 = 0;
-    let mut draws: u64 = 0;
+    let mut sampler = SkipSampler::new(total, prob);
+    let mut chunk = [0u64; CHUNK];
     loop {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        draws += 1;
-        // `ln u < 0`, so the ratio is NaN, ±∞ or strictly positive: the
-        // range test breaks exactly where `!floor(x).is_finite() ||
-        // floor(x) >= total` did (`total as f64` is a whole number), and on
-        // the range kept truncation is `floor`, without a libm call.
-        let skip = u.ln() / log_q;
-        if !(skip >= 0.0 && skip < total as f64) {
-            break;
+        let k = sampler.fill(rng, &mut chunk);
+        if k == 0 {
+            return sampler.draws();
         }
-        idx = match idx.checked_add(skip as u64) {
-            Some(v) => v,
-            None => break,
-        };
-        if idx >= total {
-            break;
-        }
-        visit(idx);
-        idx += 1;
-        if idx >= total {
-            break;
-        }
+        chunk[..k].iter().for_each(|&idx| visit(idx));
     }
-    draws
 }
 
 impl EvolvingGraph for SparseEdgeMeg {
@@ -417,7 +513,7 @@ impl EvolvingGraph for SparseEdgeMeg {
                 }
                 let _build = obs::span("build");
                 self.snapshot
-                    .build_from_pairs(self.params.n, self.alive.iter().copied());
+                    .build_from_pairs(self.params.n, self.alive[self.gap..].iter().copied());
             }
             Stepping::Transitions => {
                 // The snapshot persistently mirrors the alive set: full build
@@ -531,25 +627,27 @@ mod tests {
         (out, draws)
     }
 
+    /// The skip sampler's edge cases: `(total, prob)`.
+    const EDGE_CASES: [(u64, f64); 9] = [
+        // 1 − p rounds to 1: ln(1 − p) = 0, every ratio is −∞.
+        (1000, 1e-17),
+        (u64::MAX, 1e-17),
+        // 1 − p = 2⁻⁵³ exactly: ratios in (0, 19.4], mostly below 1.
+        (1000, 1.0 - f64::EPSILON / 2.0),
+        // A single pair.
+        (1, 0.5),
+        (1, 1e-9),
+        // Totals past 2⁵³ (not whole in f64, or rounding up to 2⁶⁴) with
+        // skips past 2⁵³, where `as u64` must still equal `floor`.
+        ((1 << 53) + 1, 1e-13),
+        ((1 << 62) + 12_345, 1e-16),
+        (u64::MAX, 1e-16),
+        (u64::MAX - 1, 3e-16),
+    ];
+
     #[test]
     fn skip_without_floor_agrees_with_the_floor_skip_at_the_edges() {
-        let cases: [(u64, f64); 9] = [
-            // 1 − p rounds to 1: ln(1 − p) = 0, every ratio is −∞.
-            (1000, 1e-17),
-            (u64::MAX, 1e-17),
-            // 1 − p = 2⁻⁵³ exactly: ratios in (0, 19.4], mostly below 1.
-            (1000, 1.0 - f64::EPSILON / 2.0),
-            // A single pair.
-            (1, 0.5),
-            (1, 1e-9),
-            // Totals past 2⁵³ (not whole in f64, or rounding up to 2⁶⁴) with
-            // skips past 2⁵³, where `as u64` must still equal `floor`.
-            ((1 << 53) + 1, 1e-13),
-            ((1 << 62) + 12_345, 1e-16),
-            (u64::MAX, 1e-16),
-            (u64::MAX - 1, 3e-16),
-        ];
-        for (case, &(total, prob)) in cases.iter().enumerate() {
+        for (case, &(total, prob)) in EDGE_CASES.iter().enumerate() {
             for seed in 0..20u64 {
                 let mut ours = ChaCha8Rng::seed_from_u64(seed);
                 let mut theirs = ours.clone();
@@ -567,39 +665,202 @@ mod tests {
         }
     }
 
+    /// Runs one [`SkipSampler`] to its end in chunks of `size`, checking
+    /// that only the last chunk is short.
+    fn sample_in_chunks<R: Rng>(
+        total: u64,
+        prob: f64,
+        rng: &mut R,
+        size: usize,
+    ) -> (Vec<u64>, u64) {
+        let mut sampler = SkipSampler::new(total, prob);
+        let (mut chunk, mut got) = (vec![0; size], Vec::new());
+        loop {
+            let k = sampler.fill(rng, &mut chunk);
+            assert!(
+                k == 0 || got.last().is_none_or(|&last| chunk[0] > last),
+                "a resumed chunk must continue above the last index handed out"
+            );
+            got.extend_from_slice(&chunk[..k]);
+            if k < size {
+                assert_eq!(
+                    sampler.fill(rng, &mut chunk),
+                    0,
+                    "a short chunk ends the walk"
+                );
+                return (got, sampler.draws());
+            }
+        }
+    }
+
     #[test]
-    fn survivor_pass_drops_known_pairs_and_merge_keeps_order() {
+    fn resumable_sampler_in_any_chunking_equals_the_one_shot_walk() {
+        let sizes = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1];
+        for (case, &(total, prob)) in EDGE_CASES.iter().enumerate() {
+            for seed in 0..20u64 {
+                for size in sizes {
+                    let mut ours = ChaCha8Rng::seed_from_u64(seed);
+                    let mut theirs = ours.clone();
+                    let (got, draws) = sample_in_chunks(total, prob, &mut ours, size);
+                    let (want, want_draws) = sample_with_floor(total, prob, &mut theirs);
+                    let at = format!("case {case} seed {seed} chunk {size}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(draws, want_draws, "{at}");
+                    assert_eq!(ours.next_u64(), theirs.next_u64(), "{at}");
+                }
+            }
+        }
+        // A rate that selects a few thousand indices, so every chunking
+        // resumes many times.
+        for size in sizes {
+            let mut ours = ChaCha8Rng::seed_from_u64(7);
+            let mut theirs = ours.clone();
+            let (got, draws) = sample_in_chunks(200_000, 0.02, &mut ours, size);
+            assert_eq!((got, draws), sample_with_floor(200_000, 0.02, &mut theirs));
+            assert_eq!(ours.next_u64(), theirs.next_u64(), "chunk {size}");
+        }
+        // `prob ≥ 1` selects every index without a draw; `prob ≤ 0` and
+        // `total = 0` select none.
+        let every: Vec<u64> = (0..3 * CHUNK as u64 + 5).collect();
+        for size in sizes {
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let fresh = rng.clone().next_u64();
+            for prob in [1.0, 1.5] {
+                let (got, draws) = sample_in_chunks(every.len() as u64, prob, &mut rng, size);
+                assert_eq!((got, draws), (every.clone(), 0), "chunk {size}");
+            }
+            for (total, prob) in [(0, 0.5), (0, 1.0), (100, 0.0)] {
+                let (got, draws) = sample_in_chunks(total, prob, &mut rng, size);
+                assert_eq!((got, draws), (vec![], 0), "chunk {size}");
+            }
+            assert_eq!(rng.next_u64(), fresh, "chunk {size}");
+        }
+    }
+
+    /// Runs [`merge_births`] on the marked list `list` above a gap of `gap`
+    /// free slots, handing it `candidates` in chunks of at most `size`, and
+    /// returns the post-step list and the gap left for the next step.
+    fn merge(list: &[u64], gap: usize, candidates: &[u64], size: usize) -> (Vec<u64>, usize) {
+        let mut alive = vec![0; gap];
+        alive.extend_from_slice(list);
+        let (mut gap, mut rest) = (gap, candidates);
+        merge_births(&mut alive, &mut gap, |chunk| {
+            let k = rest.len().min(chunk.len()).min(size);
+            chunk[..k].copy_from_slice(&rest[..k]);
+            rest = &rest[k..];
+            k
+        });
+        assert!(
+            rest.is_empty(),
+            "the merge stopped before the last candidate"
+        );
+        (alive[gap..].to_vec(), gap)
+    }
+
+    /// What the merge must return: the survivors of `list` and every
+    /// candidate equal to no entry of it, dead or alive, ascending.
+    fn merged(list: &[u64], candidates: &[u64]) -> Vec<u64> {
+        let keys: std::collections::BTreeSet<u64> = list.iter().map(|&x| x & !DEAD).collect();
+        let mut want: Vec<u64> = list.iter().copied().filter(|&x| x & DEAD == 0).collect();
+        want.extend(candidates.iter().copied().filter(|b| !keys.contains(b)));
+        want.sort_unstable();
+        want
+    }
+
+    #[test]
+    fn merge_drops_known_pairs_and_keeps_order() {
         // Entries 10, 12, …, 58 with 14 and 40 marked dead.
-        let mut alive: Vec<u64> = (10..60).step_by(2).collect();
-        alive[2] |= DEAD;
-        alive[15] |= DEAD;
+        let mut list: Vec<u64> = (10..60).step_by(2).collect();
+        list[2] |= DEAD;
+        list[15] |= DEAD;
         // Before the first entry; equal to the last entry of the first
         // block of `RUN` (24), so that block must not move past it; between
         // entries; equal to a dead entry; equal to the last entry; past it.
-        let mut born = vec![0, 9, 24, 25, 40, 41, 58, 59, 70];
-        drop_known_pairs(&mut alive, &mut born);
-        let survivors: Vec<u64> = (10..60)
+        let born = [0, 9, 24, 25, 40, 41, 58, 59, 70];
+        let mut want: Vec<u64> = (10..60)
             .step_by(2)
             .filter(|&k| k != 14 && k != 40)
+            .chain([0, 9, 25, 41, 59, 70])
             .collect();
-        assert_eq!(alive, survivors);
-        assert_eq!(born, [0, 9, 25, 41, 59, 70]);
-        merge_from_back(&mut alive, &born);
-        let mut want = survivors;
-        want.extend_from_slice(&born);
         want.sort_unstable();
-        assert_eq!(alive, want);
+        for gap in [0, 1, 6, 9, 40] {
+            for size in [1, 2, 3, CHUNK] {
+                let (got, left) = merge(&list, gap, &born, size);
+                assert_eq!(got, want, "gap {gap} chunk {size}");
+                assert!(left >= gap, "gap {gap} chunk {size}: the gap never shrinks");
+            }
+        }
 
         // Empty sides: nothing alive keeps every candidate; no candidates
         // only compacts.
-        let (mut alive, mut born) = (Vec::new(), vec![3, 5]);
-        drop_known_pairs(&mut alive, &mut born);
-        merge_from_back(&mut alive, &born);
-        assert_eq!(alive, [3, 5]);
-        let (mut alive, mut born) = (vec![1 | DEAD, 2, 3 | DEAD], Vec::new());
-        drop_known_pairs(&mut alive, &mut born);
-        merge_from_back(&mut alive, &born);
-        assert_eq!((alive, born), (vec![2], vec![]));
+        assert_eq!(merge(&[], 0, &[3, 5], CHUNK).0, [3, 5]);
+        assert_eq!(merge(&[1 | DEAD, 2, 3 | DEAD], 2, &[], CHUNK), (vec![2], 2));
+    }
+
+    #[test]
+    fn merge_doubles_the_gap_when_births_run_ahead_of_it() {
+        // Every birth precedes every entry, and one follows the last entry,
+        // so the entries and the end mark move up while the gap grows. A
+        // chunk of 21 candidates needs 21 free slots: 3 → 6 → 12 → 24.
+        let list: Vec<u64> = (100..140)
+            .map(|k| if k % 7 == 0 { k | DEAD } else { k })
+            .collect();
+        let born: Vec<u64> = (0..20).chain([500]).collect();
+        let want = merged(&list, &born);
+        assert_eq!(merge(&list, 3, &born, CHUNK), (want.clone(), 24));
+        // An empty gap doubles from one slot.
+        assert_eq!(merge(&list, 0, &born, CHUNK), (want.clone(), 32));
+        // Chunk by chunk the gap grows only as far as each chunk needs.
+        for size in [1, 2, 5] {
+            let (got, gap) = merge(&list, 0, &born, size);
+            assert_eq!(got, want, "chunk {size}");
+            assert!(
+                gap.is_power_of_two() && gap >= size,
+                "chunk {size}: gap {gap}"
+            );
+        }
+        // A gap as large as the births never grows.
+        assert_eq!(merge(&list, 21, &born, CHUNK), (want, 21));
+    }
+
+    #[test]
+    fn merge_moves_blocks_through_a_long_slow_churn_list() {
+        // 20 000 entries, every 97th dead, and a candidate every ~300 pair
+        // indices: most of the list lies in runs of more than `RUN` entries
+        // below the next candidate, which move as blocks. Candidates hit
+        // live entries, dead entries, block ends and the gaps between.
+        let list: Vec<u64> = (0..20_000u64)
+            .map(|i| 3 * i + 5)
+            .map(|k| if k % 97 == 0 { k | DEAD } else { k })
+            .collect();
+        let born: Vec<u64> = (0..200u64).map(|i| 301 * i + i % 4).collect();
+        let want = merged(&list, &born);
+        for size in [1, 7, CHUNK] {
+            assert_eq!(merge(&list, 2, &born, size).0, want, "chunk {size}");
+        }
+    }
+
+    #[test]
+    fn merge_agrees_with_the_set_reference_on_random_lists() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for case in 0..300 {
+            let space = rng.gen_range(1..400u64);
+            let (alive_rate, dead_rate) = (rng.gen::<f64>(), rng.gen::<f64>());
+            let birth_rate = rng.gen::<f64>();
+            let mut list = Vec::new();
+            let mut born = Vec::new();
+            for k in 0..space {
+                if rng.gen_bool(alive_rate) {
+                    list.push(if rng.gen_bool(dead_rate) { k | DEAD } else { k });
+                }
+                if rng.gen_bool(birth_rate) {
+                    born.push(k);
+                }
+            }
+            let (gap, size) = (rng.gen_range(0..50), rng.gen_range(1..2 * CHUNK));
+            let want = merged(&list, &born);
+            assert_eq!(merge(&list, gap, &born, size).0, want, "case {case}");
+        }
     }
 
     #[test]
@@ -614,7 +875,7 @@ mod tests {
         for step in 0..10 {
             let got = meg.advance().edges();
             let expected: Vec<(Node, Node)> = meg
-                .alive
+                .pairs()
                 .iter()
                 .map(|&idx| {
                     let (a, b) = pair_from_index(n as u64, idx);

@@ -446,15 +446,19 @@ fn cmd_run(args: &[String]) {
         progress,
     };
 
-    if format == OutputFormat::Csv {
-        println!("{CSV_HEADER}");
-    }
     if metrics.is_some() {
         meg_engine::obs::install();
     }
     let mut prev = meg_engine::obs::snapshot();
     let mut table_rows: Vec<Row> = Vec::new();
+    // The CSV header goes out with the first row, or after a run that
+    // emitted none: `run_sharded` validates the scenario (and any
+    // checkpoint) before its first row, so a rejected run prints nothing.
+    let mut csv_header_due = format == OutputFormat::Csv;
     let report = run_sharded(&scenario, seed, &opts, |cell, line| {
+        if std::mem::take(&mut csv_header_due) {
+            println!("{CSV_HEADER}");
+        }
         match format {
             OutputFormat::Json => println!("{line}"),
             OutputFormat::Csv => println!("{}", row_to_csv(&parse_row(line))),
@@ -465,6 +469,9 @@ fn cmd_run(args: &[String]) {
         }
     })
     .unwrap_or_else(|e| fail(&format!("run failed: {e}")));
+    if csv_header_due {
+        println!("{CSV_HEADER}");
+    }
     if let Some(mode) = metrics {
         harness::emit_metrics_summary_merged(mode, &report.worker_metrics);
     }

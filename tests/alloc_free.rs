@@ -20,8 +20,9 @@
 //! section covers the wrap-around lanes (the torus build mixes both metric
 //! monomorphisations, so each region gets its own bar). The
 //! sparse engine keeps its alive set in flat reused `Vec`s under both
-//! stepping modes (an ascending pair-index list merged in place per-pair, a
-//! swap-removed array under transitions), and both are held to the same bar.
+//! stepping modes (an ascending pair-index list merged in place per-pair, at
+//! fast and slow churn, a swap-removed array under transitions), and both are
+//! held to the same bar.
 //!
 //! The protocol layer is held to the same bar at `epidemic_threshold`'s
 //! operating point: `EpidemicMachine::step` on word-packed compartment sets
@@ -195,36 +196,51 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     );
 
     // --- sparse edge-MEG, per-pair stepping ------------------------------
-    // The `epidemic_threshold` operating point (n = 600, p̂ = 3·ln n/n,
-    // q = 0.5): deaths mark the ascending alive list in place, births merge
-    // into it from a reused buffer, so once both have reached their
-    // high-water capacity a round allocates nothing.
-    let phat = 3.0 * (600f64).ln() / 600.0;
-    let params = EdgeMegParams::with_stationary(600, phat, 0.5);
-    let mut sparse_pp = SparseEdgeMeg::stationary(params, 19);
-    for _ in 0..100 {
-        sparse_pp.advance();
-    }
-    let (sparse_pp_allocs, sparse_pp_edges) = allocations_during(|| {
-        let mut total = 0usize;
-        for _ in 0..200 {
-            total += sparse_pp.advance().num_edges();
+    // Deaths mark the ascending alive list in place, and births merge into
+    // it in one forward pass from a stack chunk, writing into the gap below
+    // the list, so once the list and the gap have reached their high-water
+    // capacity a round allocates nothing. Three operating points, all at
+    // p̂ = 3·ln n/n: `epidemic_threshold`'s (n = 600, q = 0.5); slow churn
+    // (n = 4000, q = 0.02), where most of the list moves in blocks; and
+    // n = 16 000, q = 0.5, the largest gap `edge_vs_n` keeps. (n, q, warm-up
+    // rounds, measured rounds):
+    for (n, q, warm_up, rounds) in [
+        (600usize, 0.5, 100, 200),
+        (4000, 0.02, 20, 40),
+        (16_000, 0.5, 4, 8),
+    ] {
+        let phat = 3.0 * (n as f64).ln() / n as f64;
+        let params = EdgeMegParams::with_stationary(n, phat, q);
+        let mut sparse_pp = SparseEdgeMeg::stationary(params, 19);
+        for _ in 0..warm_up {
+            sparse_pp.advance();
         }
-        total
-    });
-    assert!(sparse_pp_edges > 0, "sparse per-pair workload degenerated");
-    assert_eq!(
-        sparse_pp_allocs, 0,
-        "sparse per-pair advance() allocated {sparse_pp_allocs} times after warm-up"
-    );
+        let (sparse_pp_allocs, sparse_pp_edges) = allocations_during(|| {
+            let mut total = 0usize;
+            for _ in 0..rounds {
+                total += sparse_pp.advance().num_edges();
+            }
+            total
+        });
+        assert!(
+            sparse_pp_edges > 0,
+            "sparse per-pair workload degenerated at n = {n}"
+        );
+        assert_eq!(
+            sparse_pp_allocs, 0,
+            "sparse per-pair advance() at n = {n}, q = {q} allocated {sparse_pp_allocs} \
+             times after warm-up"
+        );
+    }
 
-    // --- epidemic round on the same operating point ----------------------
-    // `epidemic_threshold`'s SIS cell (contagion 0.5, d = 2, w = 0) on a
+    // --- epidemic round on `epidemic_threshold`'s operating point ---------
+    // Its SIS cell (contagion 0.5, d = 2, w = 0) on a
     // fresh sparse per-pair edge-MEG: the machine's compartment sets, timers
     // and its row, infection and walk buffers are all sized for n at
     // construction, so only the substrate's capacities need the warm-up.
     use meg::core::protocols::{EpidemicMachine, ProtocolMachine};
     use rand_chacha::ChaCha8Rng;
+    let phat = 3.0 * (600f64).ln() / 600.0;
     let params = EdgeMegParams::with_stationary(600, phat, 0.5);
     let mut contact = SparseEdgeMeg::stationary(params, 23);
     let mut sis = EpidemicMachine::new(600, 0, 0.5, 2, Some(0));
