@@ -283,6 +283,22 @@ PYEOF
     require_counters "edge chain pin" "$EDGE_REPORT" "edge_births 3272383" \
         "edge_deaths 3273368" "rng_draws 3284400" "rounds 193"
 
+    step "probe pin (full-scale general_bound and geo_expansion rows, checksummed)"
+    # The golden fixtures run the probe builtins at scale 0.1, where the
+    # expansion profile stops near h = 80. At full scale it reaches h = 750
+    # and BFS balls with large frontiers, where the sampler's early exit and
+    # its ball-frontier count do most of their work. Both checksums were
+    # taken from rows of the sampler that counted every |N(I)| to the end.
+    for want in "general_bound 3671838318 3913" "geo_expansion 3915816712 4233"; do
+        read -r name sum size <<< "$want"
+        GOT=$($MEG_LAB run "$name" --seed 2009 --format json | cksum)
+        [ "$GOT" = "$sum $size" ] || {
+            echo "probe pin: $name rows drifted (cksum $GOT, want $sum $size)" >&2
+            exit 1
+        }
+    done
+    echo "probe pin: general_bound and geo_expansion rows unchanged"
+
     step "bench baseline gate smoke (--baseline BENCH_GATE.json: calibration + one workload)"
     # Full-scale, ~1 s: the geo_flood_n4096 checksum must equal the recorded
     # one (12312) exactly, and its median must stay within 1.5x of the

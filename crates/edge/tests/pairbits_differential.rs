@@ -37,12 +37,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// Verbatim copy of `meg_edge::sparse::sample_bernoulli_indices` (which is
-/// deliberately `pub(crate)` — the skip-sampler is an implementation detail,
-/// not API). The reference engine must consume the RNG through the *same*
-/// draw sequence as the real transitions path, so the duplicate is the
-/// point: if the crate's sampler ever changes schedule, this copy stays put
-/// and the differential property fails loudly.
+/// The one-shot skip walk over `0..total` that the engine's transitions
+/// path draws through `meg_edge::sparse::sample_bernoulli_indices`, a loop
+/// over the resumable `SkipSampler` (both deliberately `pub(crate)` — the
+/// skip sampler is an implementation detail, not API). The reference engine
+/// must consume the RNG through the *same* draw sequence as the real
+/// transitions path, so the independent walk is the point: if the crate's
+/// sampler ever changes schedule, this walk stays put and the differential
+/// property fails loudly.
 fn sample_bernoulli_indices<R: Rng>(
     total: u64,
     prob: f64,

@@ -2,10 +2,11 @@
 //! historical `BTreeSet` implementation.
 //!
 //! `SparseEdgeMeg` keeps its per-pair alive set as an ascending flat
-//! `Vec<u64>`: deaths are marked in place, birth candidates are sampled bare,
-//! one forward pass compacts the survivors and drops the candidates that
-//! were alive before the step, the births are merged from the back, and the
-//! snapshot's rows are filled straight from the list. The contract is that
+//! `Vec<u64>` above a gap of free slots: deaths are marked in place, then one
+//! forward pass takes the birth candidates from the resumable skip sampler,
+//! 64 at a time, and writes from the front of the gap every survivor and
+//! every candidate that was not alive before the step, and the snapshot's
+//! rows are filled straight from the list. The contract is that
 //! the RNG schedule and all observable behaviour are **bit-identical** to the
 //! old engine, whose alive set was a `BTreeSet<u64>` stepped by `retain`
 //! (one `gen_bool(q)` per edge in ascending order) and skip-sampled births
@@ -38,10 +39,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BTreeSet;
 
-/// Verbatim copy of `meg_edge::sparse::sample_bernoulli_indices` (which is
-/// `pub(crate)`). The reference must consume the RNG through the same draw
-/// sequence as the engine, so if the crate's sampler ever changes schedule
-/// this copy stays put and the property fails loudly.
+/// The one-shot skip walk over `0..total` that the engine's resumable
+/// `SkipSampler` (`pub(crate)` in `meg_edge::sparse`) hands out in chunks.
+/// The reference must consume the RNG through the same draw sequence as the
+/// engine, so if the crate's sampler ever changes schedule this walk stays
+/// put and the property fails loudly.
 fn sample_bernoulli_indices<R: Rng>(
     total: u64,
     prob: f64,

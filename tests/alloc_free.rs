@@ -28,6 +28,11 @@
 //! operating point: `EpidemicMachine::step` on word-packed compartment sets
 //! with buffers sized at construction.
 //!
+//! The expansion probe keeps every per-sample buffer (the set, the BFS
+//! queue, the marks, the Fisher–Yates table) in one scratch allocated per
+//! `min_expansion_sampled` call, so a call allocates as often at 50 samples
+//! as at 2.
+//!
 //! The test counts `alloc` / `realloc` / `alloc_zeroed` calls around the
 //! measured loop on the test's own single thread; nothing else runs
 //! concurrently in this integration-test binary (one `#[test]`), so a
@@ -262,6 +267,37 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
         sis_allocs, 0,
         "EpidemicMachine::step allocated {sis_allocs} times after warm-up"
     );
+
+    // --- expansion probe on `general_bound`'s geometric cell -------------
+    // n = 1500 at the connectivity-threshold radius (R ≈ 5.41, r = R/2),
+    // mean degree ~90. Per-sample state lives in the call's scratch, so the
+    // allocation count does not grow with the sample count; h = 16 and
+    // h = n/2 cover small sets and balls with large frontiers.
+    use meg::graph::expansion::{min_expansion_sampled, SamplingStrategy};
+    let mut probe_geo = GeometricMeg::from_params(GeometricMegParams::new(1500, 2.705, 5.41), 31);
+    let snapshot = probe_geo.advance();
+    assert!(snapshot.num_edges() > 30_000, "probe snapshot degenerated");
+    for h in [16, 750] {
+        for strategy in [
+            SamplingStrategy::UniformSubsets,
+            SamplingStrategy::BfsBalls,
+            SamplingStrategy::Mixed,
+        ] {
+            let allocations = |samples| {
+                let mut rng = ChaCha8Rng::seed_from_u64(37);
+                allocations_during(|| {
+                    min_expansion_sampled(snapshot, h, samples, strategy, &mut rng)
+                })
+                .0
+            };
+            let (few, many) = (allocations(2), allocations(50));
+            assert_eq!(
+                few, many,
+                "min_expansion_sampled at h = {h}, {strategy:?} allocated {few} times at 2 \
+                 samples and {many} at 50"
+            );
+        }
+    }
 
     // --- raw SnapshotBuf delta rounds -------------------------------------
     // A ring with slack 2, hammered with kill/revive delta rounds plus
