@@ -84,10 +84,9 @@ fi
 echo "test count: $TEST_COUNT (floor $TEST_FLOOR)"
 
 if [ "$MODE" != "quick" ]; then
-    step "test-stats (gof + stepping-equivalence + delta-consistency, release)"
+    step "test-stats (gof + edge-MEG chain laws, release)"
     cargo test -q --release --offline -p meg-stats gof
-    cargo test -q --release --offline -p meg-edge --test stepping_equivalence
-    cargo test -q --release --offline -p meg-graph --test delta_consistency
+    cargo test -q --release --offline -p meg-edge --test chain_laws
     # The radius-graph oracle, culling and boundary tests, at release speed.
     cargo test -q --release --offline -p meg-geometric
 fi
@@ -195,15 +194,7 @@ for r in results:
 lines = [json.loads(l) for l in (d / "lines.jsonl").read_text().splitlines() if l.strip()]
 assert len(lines) == len(results), "stdout lines and document disagree"
 print(f"bench-smoke: {len(results)} workloads, JSON well-formed")
-# A/B stepping pair: the per-pair and transitions dense-flood workloads run
-# the same population, so both must be present and report sane medians.
 by_name = {r["bench"]: r for r in results}
-a = by_name.get("edge_dense_flood_n4096")
-b = by_name.get("edge_dense_flood_fast_n4096")
-assert a and b, "stepping A/B pair missing from bench results"
-ratio = a["median_ms"] / b["median_ms"] if b["median_ms"] > 0 else float("inf")
-print(f"bench-smoke A/B: dense_flood per_pair {a['median_ms']:.2f} ms vs "
-      f"transitions {b['median_ms']:.2f} ms ({ratio:.1f}x at smoke scale)")
 # Golden checksum: the scale-0.1 dense flood is fully deterministic, so its
 # checksum is a behaviour fingerprint of the whole stepping + flooding
 # pipeline — any drift in the RNG schedule or snapshot contents changes it.
@@ -508,8 +499,12 @@ PYEOF
     rm -rf "$OBS_DIR"
 
     step "metrics overhead guard (dense stepping bench, on/off median ratio ≤ 1.05)"
+    # 31 repetitions: on an unchanged tree the on/off median ratio of this
+    # workload went past 1.05 in 1 of 8 runs at 5 repetitions and 4 of 16
+    # at 15, and stayed within 0.99–1.04 in 8 of 8 at 31; a recorder whose
+    # span drop costs the workload ~9% read 1.06–1.10 at 31.
     OVERHEAD_OUT=$(cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
-        bench --overhead edge_dense_flood_fast_n4096 --repetitions 5 --warmup 2 --scale 0.25)
+        bench --overhead edge_dense_flood_n4096 --repetitions 31 --warmup 2 --scale 0.25)
     python3 - "$OVERHEAD_OUT" <<'PYEOF'
 import json, sys
 m = json.loads(sys.argv[1].splitlines()[0])

@@ -173,7 +173,7 @@ impl EvolvingGraph for RotatingBridge {
 mod tests {
     use super::*;
     use crate::flooding::flood;
-    use meg_graph::{diameter, Graph};
+    use meg_graph::{diameter, AdjacencyList, Graph};
 
     #[test]
     fn rotating_star_snapshots_have_constant_diameter() {
@@ -231,16 +231,15 @@ mod tests {
         assert!(r.completion_time().unwrap() <= 4);
     }
 
-    /// The rows the old staged build gave: each edge pushed once, a row
-    /// listing its node's edges in push order.
+    /// The rows the old staged build gave: each edge added once, in push
+    /// order, to an adjacency list, so a row lists its node's edges in that
+    /// order.
     fn staged_rows(n: usize, edges: impl IntoIterator<Item = (Node, Node)>) -> Vec<Vec<Node>> {
-        let mut buf = SnapshotBuf::new();
-        buf.begin(n);
+        let mut g = AdjacencyList::new(n);
         for (u, v) in edges {
-            buf.push_edge(u, v);
+            g.add_edge_unchecked(u, v);
         }
-        buf.build();
-        rows(&buf)
+        (0..n as Node).map(|u| g.neighbors(u).to_vec()).collect()
     }
 
     fn rows(buf: &SnapshotBuf) -> Vec<Vec<Node>> {

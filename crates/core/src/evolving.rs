@@ -37,32 +37,15 @@ pub enum InitialDistribution {
     Full,
 }
 
-/// How an edge-MEG realises the per-edge two-state chains each round.
+/// How an edge-MEG realises the per-edge two-state chains each round: one
+/// Bernoulli draw per pair per round, the only mode.
 ///
-/// Both modes sample *exactly* the same process — `C(n,2)` independent
-/// birth/death chains — but consume randomness differently, so their RNG
-/// streams (and therefore individual trajectories at equal seeds) diverge:
-///
-/// * [`PerPair`](Stepping::PerPair) draws one Bernoulli per pair per round
-///   (`O(n²)` draws). This is the reference implementation and the default;
-///   all pre-existing golden fixtures are pinned to it.
-/// * [`Transitions`](Stepping::Transitions) steps by *flips only*: holding
-///   times of the two-state chain are geometric, so the next flip of each
-///   edge slot can be skip-sampled (`⌈ln U / ln(1−rate)⌉`) instead of
-///   re-flipping a coin every round. Per-round cost drops to
-///   `O(1 + p·N_pairs + q·|E|)` over flat arrays, and `advance` emits the
-///   flips as a delta into the snapshot instead of rebuilding it.
-///
-/// Statistical equivalence of the two modes is enforced by the
-/// `stepping_equivalence` test suite (chi-square/KS against the closed-form
-/// laws and against a `PerPair` reference run).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Kept only because `perfbench/src/trace.rs` still passes it to
+/// `SparseEdgeMeg::with_stepping`; the next benchmark change deletes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stepping {
-    /// One Bernoulli draw per pair per round (reference path, default).
-    #[default]
+    /// One Bernoulli draw per pair per round.
     PerPair,
-    /// Geometric skip-sampled flip calendar + snapshot deltas (fast path).
-    Transitions,
 }
 
 /// A dynamic graph process over a fixed node set `[n]`.

@@ -59,6 +59,6 @@ pub mod flooding;
 pub mod protocols;
 pub mod spec;
 
-pub use evolving::{EvolvingGraph, FrozenGraph, InitialDistribution, Stepping};
+pub use evolving::{EvolvingGraph, FrozenGraph, InitialDistribution};
 pub use expansion::ExpanderSequence;
 pub use flooding::{flood, flood_static};

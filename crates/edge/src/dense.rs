@@ -1,10 +1,9 @@
 //! Dense edge-MEG engine: one explicit Markov-chain state per potential edge.
 //!
-//! Under the default [`Stepping::PerPair`] every step touches all `C(n, 2)`
-//! pairs, so stepping is `O(n²)` per snapshot. It is the exact,
-//! obviously-correct reference used to validate the sparse engine, and it is
-//! perfectly adequate for the dense regimes (`p̂ = Ω(1)`) and for `n` up to a
-//! few thousand.
+//! Every step touches all `C(n, 2)` pairs, so stepping is `O(n²)` per
+//! snapshot. It is the exact, obviously-correct reference used to validate
+//! the sparse engine, and it is perfectly adequate for the dense regimes
+//! (`p̂ = Ω(1)`) and for `n` up to a few thousand.
 //!
 //! The per-pair states live in a word-packed [`PairBits`] (64 pairs per
 //! `u64`), not a `Vec<bool>`: stepping runs word-at-a-time through
@@ -15,30 +14,14 @@
 //! the old observed/unobserved loop split — and snapshot rebuilds fill the
 //! CSR straight from the set bits, walked with `trailing_zeros` instead of
 //! scanning all `C(n, 2)` flags.
-//!
-//! [`Stepping::Transitions`] keeps the same per-pair state for `O(1)`
-//! membership tests (now single-bit probes) but steps by *flips only*:
-//! holding times of the two-state chain are geometric, so deaths are
-//! skip-sampled as positions in a flat alive-index array (rate `q`) and
-//! births as pair indices over the whole triangle (rate `p`, pre-step-alive
-//! candidates rejected). The flips are applied to the snapshot as a CSR delta
-//! ([`SnapshotBuf::apply_delta`]) instead of rebuilding it, making a round
-//! `O(1 + p·C(n,2) + q·|E|)` — sub-linear in the pair count for the sparse
-//! and moderate regimes the paper's theorems live in.
 
-use crate::model::{EdgeMegParams, MAX_TRANSITION_PAIRS};
-use crate::sparse::sample_bernoulli_indices;
-use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
-use meg_graph::generators::{pair_from_index, RowWalker};
-use meg_graph::{Node, PairBits, SnapshotBuf};
+use crate::model::EdgeMegParams;
+use meg_core::evolving::{EvolvingGraph, InitialDistribution};
+use meg_graph::{PairBits, SnapshotBuf};
 use meg_markov::{bernoulli_word, gen_bool_threshold, WordStepper};
 use meg_obs as obs;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-
-/// Spare target slots reserved per CSR row by the transition-stepping path,
-/// so a typical round's births fit without a rebuild.
-pub(crate) const DELTA_SLACK: u32 = 4;
 
 /// Edge-MEG with a dense per-pair state vector.
 #[derive(Clone, Debug)]
@@ -52,46 +35,11 @@ pub struct DenseEdgeMeg {
     rng: StdRng,
     snapshot: SnapshotBuf,
     time: u64,
-    stepping: Stepping,
-    /// Flat array of alive pair indices (transition stepping only): deaths
-    /// are skip-sampled as positions in this array and swap-removed.
-    alive_idx: Vec<u32>,
-    /// Whether the snapshot currently mirrors `alive` (transition stepping
-    /// builds it once, then maintains it by deltas).
-    snapshot_synced: bool,
-    /// Scratch: sampled birth pair indices of the current round.
-    birth_idx: Vec<u32>,
-    /// Scratch: sampled death positions into `alive_idx` (increasing).
-    death_pos: Vec<u32>,
-    /// Scratch: this round's flips as endpoint pairs, fed to `apply_delta`.
-    births: Vec<(Node, Node)>,
-    deaths: Vec<(Node, Node)>,
 }
 
 impl DenseEdgeMeg {
-    /// Creates the evolving graph with the given initial distribution and
-    /// the default per-pair stepping.
+    /// Creates the evolving graph with the given initial distribution.
     pub fn new(params: EdgeMegParams, init: InitialDistribution, seed: u64) -> Self {
-        Self::with_stepping(params, init, Stepping::PerPair, seed)
-    }
-
-    /// Creates the evolving graph with an explicit stepping mode.
-    ///
-    /// Both modes sample the same process; they consume randomness in a
-    /// different order, so trajectories at equal seeds differ (the
-    /// `stepping_equivalence` suite checks the laws agree). The initial state
-    /// is drawn identically, so `G_0` matches across modes at equal seeds.
-    pub fn with_stepping(
-        params: EdgeMegParams,
-        init: InitialDistribution,
-        stepping: Stepping,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            stepping != Stepping::Transitions || params.num_pairs() <= MAX_TRANSITION_PAIRS,
-            "transition stepping indexes pairs with u32; n={} has too many pairs",
-            params.n
-        );
         let chain = params.chain();
         let mut rng = StdRng::seed_from_u64(seed);
         let num_pairs = params.num_pairs() as usize;
@@ -114,10 +62,6 @@ impl DenseEdgeMeg {
                 bits
             }
         };
-        let mut alive_idx = Vec::new();
-        if stepping == Stepping::Transitions {
-            alive_idx.extend(alive.ones().map(|k| k as u32));
-        }
         DenseEdgeMeg {
             params,
             alive,
@@ -125,24 +69,12 @@ impl DenseEdgeMeg {
             rng,
             snapshot: SnapshotBuf::with_nodes(params.n),
             time: 0,
-            stepping,
-            alive_idx,
-            snapshot_synced: false,
-            birth_idx: Vec::new(),
-            death_pos: Vec::new(),
-            births: Vec::new(),
-            deaths: Vec::new(),
         }
     }
 
     /// Stationary-start constructor (the paper's setting).
     pub fn stationary(params: EdgeMegParams, seed: u64) -> Self {
         Self::new(params, InitialDistribution::Stationary, seed)
-    }
-
-    /// The stepping mode this engine was built with.
-    pub fn stepping(&self) -> Stepping {
-        self.stepping
     }
 
     /// The model parameters.
@@ -192,60 +124,6 @@ impl DenseEdgeMeg {
         obs::add(obs::Counter::EdgeBirths, born);
         obs::add(obs::Counter::EdgeDeaths, died);
     }
-
-    /// Transition stepping: sample only the pairs that flip this round and
-    /// record them as a delta in `births`/`deaths`.
-    ///
-    /// Births are drawn first (against the pre-step state), because the model
-    /// forbids a same-round death→rebirth: an edge alive at `t` that dies is
-    /// absent at `t+1` regardless of the birth coin it would have drawn.
-    ///
-    /// Returns the number of RNG draws the two skip-sampling passes consumed
-    /// (aggregated here, flushed to the metrics counters once per round).
-    fn step_transitions(&mut self) -> u64 {
-        let total = self.params.num_pairs();
-        let n = self.params.n as u64;
-        let p = self.params.p;
-        let q = self.params.q;
-        self.birth_idx.clear();
-        self.death_pos.clear();
-        self.births.clear();
-        self.deaths.clear();
-        // Births: every pair absent before this step turns on w.p. p. The
-        // pre-step membership test is a single-bit probe.
-        let alive = &self.alive;
-        let birth_idx = &mut self.birth_idx;
-        let mut draws = sample_bernoulli_indices(total, p, &mut self.rng, |k| {
-            if !alive.get(k as usize) {
-                birth_idx.push(k as u32);
-            }
-        });
-        // Deaths: every alive edge dies w.p. q — sampled as *positions* in
-        // the flat alive-index array (the array order is arbitrary but the
-        // marks are i.i.d., so any order samples the same law).
-        let death_pos = &mut self.death_pos;
-        draws += sample_bernoulli_indices(self.alive_idx.len() as u64, q, &mut self.rng, |pos| {
-            death_pos.push(pos as u32);
-        });
-        // Apply deaths in decreasing position order: swap_remove only ever
-        // moves elements from beyond the positions still to be processed.
-        for i in (0..self.death_pos.len()).rev() {
-            let pos = self.death_pos[i] as usize;
-            let k = self.alive_idx.swap_remove(pos);
-            self.alive.clear(k as usize);
-            let (a, b) = pair_from_index(n, k as u64);
-            self.deaths.push((a as Node, b as Node));
-        }
-        // Apply births.
-        for i in 0..self.birth_idx.len() {
-            let k = self.birth_idx[i];
-            self.alive.set(k as usize);
-            self.alive_idx.push(k);
-            let (a, b) = pair_from_index(n, k as u64);
-            self.births.push((a as Node, b as Node));
-        }
-        draws
-    }
 }
 
 impl EvolvingGraph for DenseEdgeMeg {
@@ -255,55 +133,18 @@ impl EvolvingGraph for DenseEdgeMeg {
 
     fn advance(&mut self) -> &SnapshotBuf {
         let _span = obs::span("advance");
-        match self.stepping {
-            Stepping::PerPair => {
-                // From the second call on, the chain first moves the edge
-                // states from t−1 to t; snapshot G_t then reflects them, and
-                // no step is drawn past the last snapshot anyone reads.
-                if self.time > 0 {
-                    let _step = obs::span("step");
-                    self.step_per_pair();
-                }
-                // The set bits walk in ascending pair-index order, which is
-                // row-major order over the triangle: `O(words + n + m)`.
-                let _build = obs::span("build");
-                let pairs = self.alive.ones().map(|k| k as u64);
-                self.snapshot.build_from_pairs(self.params.n, pairs);
-            }
-            Stepping::Transitions => {
-                // The snapshot persistently mirrors the edge states: built in
-                // full (with row slack) on the first call, then maintained by
-                // per-round deltas. The chain steps at the *start* of each
-                // later call — the k-th advance returns `G_{k−1}`, exactly
-                // like the per-pair path.
-                if !self.snapshot_synced {
-                    let _build = obs::span("build");
-                    self.snapshot.begin(self.params.n);
-                    let mut rows = RowWalker::new(self.params.n);
-                    for k in self.alive.ones() {
-                        let (a, b) = rows.pair(k as u64);
-                        self.snapshot.push_edge(a, b);
-                    }
-                    self.snapshot.build_with_slack(DELTA_SLACK);
-                    self.snapshot_synced = true;
-                } else {
-                    let draws = {
-                        let _step = obs::span("step");
-                        self.step_transitions()
-                    };
-                    let outcome = {
-                        let _build = obs::span("build");
-                        self.snapshot.apply_delta(&self.births, &self.deaths)
-                    };
-                    if obs::installed() {
-                        obs::add(obs::Counter::EdgeBirths, self.births.len() as u64);
-                        obs::add(obs::Counter::EdgeDeaths, self.deaths.len() as u64);
-                        obs::add(obs::Counter::RngDraws, draws);
-                        obs::record_delta(outcome.is_rebuilt(), outcome.rebuild_bytes() as u64);
-                    }
-                }
-            }
+        // From the second call on, the chain first moves the edge states from
+        // t−1 to t; snapshot G_t then reflects them, and no step is drawn
+        // past the last snapshot anyone reads.
+        if self.time > 0 {
+            let _step = obs::span("step");
+            self.step_per_pair();
         }
+        // The set bits walk in ascending pair-index order, which is
+        // row-major order over the triangle: `O(words + n + m)`.
+        let _build = obs::span("build");
+        let pairs = self.alive.ones().map(|k| k as u64);
+        self.snapshot.build_from_pairs(self.params.n, pairs);
         self.time += 1;
         &self.snapshot
     }
@@ -317,7 +158,8 @@ impl EvolvingGraph for DenseEdgeMeg {
 mod tests {
     use super::*;
     use meg_core::flooding::flood;
-    use meg_graph::{degree, Graph};
+    use meg_graph::generators::pair_from_index;
+    use meg_graph::{degree, Graph, Node};
 
     /// The alive pairs as endpoint tuples in index order (the private-state
     /// reference the snapshots are checked against).
@@ -379,36 +221,6 @@ mod tests {
         for step in 0..10 {
             let got = meg.advance().edges();
             assert_eq!(got, alive_pairs(&meg.alive, 60), "step {step}");
-        }
-    }
-
-    #[test]
-    fn transition_stepping_matches_g0_and_tracks_state_exactly() {
-        let params = EdgeMegParams::with_stationary(80, 0.12, 0.35);
-        let mut per_pair = DenseEdgeMeg::stationary(params, 99);
-        let mut fast = DenseEdgeMeg::with_stepping(
-            params,
-            InitialDistribution::Stationary,
-            Stepping::Transitions,
-            99,
-        );
-        // The initial state is drawn identically, so G_0 agrees byte-for-byte.
-        assert_eq!(per_pair.advance().edges(), fast.advance().edges());
-        // Every later delta-maintained snapshot must mirror the private state
-        // vector exactly (the same invariant the per-pair path is tested on).
-        // Under transition stepping the chain steps at the start of `advance`,
-        // so the state and the returned snapshot coincide afterwards.
-        for step in 0..60 {
-            fast.advance();
-            let expected = alive_pairs(&fast.alive, 80);
-            let mut got = fast.snapshot.edges();
-            got.sort_unstable();
-            assert_eq!(got, expected, "step {step}");
-            assert_eq!(
-                fast.snapshot.num_edges(),
-                fast.alive_idx.len(),
-                "step {step}"
-            );
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::model::EdgeMegParams;
 use crate::{DenseEdgeMeg, SparseEdgeMeg};
-use meg_core::evolving::{InitialDistribution, Stepping};
+use meg_core::evolving::InitialDistribution;
 use meg_graph::{generators, AdjacencyList};
 use rand::Rng;
 
@@ -30,20 +30,10 @@ pub enum AutoEdgeMeg {
 impl AutoEdgeMeg {
     /// Builds the engine best suited to the configuration's density.
     pub fn new(params: EdgeMegParams, init: InitialDistribution, seed: u64) -> Self {
-        Self::with_stepping(params, init, Stepping::PerPair, seed)
-    }
-
-    /// Builds the density-selected engine with an explicit stepping mode.
-    pub fn with_stepping(
-        params: EdgeMegParams,
-        init: InitialDistribution,
-        stepping: Stepping,
-        seed: u64,
-    ) -> Self {
         if params.prefers_sparse_engine() {
-            AutoEdgeMeg::Sparse(SparseEdgeMeg::with_stepping(params, init, stepping, seed))
+            AutoEdgeMeg::Sparse(SparseEdgeMeg::new(params, init, seed))
         } else {
-            AutoEdgeMeg::Dense(DenseEdgeMeg::with_stepping(params, init, stepping, seed))
+            AutoEdgeMeg::Dense(DenseEdgeMeg::new(params, init, seed))
         }
     }
 

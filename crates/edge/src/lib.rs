@@ -14,12 +14,11 @@
 //!   step costs `O(m_alive + births)`; this is what makes the sparse regimes
 //!   (`p̂ = Θ(log n / n)`, `n` up to 10⁵⁻⁶) tractable.
 //!
-//! Both engines additionally support `Stepping::Transitions`
-//! (`meg_core::evolving::Stepping`): holding times of the per-edge chain are
-//! geometric, so instead of a coin per pair per round only the *flips* are
-//! sampled (skip-sampling = walking the next-flip-time calendar) and applied
-//! to the snapshot as a CSR delta. Same process, different RNG schedule; the
-//! `stepping_equivalence` test suite pins the statistical equivalence.
+//! Both engines step every pair's chain every round and fill the snapshot's
+//! CSR straight from the ascending alive pair indices. They consume
+//! randomness differently, so trajectories at equal seeds differ; the
+//! `chain_laws` test suite checks both against the chain's closed-form laws
+//! and against each other.
 //!
 //! [`init`] provides the stationary / empty / full initialisations used by the
 //! stationary-vs-worst-case gap experiments.
@@ -56,5 +55,5 @@ pub mod model;
 pub mod sparse;
 
 pub use dense::DenseEdgeMeg;
-pub use model::{EdgeMegParams, MAX_TRANSITION_PAIRS};
+pub use model::EdgeMegParams;
 pub use sparse::SparseEdgeMeg;

@@ -4,12 +4,6 @@ use meg_core::bounds::EdgeBounds;
 use meg_core::evolving::InitialDistribution;
 use meg_markov::TwoStateChain;
 
-/// The most node pairs `Stepping::Transitions` can index: both engines keep
-/// its pair indices as `u32`, so `n ≥ 92_683` (`C(n, 2) > u32::MAX`) needs
-/// per-pair stepping. The engines assert it; scenario resolution checks it
-/// first and reports an input error.
-pub const MAX_TRANSITION_PAIRS: u64 = u32::MAX as u64;
-
 /// Parameters of an edge-MEG `M(n, p, q)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeMegParams {
@@ -94,9 +88,7 @@ impl EdgeMegParams {
     /// `N·(1−p̂)·p` births plus `N·p̂·q` deaths, which are equal
     /// (detailed balance), giving `2N·pq/(p+q)`.
     ///
-    /// This is the per-round work of `Stepping::Transitions`; comparing it
-    /// against [`num_pairs`](EdgeMegParams::num_pairs) (the per-round work of
-    /// per-pair stepping) predicts the fast path's speedup.
+    /// The sparse engine sizes the free gap below its alive list from it.
     pub fn expected_stationary_flips(&self) -> f64 {
         let s = self.p + self.q;
         if s == 0.0 {

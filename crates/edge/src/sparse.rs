@@ -13,132 +13,72 @@
 //!   rule), so each *absent* pair independently turns on with probability `p`,
 //!   exactly as the model prescribes.
 
-use crate::dense::DELTA_SLACK;
-use crate::model::{EdgeMegParams, MAX_TRANSITION_PAIRS};
+use crate::model::EdgeMegParams;
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
-use meg_graph::generators::pair_from_index;
-use meg_graph::{Graph, Node, SnapshotBuf};
+use meg_graph::SnapshotBuf;
 use meg_markov::gen_bool_threshold;
 use meg_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// Top bit of an entry of the per-pair alive list: set on the edges that die
-/// in the current step, so the list keeps the pre-step set until the merge.
-/// Pair indices never use it: `n(n−1)` fits in a `u64`, so `C(n, 2) < 2⁶³`.
+/// Top bit of an entry of the alive list: set on the edges that die in the
+/// current step, so the list keeps the pre-step set until the merge. Pair
+/// indices never use it: `n(n−1)` fits in a `u64`, so `C(n, 2) < 2⁶³`.
 const DEAD: u64 = 1 << 63;
 
 /// Edge-MEG storing only the alive edges.
 ///
-/// Under the default [`Stepping::PerPair`] the alive set is an ascending flat
-/// `Vec<u64>` of pair indices kept above a gap of free slots: deaths draw one
-/// Bernoulli per entry in that order, and one forward pass writes the
-/// survivors and the births from the front of the buffer as the skip sampler
-/// hands out its candidates, one chunk at a time, then puts the list back
-/// above the gap; the snapshot's rows are filled straight from the list — no
-/// tree, no candidate buffer, no per-edge square root, no per-round
-/// allocation after warm-up. Under
-/// [`Stepping::Transitions`] it is a flat `Vec<u32>` of pair indices instead:
-/// deaths are skip-sampled as positions in that array and swap-removed,
-/// births are skip-sampled pair indices checked against the pre-step snapshot,
-/// and the snapshot is maintained by deltas rather than rebuilt.
+/// The alive set is an ascending flat `Vec<u64>` of pair indices kept above
+/// a gap of free slots: deaths draw one Bernoulli per entry in that order,
+/// and one forward pass writes the survivors and the births from the front
+/// of the buffer as the skip sampler hands out its candidates, one chunk at
+/// a time, then puts the list back above the gap; the snapshot's rows are
+/// filled straight from the list — no tree, no candidate buffer, no per-edge
+/// square root, no per-round allocation after warm-up.
 #[derive(Clone, Debug)]
 pub struct SparseEdgeMeg {
     params: EdgeMegParams,
-    /// Per-pair stepping: `alive[gap..]` holds the linear pair indices of the
-    /// alive edges, strictly ascending outside a step, and `alive[..gap]` is
-    /// the room the step's merge writes into. The death phase consumes its
-    /// RNG draws in this order, so trajectories are a function of the seed
-    /// alone, and the order is also row-major, so the snapshot is built
-    /// straight from it ([`SnapshotBuf::build_from_pairs`]).
+    /// `alive[gap..]` holds the linear pair indices of the alive edges,
+    /// strictly ascending outside a step, and `alive[..gap]` is the room the
+    /// step's merge writes into. The death phase consumes its RNG draws in
+    /// this order, so trajectories are a function of the seed alone, and the
+    /// order is also row-major, so the snapshot is built straight from it
+    /// ([`SnapshotBuf::build_from_pairs`]).
     alive: Vec<u64>,
-    /// Free slots below the alive list (per-pair stepping). It starts at the
-    /// square root of a stationary round's expected flips, the scale on which
-    /// births run ahead of deaths, is kept across steps, and doubles whenever
-    /// a step's births run ahead of it.
+    /// Free slots below the alive list. It starts at the square root of a
+    /// stationary round's expected flips, the scale on which births run
+    /// ahead of deaths, is kept across steps, and doubles whenever a step's
+    /// births run ahead of it.
     gap: usize,
     rng: StdRng,
     snapshot: SnapshotBuf,
     time: u64,
-    stepping: Stepping,
-    /// Flat alive pair-index array (transition stepping only; order is
-    /// arbitrary after the first swap-remove, which is fine because death
-    /// marks are i.i.d. across positions).
-    alive_vec: Vec<u32>,
-    /// Whether the snapshot currently mirrors the alive set (transition
-    /// stepping builds it once, then maintains it by deltas).
-    snapshot_synced: bool,
-    /// Scratch buffers for the per-round flips (transition stepping).
-    birth_idx: Vec<u32>,
-    death_pos: Vec<u32>,
-    births: Vec<(Node, Node)>,
-    deaths: Vec<(Node, Node)>,
 }
 
 impl SparseEdgeMeg {
-    /// Creates the evolving graph with the given initial distribution and
-    /// the default per-pair stepping.
+    /// Creates the evolving graph with the given initial distribution.
     pub fn new(params: EdgeMegParams, init: InitialDistribution, seed: u64) -> Self {
-        Self::with_stepping(params, init, Stepping::PerPair, seed)
-    }
-
-    /// Creates the evolving graph with an explicit stepping mode.
-    ///
-    /// The initial alive set is drawn identically in both modes (same RNG
-    /// draws), so `G_0` matches across modes at equal seeds; trajectories
-    /// then diverge because the modes consume randomness differently.
-    pub fn with_stepping(
-        params: EdgeMegParams,
-        init: InitialDistribution,
-        stepping: Stepping,
-        seed: u64,
-    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let total_pairs = params.num_pairs();
+        // √(a stationary round's expected flips): the scale on which a
+        // round's births run ahead of its deaths, which is the lead the
+        // merge's writes take on its reads. A round that runs further ahead
+        // doubles it.
+        let gap = params.expected_stationary_flips().sqrt().ceil() as usize;
+        // Sized once, for the gap and the mean count plus six standard
+        // deviations: growing by doubling instead leaves a trail of freed
+        // blocks that raised the peak memory of two-thread sweeps by a few
+        // MB.
+        let mean = params.expected_stationary_edges();
         let mut alive: Vec<u64> = Vec::new();
-        let mut gap = 0;
-        let mut alive_vec: Vec<u32> = Vec::new();
-        match stepping {
-            Stepping::PerPair => {
-                // √(a stationary round's expected flips): the scale on which
-                // a round's births run ahead of its deaths, which is the
-                // lead the merge's writes take on its reads. A round that
-                // runs further ahead doubles it.
-                gap = params.expected_stationary_flips().sqrt().ceil() as usize;
-                // Sized once, for the gap and the mean count plus six
-                // standard deviations: growing by doubling instead leaves a
-                // trail of freed blocks that raised the peak memory of
-                // two-thread sweeps by a few MB.
-                let mean = params.expected_stationary_edges();
-                alive.reserve_exact(gap + (mean + 6.0 * mean.sqrt()) as usize + 64);
-                alive.resize(gap, 0);
-                match init {
-                    InitialDistribution::Empty => {}
-                    InitialDistribution::Full => alive.extend(0..total_pairs),
-                    InitialDistribution::Stationary => {
-                        let phat = params.stationary_edge_probability();
-                        sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| {
-                            alive.push(idx)
-                        });
-                    }
-                }
-            }
-            Stepping::Transitions => {
-                assert!(
-                    total_pairs <= MAX_TRANSITION_PAIRS,
-                    "transition stepping indexes pairs with u32; n={} has too many pairs",
-                    params.n
-                );
-                match init {
-                    InitialDistribution::Empty => {}
-                    InitialDistribution::Full => alive_vec = (0..total_pairs as u32).collect(),
-                    InitialDistribution::Stationary => {
-                        let phat = params.stationary_edge_probability();
-                        sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| {
-                            alive_vec.push(idx as u32);
-                        });
-                    }
-                }
+        alive.reserve_exact(gap + (mean + 6.0 * mean.sqrt()) as usize + 64);
+        alive.resize(gap, 0);
+        match init {
+            InitialDistribution::Empty => {}
+            InitialDistribution::Full => alive.extend(0..total_pairs),
+            InitialDistribution::Stationary => {
+                let phat = params.stationary_edge_probability();
+                sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| alive.push(idx));
             }
         }
         SparseEdgeMeg {
@@ -148,14 +88,20 @@ impl SparseEdgeMeg {
             rng,
             snapshot: SnapshotBuf::with_nodes(params.n),
             time: 0,
-            stepping,
-            alive_vec,
-            snapshot_synced: false,
-            birth_idx: Vec::new(),
-            death_pos: Vec::new(),
-            births: Vec::new(),
-            deaths: Vec::new(),
         }
+    }
+
+    /// [`new`](SparseEdgeMeg::new): per-pair stepping is the only mode.
+    ///
+    /// Kept only because `perfbench/src/trace.rs` still calls it; the next
+    /// benchmark change deletes it.
+    pub fn with_stepping(
+        params: EdgeMegParams,
+        init: InitialDistribution,
+        _stepping: Stepping,
+        seed: u64,
+    ) -> Self {
+        Self::new(params, init, seed)
     }
 
     /// Stationary-start constructor (the paper's setting).
@@ -168,23 +114,14 @@ impl SparseEdgeMeg {
         self.params
     }
 
-    /// The stepping mode this engine was built with.
-    pub fn stepping(&self) -> Stepping {
-        self.stepping
-    }
-
     /// Number of currently alive edges: after an
     /// [`advance`](EvolvingGraph::advance), the edge count of the snapshot
     /// it returned (the chain steps at the start of the next call).
     pub fn alive_edges(&self) -> usize {
-        match self.stepping {
-            Stepping::PerPair => self.pairs().len(),
-            Stepping::Transitions => self.alive_vec.len(),
-        }
+        self.pairs().len()
     }
 
-    /// The ascending alive list of per-pair stepping (empty under
-    /// transitions).
+    /// The ascending alive list.
     fn pairs(&self) -> &[u64] {
         &self.alive[self.gap..]
     }
@@ -197,7 +134,8 @@ impl SparseEdgeMeg {
         self.rng.clone().next_u64()
     }
 
-    /// Per-pair stepping on the ascending alive list. The RNG schedule is
+    /// One step of every pair's chain on the ascending alive list. The RNG
+    /// schedule is
     /// one death draw per alive edge in ascending index order (only when
     /// `q > 0`), then the birth skip-sampling over all pairs (only when
     /// `p > 0`).
@@ -238,51 +176,6 @@ impl SparseEdgeMeg {
             obs::add(obs::Counter::EdgeBirths, born);
             obs::add(obs::Counter::RngDraws, births.draws());
         }
-    }
-
-    /// Transition stepping: sample only the flips of this round against the
-    /// flat alive array and the pre-step snapshot, recording them as a delta.
-    ///
-    /// Births are sampled first (rejected against the snapshot, which still
-    /// mirrors the pre-step edge set) because a same-round death must not
-    /// re-enable a birth; deaths are then sampled as positions in `alive_vec`
-    /// and applied by swap-remove in decreasing position order.
-    ///
-    /// Returns the number of RNG draws the two skip-sampling passes consumed
-    /// (aggregated here, flushed to the metrics counters once per round).
-    fn step_transitions(&mut self) -> u64 {
-        let total = self.params.num_pairs();
-        let n = self.params.n as u64;
-        let p = self.params.p;
-        let q = self.params.q;
-        self.birth_idx.clear();
-        self.death_pos.clear();
-        self.births.clear();
-        self.deaths.clear();
-        let snapshot = &self.snapshot;
-        let birth_idx = &mut self.birth_idx;
-        let births = &mut self.births;
-        let mut draws = sample_bernoulli_indices(total, p, &mut self.rng, |idx| {
-            let (a, b) = pair_from_index(n, idx);
-            if !snapshot.has_edge(a as Node, b as Node) {
-                birth_idx.push(idx as u32);
-                births.push((a as Node, b as Node));
-            }
-        });
-        let death_pos = &mut self.death_pos;
-        draws += sample_bernoulli_indices(self.alive_vec.len() as u64, q, &mut self.rng, |pos| {
-            death_pos.push(pos as u32);
-        });
-        for i in (0..self.death_pos.len()).rev() {
-            let pos = self.death_pos[i] as usize;
-            let k = self.alive_vec.swap_remove(pos);
-            let (a, b) = pair_from_index(n, k as u64);
-            self.deaths.push((a as Node, b as Node));
-        }
-        for i in 0..self.birth_idx.len() {
-            self.alive_vec.push(self.birth_idx[i]);
-        }
-        draws
     }
 }
 
@@ -381,10 +274,9 @@ fn merge_births(alive: &mut Vec<u64>, gap: &mut usize, mut fill: impl FnMut(&mut
 /// indices in ascending order.
 ///
 /// This is the one sampler behind the sparse engine's stationary draw and
-/// birth phase and the `Stepping::Transitions` fast path of *both* engines:
-/// the skip `⌊ln U / ln(1−prob)⌋` is exactly a geometric holding time, so
-/// visiting the selected indices is equivalent to walking a pre-drawn
-/// next-flip-time calendar without materialising it. However the calls cut
+/// birth phase: the skip `⌊ln U / ln(1−prob)⌋` is a geometric gap, so
+/// visiting the selected indices costs one draw per selected index instead
+/// of one per index. However the calls cut
 /// the walk into chunks, the indices, the draws and their order are those of
 /// one uninterrupted walk.
 pub(crate) struct SkipSampler {
@@ -502,51 +394,16 @@ impl EvolvingGraph for SparseEdgeMeg {
 
     fn advance(&mut self) -> &SnapshotBuf {
         let _span = obs::span("advance");
-        match self.stepping {
-            Stepping::PerPair => {
-                // The chain steps at the start of every call but the first,
-                // so the k-th call returns `G_{k−1}` and no step is drawn
-                // past the last snapshot anyone reads.
-                if self.time > 0 {
-                    let _step = obs::span("step");
-                    self.step_chain();
-                }
-                let _build = obs::span("build");
-                self.snapshot
-                    .build_from_pairs(self.params.n, self.alive[self.gap..].iter().copied());
-            }
-            Stepping::Transitions => {
-                // The snapshot persistently mirrors the alive set: full build
-                // with row slack on the first call, per-round deltas after
-                // that (stepping lazily, like the per-pair path).
-                if !self.snapshot_synced {
-                    let _build = obs::span("build");
-                    self.snapshot.begin(self.params.n);
-                    let n = self.params.n as u64;
-                    for i in 0..self.alive_vec.len() {
-                        let (a, b) = pair_from_index(n, self.alive_vec[i] as u64);
-                        self.snapshot.push_edge(a as Node, b as Node);
-                    }
-                    self.snapshot.build_with_slack(DELTA_SLACK);
-                    self.snapshot_synced = true;
-                } else {
-                    let draws = {
-                        let _step = obs::span("step");
-                        self.step_transitions()
-                    };
-                    let outcome = {
-                        let _build = obs::span("build");
-                        self.snapshot.apply_delta(&self.births, &self.deaths)
-                    };
-                    if obs::installed() {
-                        obs::add(obs::Counter::EdgeBirths, self.births.len() as u64);
-                        obs::add(obs::Counter::EdgeDeaths, self.deaths.len() as u64);
-                        obs::add(obs::Counter::RngDraws, draws);
-                        obs::record_delta(outcome.is_rebuilt(), outcome.rebuild_bytes() as u64);
-                    }
-                }
-            }
+        // The chain steps at the start of every call but the first, so the
+        // k-th call returns `G_{k−1}` and no step is drawn past the last
+        // snapshot anyone reads.
+        if self.time > 0 {
+            let _step = obs::span("step");
+            self.step_chain();
         }
+        let _build = obs::span("build");
+        self.snapshot
+            .build_from_pairs(self.params.n, self.alive[self.gap..].iter().copied());
         self.time += 1;
         &self.snapshot
     }
@@ -561,7 +418,8 @@ mod tests {
     use super::*;
     use crate::dense::DenseEdgeMeg;
     use meg_core::flooding::flood;
-    use meg_graph::{degree, Graph};
+    use meg_graph::generators::pair_from_index;
+    use meg_graph::{degree, Graph, Node};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -883,44 +741,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(got, expected, "step {step}");
-        }
-    }
-
-    #[test]
-    fn transition_stepping_matches_g0_and_tracks_state_exactly() {
-        let n = 150usize;
-        let params = EdgeMegParams::with_stationary(n, 0.04, 0.3);
-        let mut per_pair = SparseEdgeMeg::stationary(params, 71);
-        let mut fast = SparseEdgeMeg::with_stepping(
-            params,
-            InitialDistribution::Stationary,
-            Stepping::Transitions,
-            71,
-        );
-        // Identical initial skip-sampling draws → identical G_0.
-        assert_eq!(per_pair.advance().edges(), fast.advance().edges());
-        // Later snapshots must mirror the flat alive array exactly (the
-        // chain steps at the start of `advance`, so state and snapshot
-        // coincide afterwards).
-        for step in 0..60 {
-            fast.advance();
-            let mut expected: Vec<(Node, Node)> = fast
-                .alive_vec
-                .iter()
-                .map(|&k| {
-                    let (a, b) = pair_from_index(n as u64, k as u64);
-                    (a as Node, b as Node)
-                })
-                .collect();
-            expected.sort_unstable();
-            let mut got = fast.snapshot.edges();
-            got.sort_unstable();
-            assert_eq!(got, expected, "step {step}");
-            assert_eq!(
-                fast.snapshot.num_edges(),
-                fast.alive_vec.len(),
-                "step {step}"
-            );
         }
     }
 

@@ -7,28 +7,24 @@
 //! to the historical `Vec<bool>` implementation (one `gen_bool` per pair in
 //! ascending index order). This suite rebuilds that historical engine from
 //! first principles — a `Vec<bool>` state vector driven by scalar `gen_bool`
-//! / skip-sampling calls — and property-checks, over arbitrary
-//! `(n, p, q, seed, rounds, stepping)`:
+//! calls — and property-checks, over arbitrary `(n, p, q, seed, rounds)`:
 //!
-//! * every returned snapshot's edge set,
+//! * every returned snapshot's edge set, in row order,
 //! * the `meg-obs` flip/draw counters of every step,
 //! * and the engine RNG cursor and alive count after every step (via
 //!   [`DenseEdgeMeg::rng_cursor_probe`])
 //!
 //! agree exactly between the packed engine and the reference.
 //!
-//! Both steppings step lazily in the engine, at the start of every
-//! `advance` but the first. The transitions reference does too, so it is
-//! compared round for round. The per-pair reference builds and then steps:
-//! the step it drew at the end of round `r − 1` is the one the engine draws
-//! in round `r`, so for per-pair stepping the counters, the RNG cursor and
-//! the alive count are compared one round later.
+//! The engine steps lazily, at the start of every `advance` but the first.
+//! The reference builds and then steps: the step it drew at the end of round
+//! `r − 1` is the one the engine draws in round `r`, so the counters, the RNG
+//! cursor and the alive count are compared one round later.
 //!
-//! The two stepping modes cannot run as separate `#[test]`s here: the
-//! counter comparison installs the process-global `meg-obs` recorder, so
-//! both modes are exercised inside the single property below.
+//! The counter comparison installs the process-global `meg-obs` recorder, so
+//! the whole grid runs inside the single property below.
 
-use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
+use meg_core::evolving::{EvolvingGraph, InitialDistribution};
 use meg_edge::{DenseEdgeMeg, EdgeMegParams};
 use meg_graph::generators::pair_from_index;
 use meg_graph::Node;
@@ -36,55 +32,6 @@ use meg_obs as obs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-
-/// The one-shot skip walk over `0..total` that the engine's transitions
-/// path draws through `meg_edge::sparse::sample_bernoulli_indices`, a loop
-/// over the resumable `SkipSampler` (both deliberately `pub(crate)` — the
-/// skip sampler is an implementation detail, not API). The reference engine
-/// must consume the RNG through the *same* draw sequence as the real
-/// transitions path, so the independent walk is the point: if the crate's
-/// sampler ever changes schedule, this walk stays put and the differential
-/// property fails loudly.
-fn sample_bernoulli_indices<R: Rng>(
-    total: u64,
-    prob: f64,
-    rng: &mut R,
-    mut visit: impl FnMut(u64),
-) -> u64 {
-    if prob <= 0.0 || total == 0 {
-        return 0;
-    }
-    if prob >= 1.0 {
-        for idx in 0..total {
-            visit(idx);
-        }
-        return 0;
-    }
-    let log_q = (1.0 - prob).ln();
-    let mut idx: u64 = 0;
-    let mut draws: u64 = 0;
-    loop {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        draws += 1;
-        let skip = (u.ln() / log_q).floor();
-        if !skip.is_finite() || skip >= (total as f64) {
-            break;
-        }
-        idx = match idx.checked_add(skip as u64) {
-            Some(v) => v,
-            None => break,
-        };
-        if idx >= total {
-            break;
-        }
-        visit(idx);
-        idx += 1;
-        if idx >= total {
-            break;
-        }
-    }
-    draws
-}
 
 /// What one reference round observed: the snapshot the real engine must
 /// return this round, plus the counter deltas it must record.
@@ -101,38 +48,22 @@ struct ReferenceDense {
     p: f64,
     q: f64,
     alive: Vec<bool>,
-    /// Flat alive-index array of the transitions path (same maintenance
-    /// discipline as the real engine: deaths swap-remove, births push).
-    alive_idx: Vec<u32>,
     rng: StdRng,
-    stepping: Stepping,
-    /// Transitions stepping builds the snapshot on the first advance and
-    /// steps the chain only on later ones.
-    synced: bool,
 }
 
 impl ReferenceDense {
-    fn stationary(n: usize, p: f64, q: f64, stepping: Stepping, seed: u64) -> Self {
+    fn stationary(n: usize, p: f64, q: f64, seed: u64) -> Self {
         let params = EdgeMegParams::new(n, p, q);
         let phat = params.chain().stationary_edge_probability();
         let mut rng = StdRng::seed_from_u64(seed);
         let num_pairs = params.num_pairs() as usize;
         let alive: Vec<bool> = (0..num_pairs).map(|_| rng.gen_bool(phat)).collect();
-        let alive_idx = alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(k, _)| k as u32)
-            .collect();
         ReferenceDense {
             n,
             p,
             q,
             alive,
-            alive_idx,
             rng,
-            stepping,
-            synced: false,
         }
     }
 
@@ -166,67 +97,15 @@ impl ReferenceDense {
         (born, died)
     }
 
-    /// Births skip-sampled over the triangle, then deaths over the alive
-    /// array; applied deaths-first in decreasing position order — the exact
-    /// discipline (and RNG order) of `DenseEdgeMeg::step_transitions`.
-    fn step_transitions(&mut self) -> (u64, u64, u64) {
-        let total = self.alive.len() as u64;
-        let mut birth_idx: Vec<u32> = Vec::new();
-        let mut death_pos: Vec<u32> = Vec::new();
-        let alive = &self.alive;
-        let mut draws = sample_bernoulli_indices(total, self.p, &mut self.rng, |k| {
-            if !alive[k as usize] {
-                birth_idx.push(k as u32);
-            }
-        });
-        draws +=
-            sample_bernoulli_indices(self.alive_idx.len() as u64, self.q, &mut self.rng, |pos| {
-                death_pos.push(pos as u32);
-            });
-        for i in (0..death_pos.len()).rev() {
-            let pos = death_pos[i] as usize;
-            let k = self.alive_idx.swap_remove(pos);
-            self.alive[k as usize] = false;
-        }
-        for &k in &birth_idx {
-            self.alive[k as usize] = true;
-            self.alive_idx.push(k);
-        }
-        (birth_idx.len() as u64, death_pos.len() as u64, draws)
-    }
-
     fn advance(&mut self) -> RefRound {
-        match self.stepping {
-            Stepping::PerPair => {
-                // Snapshot first (G_t), then the chain moves to t+1.
-                let edges = self.edges();
-                let (births, deaths) = self.step_per_pair();
-                RefRound {
-                    edges,
-                    births,
-                    deaths,
-                    rng_draws: 0,
-                }
-            }
-            Stepping::Transitions => {
-                if !self.synced {
-                    self.synced = true;
-                    RefRound {
-                        edges: self.edges(),
-                        births: 0,
-                        deaths: 0,
-                        rng_draws: 0,
-                    }
-                } else {
-                    let (births, deaths, rng_draws) = self.step_transitions();
-                    RefRound {
-                        edges: self.edges(),
-                        births,
-                        deaths,
-                        rng_draws,
-                    }
-                }
-            }
+        // Snapshot first (G_t), then the chain moves to t+1.
+        let edges = self.edges();
+        let (births, deaths) = self.step_per_pair();
+        RefRound {
+            edges,
+            births,
+            deaths,
+            rng_draws: 0,
         }
     }
 
@@ -234,9 +113,8 @@ impl ReferenceDense {
         self.rng.clone().next_u64()
     }
 
-    /// Alive pairs of the *current* chain state (post-step after `advance`;
-    /// one step ahead of the snapshot `advance` returned under per-pair
-    /// stepping, in sync with it under transitions stepping).
+    /// Alive pairs of the *current* chain state (post-step after `advance`,
+    /// one step ahead of the snapshot `advance` returned).
     fn alive_count(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
     }
@@ -252,7 +130,7 @@ fn counter(deltas: &[(&'static str, u64)], name: &str) -> u64 {
 
 /// Maps a selector + raw uniform to a rate that visits the extremes often:
 /// `0` (frozen), `1` (certain flip) and `0.5` exercise different branches of
-/// both the word stepper and the skip sampler than generic rates do.
+/// the word stepper than generic rates do.
 fn rate(selector: u32, raw: f64) -> f64 {
     match selector {
         0 | 1 => 0.0,
@@ -274,23 +152,12 @@ proptest! {
         q_raw in 0.0f64..1.0,
         seed in 0u64..1_000_000_000,
         rounds in 0usize..8,
-        transitions in proptest::bool::ANY,
     ) {
         let p = rate(p_sel, p_raw);
         let q = rate(q_sel, q_raw);
-        let stepping = if transitions {
-            Stepping::Transitions
-        } else {
-            Stepping::PerPair
-        };
         let params = EdgeMegParams::new(n, p, q);
-        let mut real = DenseEdgeMeg::with_stepping(
-            params,
-            InitialDistribution::Stationary,
-            stepping,
-            seed,
-        );
-        let mut reference = ReferenceDense::stationary(n, p, q, stepping, seed);
+        let mut real = DenseEdgeMeg::new(params, InitialDistribution::Stationary, seed);
+        let mut reference = ReferenceDense::stationary(n, p, q, seed);
 
         // The stationary draw itself must leave both RNGs at the same cursor.
         prop_assert_eq!(
@@ -299,30 +166,24 @@ proptest! {
             "RNG cursor diverged during stationary init"
         );
 
-        // Per-pair: what the engine must show after its next round, the
-        // reference's state one round back (no step yet before round 0).
+        // What the engine must show after its next round: the reference's
+        // state one round back (no step yet before round 0).
         let mut lagged = ((0, 0, 0), reference.alive_count(), reference.rng_cursor_probe());
         obs::install();
         for round in 0..rounds {
             let before = obs::snapshot();
-            let mut got: Vec<(Node, Node)> = real.advance().edges();
+            let got: Vec<(Node, Node)> = real.advance().edges();
             let after = obs::snapshot();
             let want = reference.advance();
 
-            // Transitions maintains CSR rows in place, so within-row order
-            // is maintenance order; the *set* must agree, so compare sorted.
-            got.sort_unstable();
+            // Rows ascend, so the CSR row order is the pair-index order.
             prop_assert_eq!(&got, &want.edges, "round {}: edge sets differ", round);
             let now = (
                 (want.births, want.deaths, want.rng_draws),
                 reference.alive_count(),
                 reference.rng_cursor_probe(),
             );
-            let ((births, deaths, rng_draws), alive, cursor) = if transitions {
-                now
-            } else {
-                std::mem::replace(&mut lagged, now)
-            };
+            let ((births, deaths, rng_draws), alive, cursor) = std::mem::replace(&mut lagged, now);
             prop_assert_eq!(
                 real.alive_edges(),
                 alive,

@@ -10,8 +10,10 @@
 //! the RNG schedule and all observable behaviour are **bit-identical** to the
 //! old engine, whose alive set was a `BTreeSet<u64>` stepped by `retain`
 //! (one `gen_bool(q)` per edge in ascending order) and skip-sampled births
-//! rejected through `SnapshotBuf::has_edge`. This suite keeps a verbatim copy
-//! of that engine and property-checks, over arbitrary
+//! rejected through the snapshot's `has_edge`. This suite keeps a copy of
+//! that engine, its snapshot an adjacency list with each alive pair added in
+//! ascending order (the push order of the old staged CSR build), and
+//! property-checks, over arbitrary
 //! `(n, p, q, seed, init, rounds)` with `n` up to the low hundreds:
 //!
 //! * every returned snapshot, row by row, so within-row neighbor order — the
@@ -32,7 +34,7 @@
 use meg_core::evolving::{EvolvingGraph, InitialDistribution};
 use meg_edge::{EdgeMegParams, SparseEdgeMeg};
 use meg_graph::generators::pair_from_index;
-use meg_graph::{Graph, Node, SnapshotBuf};
+use meg_graph::{AdjacencyList, Graph, Node};
 use meg_obs as obs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,7 +94,7 @@ struct ReferenceSparse {
     params: EdgeMegParams,
     alive: BTreeSet<u64>,
     rng: StdRng,
-    snapshot: SnapshotBuf,
+    snapshot: AdjacencyList,
 }
 
 /// Counter deltas one reference round must reproduce.
@@ -121,18 +123,17 @@ impl ReferenceSparse {
             params,
             alive,
             rng,
-            snapshot: SnapshotBuf::with_nodes(params.n),
+            snapshot: AdjacencyList::new(params.n),
         }
     }
 
     fn rebuild_snapshot(&mut self) {
-        self.snapshot.begin(self.params.n);
+        self.snapshot = AdjacencyList::new(self.params.n);
         let n = self.params.n as u64;
         for &idx in &self.alive {
             let (a, b) = pair_from_index(n, idx);
-            self.snapshot.push_edge(a as Node, b as Node);
+            self.snapshot.add_edge_unchecked(a as Node, b as Node);
         }
-        self.snapshot.build();
     }
 
     fn step_chain(&mut self) -> RefCounts {
@@ -179,10 +180,10 @@ impl ReferenceSparse {
     }
 }
 
-/// Every CSR row in stored order: the edge set plus each row's push order.
-fn rows(snap: &SnapshotBuf) -> Vec<Vec<Node>> {
+/// Every row in stored order: the edge set plus each row's push order.
+fn rows(snap: &impl Graph) -> Vec<Vec<Node>> {
     (0..snap.num_nodes() as Node)
-        .map(|u| snap.neighbors(u).to_vec())
+        .map(|u| snap.neighbors_vec(u))
         .collect()
 }
 

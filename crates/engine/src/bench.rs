@@ -11,10 +11,7 @@
 //! Results render as machine-readable JSON (see [`results_to_json`]); the
 //! committed `BENCH_PR5.json` at the repository root records the
 //! pre/post-refactor trajectory of the allocation-free snapshot pipeline and
-//! is the template every future perf PR extends. `BENCH_PR6.json` records
-//! the stepping A/B pairs (`edge_*_flood_n*` vs `edge_*_flood_fast_n*`):
-//! equal parameters and seeds, per-pair vs transitions stepping, interleaved
-//! runs. Every workload returns a
+//! is the template every future perf PR extends. Every workload returns a
 //! `checksum` folded from its observable output; it is recorded in the JSON
 //! so (a) the optimiser cannot dead-code-eliminate the work and (b) two
 //! harness runs on the same code can be spot-checked for identical behaviour.
@@ -36,7 +33,7 @@
 //! ```
 
 use crate::json::Json;
-use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
+use meg_core::evolving::{EvolvingGraph, InitialDistribution};
 use meg_core::flooding::flood;
 use meg_core::protocols::push_pull_gossip;
 use meg_core::spec;
@@ -212,9 +209,7 @@ pub fn bench_names() -> Vec<&'static str> {
         "edge_dense_snapshots_n2048",
         "push_pull_geo_n2048",
         "edge_dense_flood_n4096",
-        "edge_dense_flood_fast_n4096",
         "edge_sparse_flood_n65536",
-        "edge_sparse_flood_fast_n65536",
         CALIBRATION,
     ]
 }
@@ -256,38 +251,30 @@ fn scaled_n(base: usize, scale: f64) -> usize {
     ((base as f64 * scale).round() as usize).max(16)
 }
 
-/// Trials and sequential floods per trial of the dense stepping A/B pair.
-const DENSE_AB_TRIALS: u64 = 3;
-const DENSE_AB_FLOODS: usize = 8;
+/// Trials and sequential floods per trial of `edge_dense_flood_n4096`.
+const DENSE_TRIALS: u64 = 3;
+const DENSE_FLOODS: usize = 8;
 
-/// Shared body of the dense stepping A/B pair: identical parameters and
-/// seeds, the stepping mode is the *only* difference between the two
-/// workload names, so `median(A)/median(B)` is the fast path's speedup.
+/// Body of `edge_dense_flood_n4096`: the dense engine's per-round stepping
+/// at slow churn.
 ///
 /// Each trial builds one long-lived MEG and floods it from several sources
 /// in sequence (the chain keeps evolving across floods). A single flood
 /// completes in a handful of rounds, so the one-off `O(C(n,2))` stationary
-/// initialisation — identical work in both modes — would otherwise dominate
-/// the measurement and mask the per-round stepping difference the pair
-/// exists to expose.
+/// initialisation would otherwise dominate the measurement and mask the
+/// per-round stepping cost.
 ///
-/// `q = 0.1` keeps the stationary density at `p̂` while thinning the flip
-/// calendar (expected flips/round scale with `2p̂q`): the regime the
-/// transitions path is built for, and the one the flooding scenarios above
-/// threshold actually sit in — slowly-churning sparse graphs.
-fn dense_flood_ab(n: usize, stepping: Stepping) -> (Vec<(String, f64)>, f64) {
+/// `q = 0.1` keeps the stationary density at `p̂` while slowing the churn
+/// (expected flips/round scale with `2p̂q`): the regime the flooding
+/// scenarios above threshold sit in — slowly-churning sparse graphs.
+fn dense_flood(n: usize) -> (Vec<(String, f64)>, f64) {
     let p_hat = (4.0 * (n as f64).ln() / n as f64).min(0.9);
     let params = EdgeMegParams::with_stationary(n, p_hat, 0.1);
     let mut sum = 0.0;
-    for i in 0..DENSE_AB_TRIALS {
-        let mut meg = DenseEdgeMeg::with_stepping(
-            params,
-            InitialDistribution::Stationary,
-            stepping,
-            BENCH_SEED + i,
-        );
-        for f in 0..DENSE_AB_FLOODS {
-            let source = (f * n / DENSE_AB_FLOODS) as u32;
+    for i in 0..DENSE_TRIALS {
+        let mut meg = DenseEdgeMeg::new(params, InitialDistribution::Stationary, BENCH_SEED + i);
+        for f in 0..DENSE_FLOODS {
+            let source = (f * n / DENSE_FLOODS) as u32;
             let r = flood(&mut meg, source, 100_000);
             sum += r.rounds as f64 + r.informed_count() as f64;
         }
@@ -295,24 +282,19 @@ fn dense_flood_ab(n: usize, stepping: Stepping) -> (Vec<(String, f64)>, f64) {
     (
         vec![
             ("n".into(), n as f64),
-            ("trials".into(), DENSE_AB_TRIALS as f64),
-            ("floods".into(), DENSE_AB_FLOODS as f64),
+            ("trials".into(), DENSE_TRIALS as f64),
+            ("floods".into(), DENSE_FLOODS as f64),
         ],
         sum,
     )
 }
 
-/// Shared body of the sparse stepping A/B pair (single trial: at the full
+/// Body of `edge_sparse_flood_n65536` (single trial: at the full
 /// `n = 65536` one flood already visits ~10⁶ alive edges per round).
-fn sparse_flood_ab(n: usize, stepping: Stepping) -> (Vec<(String, f64)>, f64) {
+fn sparse_flood(n: usize) -> (Vec<(String, f64)>, f64) {
     let p_hat = (3.0 * (n as f64).ln() / n as f64).min(0.9);
     let params = EdgeMegParams::with_stationary(n, p_hat, 0.5);
-    let mut meg = SparseEdgeMeg::with_stepping(
-        params,
-        InitialDistribution::Stationary,
-        stepping,
-        BENCH_SEED,
-    );
+    let mut meg = SparseEdgeMeg::new(params, InitialDistribution::Stationary, BENCH_SEED);
     let r = flood(&mut meg, 0, 100_000);
     (
         vec![("n".into(), n as f64), ("trials".into(), 1.0)],
@@ -441,19 +423,8 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
                 r.rounds as f64 + r.informed_count() as f64,
             ))
         }
-        // PR 6 A/B pairs — per-pair reference vs geometric skip-sampled
-        // transitions, equal parameters, interleave the two names to compare.
-        "edge_dense_flood_n4096" => Some(dense_flood_ab(scaled_n(4096, scale), Stepping::PerPair)),
-        "edge_dense_flood_fast_n4096" => {
-            Some(dense_flood_ab(scaled_n(4096, scale), Stepping::Transitions))
-        }
-        "edge_sparse_flood_n65536" => {
-            Some(sparse_flood_ab(scaled_n(65536, scale), Stepping::PerPair))
-        }
-        "edge_sparse_flood_fast_n65536" => Some(sparse_flood_ab(
-            scaled_n(65536, scale),
-            Stepping::Transitions,
-        )),
+        "edge_dense_flood_n4096" => Some(dense_flood(scaled_n(4096, scale))),
+        "edge_sparse_flood_n65536" => Some(sparse_flood(scaled_n(65536, scale))),
         CALIBRATION => Some(calibration(scaled_n(CALIBRATION_ROUNDS, scale))),
         _ => None,
     }
@@ -634,28 +605,6 @@ mod tests {
             );
             assert!(r.checksum.is_finite() && r.checksum > 0.0, "{name}");
             assert!(!r.params.is_empty(), "{name}");
-        }
-    }
-
-    #[test]
-    fn stepping_ab_pairs_flood_the_same_population() {
-        for (a, b) in [
-            ("edge_dense_flood_n4096", "edge_dense_flood_fast_n4096"),
-            ("edge_sparse_flood_n65536", "edge_sparse_flood_fast_n65536"),
-        ] {
-            let ra = run_bench(a, &TINY).unwrap();
-            let rb = run_bench(b, &TINY).unwrap();
-            assert_eq!(ra.params, rb.params, "{a} vs {b} must share parameters");
-            // Both modes flood the full population; only the per-flood round
-            // counts (single digits above threshold) may differ between the
-            // two RNG schedules. The dense pair runs 3 trials × 8 sequential
-            // floods, so allow ~10 rounds of drift per flood.
-            assert!(
-                (ra.checksum - rb.checksum).abs() < 250.0,
-                "{a}={} vs {b}={}",
-                ra.checksum,
-                rb.checksum
-            );
         }
     }
 

@@ -40,10 +40,6 @@
 //!   --trials N            trials per cell    (default: MEG_TRIALS or scenario)
 //!   --scale F             node-count scale   (default: MEG_SCALE or 1)
 //!   --format table|json|csv                  (default: MEG_OUTPUT or table)
-//!   --stepping per_pair|transitions
-//!                         override the chain stepping mode of every edge
-//!                         substrate (default: whatever the scenario declares;
-//!                         `transitions` is the sub-linear fast path)
 //!   --metrics report|jsonl
 //!                         install the meg-obs recorder and emit counters,
 //!                         gauges, and span timings to stderr after the run
@@ -83,7 +79,7 @@
 use meg_engine::dist::{merge_dir, run_sharded, worker, DistOptions, ShardSpec, ShardStrategy};
 use meg_engine::harness::{self, MetricsMode};
 use meg_engine::run::Row;
-use meg_engine::scenario::{Scenario, SteppingKind, Substrate};
+use meg_engine::scenario::Scenario;
 use meg_engine::sink::{row_to_csv, rows_to_table, OutputFormat, CSV_HEADER};
 use meg_engine::{builtin, builtin_names, Json};
 use std::path::PathBuf;
@@ -93,7 +89,7 @@ const USAGE: &str = "usage:
   meg-lab show <name>
   meg-lab run <name | --file scenario.json> \\
           [--seed N] [--trials N] [--scale F] [--format table|json|csv] \\
-          [--stepping per_pair|transitions] [--metrics report|jsonl] \\
+          [--metrics report|jsonl] \\
           [--target-stderr EPS] [--min-trials N] [--max-trials N] \\
           [--shard i/m] [--strategy contiguous|round_robin] [--workers K] \\
           [--out DIR] [--resume DIR] [--limit N] [--worker-fail-after N] \\
@@ -271,7 +267,6 @@ fn cmd_run(args: &[String]) {
     let mut seed: Option<u64> = None;
     let mut trials: Option<usize> = None;
     let mut scale: Option<f64> = None;
-    let mut stepping: Option<SteppingKind> = None;
     let mut format: Option<OutputFormat> = None;
     let mut target_stderr: Option<f64> = None;
     let mut min_trials: Option<usize> = None;
@@ -301,12 +296,6 @@ fn cmd_run(args: &[String]) {
             "--seed" => seed = Some(SEED.flag(&flag_value("--seed"))),
             "--trials" => trials = Some(TRIALS.flag(&flag_value("--trials"))),
             "--scale" => scale = Some(SCALE.flag(&flag_value("--scale"))),
-            "--stepping" => {
-                stepping = Some(
-                    SteppingKind::from_id(&flag_value("--stepping"))
-                        .unwrap_or_else(|_| fail("--stepping must be per_pair or transitions")),
-                )
-            }
             "--format" => format = Some(FORMAT.flag(&flag_value("--format"))),
             "--target-stderr" => {
                 target_stderr = Some(TARGET_STDERR.flag(&flag_value("--target-stderr")))
@@ -380,15 +369,6 @@ fn cmd_run(args: &[String]) {
     let mut scenario = pristine.scaled(SCALE.or_env(scale).unwrap_or(1.0));
     if let Some(t) = TRIALS.or_env(trials) {
         scenario.trials = t;
-    }
-    if let Some(mode) = stepping {
-        // The flag overrides every edge substrate; other families have no
-        // stepping knob, so the flag is inert for them by design.
-        for sub in &mut scenario.substrates {
-            if let Substrate::Edge { stepping, .. } = sub {
-                *stepping = mode;
-            }
-        }
     }
     // The adaptive budget's environment defaults are validated even when
     // no target is set, like every other knob.

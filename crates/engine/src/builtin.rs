@@ -8,7 +8,7 @@
 
 use crate::scenario::{
     AdversarialKind, EdgeEngine, InitKind, MobilityKind, MoveRadiusSpec, PHatSpec, Param,
-    Precision, Protocol, RadiusSpec, Scenario, StaticKind, SteppingKind, Substrate, Sweep,
+    Precision, Protocol, RadiusSpec, Scenario, StaticKind, Substrate, Sweep,
 };
 
 /// Round budget used by flooding scenarios: generous enough that only
@@ -96,7 +96,6 @@ pub fn edge_vs_n() -> Scenario {
             p_hat: PHatSpec::LogFactor(3.0),
             q: 0.5,
             init: InitKind::Stationary,
-            stepping: SteppingKind::PerPair,
         }],
         protocols: vec![Protocol::Flooding],
         sweep: Sweep::over(Param::N, [1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0])
@@ -147,7 +146,6 @@ pub fn protocol_variants() -> Scenario {
                 p_hat: PHatSpec::LogFactor(4.0),
                 q: 0.2,
                 init: InitKind::Stationary,
-                stepping: SteppingKind::PerPair,
             },
             Substrate::Geometric {
                 n: 1_500,
@@ -218,7 +216,6 @@ pub fn edge_vs_density() -> Scenario {
             p_hat: PHatSpec::LogFactor(3.0),
             q: 0.5,
             init: InitKind::Stationary,
-            stepping: SteppingKind::PerPair,
         }],
         protocols: vec![Protocol::Flooding],
         sweep: Sweep::over(Param::PHatFactor, [3.0, 6.0, 12.0, 30.0, 80.0, 240.0]),
@@ -278,7 +275,6 @@ pub fn edge_expansion() -> Scenario {
             p_hat: PHatSpec::LogFactor(4.0),
             q: 0.5,
             init: InitKind::Stationary,
-            stepping: SteppingKind::PerPair,
         }],
         protocols: vec![Protocol::ExpansionProbe {
             set_size: 1,
@@ -311,7 +307,6 @@ pub fn edge_stationary_vs_worst() -> Scenario {
                 p_hat: PHatSpec::LogFactor(4.0),
                 q: 0.5,
                 init: InitKind::Stationary,
-                stepping: SteppingKind::PerPair,
             },
             Substrate::Edge {
                 n: 1_500,
@@ -319,7 +314,6 @@ pub fn edge_stationary_vs_worst() -> Scenario {
                 p_hat: PHatSpec::LogFactor(4.0),
                 q: 0.5,
                 init: InitKind::Empty,
-                stepping: SteppingKind::PerPair,
             },
         ],
         protocols: vec![Protocol::Flooding],
@@ -354,7 +348,6 @@ pub fn general_bound() -> Scenario {
                 p_hat: PHatSpec::LogFactor(4.0),
                 q: 0.5,
                 init: InitKind::Stationary,
-                stepping: SteppingKind::PerPair,
             },
             Substrate::Static {
                 n: 1_500,
@@ -461,7 +454,6 @@ pub fn epidemic_threshold() -> Scenario {
             p_hat: PHatSpec::LogFactor(3.0),
             q: 0.5,
             init: InitKind::Stationary,
-            stepping: SteppingKind::PerPair,
         }],
         protocols: vec![
             Protocol::Sis {
@@ -502,7 +494,6 @@ pub fn rumor_dynamism() -> Scenario {
                 p_hat: PHatSpec::LogFactor(0.8),
                 q: 0.5,
                 init: InitKind::Stationary,
-                stepping: SteppingKind::PerPair,
             },
             Substrate::Static {
                 n: 500,
@@ -534,7 +525,6 @@ pub fn byzantine_tamper() -> Scenario {
             p_hat: PHatSpec::LogFactor(3.0),
             q: 0.5,
             init: InitKind::Stationary,
-            stepping: SteppingKind::PerPair,
         }],
         protocols: vec![Protocol::Byzantine { count: 4 }],
         sweep: Sweep::over(Param::ByzantineCount, [0.0, 4.0, 16.0]),
@@ -557,7 +547,6 @@ pub fn quick_smoke() -> Scenario {
                 p_hat: PHatSpec::LogFactor(3.0),
                 q: 0.5,
                 init: InitKind::Stationary,
-                stepping: SteppingKind::PerPair,
             },
             Substrate::Geometric {
                 n: 150,

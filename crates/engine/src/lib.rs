@@ -48,7 +48,6 @@
 //!         p_hat: PHatSpec::LogFactor(3.0),
 //!         q: 0.5,
 //!         init: InitKind::Stationary,
-//!         stepping: SteppingKind::PerPair,
 //!     }],
 //!     protocols: vec![Protocol::Flooding],
 //!     sweep: Sweep::over(Param::N, [60.0, 120.0]),
@@ -90,8 +89,7 @@ pub use meg_obs as obs;
 pub use run::{run_scenario, run_scenario_streaming, Row, TrialOutcome};
 pub use scenario::{
     AdversarialKind, Axis, EdgeEngine, InitKind, MobilityKind, MoveRadiusSpec, PHatSpec, Param,
-    Precision, Protocol, RadiusSpec, Scenario, ScenarioError, StaticKind, SteppingKind, Substrate,
-    Sweep,
+    Precision, Protocol, RadiusSpec, Scenario, ScenarioError, StaticKind, Substrate, Sweep,
 };
 pub use sink::OutputFormat;
 
@@ -102,7 +100,7 @@ pub mod prelude {
     pub use crate::run::{run_scenario, run_scenario_streaming, Row, TrialOutcome};
     pub use crate::scenario::{
         AdversarialKind, Axis, EdgeEngine, InitKind, MobilityKind, MoveRadiusSpec, PHatSpec, Param,
-        Precision, Protocol, RadiusSpec, Scenario, StaticKind, SteppingKind, Substrate, Sweep,
+        Precision, Protocol, RadiusSpec, Scenario, StaticKind, Substrate, Sweep,
     };
     pub use crate::sink::OutputFormat;
 }

@@ -21,7 +21,7 @@
 
 use crate::scenario::{
     AdversarialKind, EdgeEngine, MobilityKind, Param, Protocol, Scenario, ScenarioError,
-    StaticKind, SteppingKind, Substrate,
+    StaticKind, Substrate,
 };
 use crate::sched::{self, Job, Plan};
 use meg_core::adversarial::{RotatingBridge, RotatingStar};
@@ -32,7 +32,7 @@ use meg_core::protocols::{
     ByzantineMachine, EpidemicMachine, ProtocolResult,
 };
 use meg_core::spec;
-use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg, MAX_TRANSITION_PAIRS};
+use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
 use meg_geometric::{GeometricMeg, GeometricMegParams};
 use meg_graph::expansion::{min_expansion_sampled, SamplingStrategy};
 use meg_graph::generators;
@@ -57,7 +57,8 @@ pub enum ResolvedSubstrate {
         p_hat: f64,
         /// Initial distribution.
         init: meg_core::evolving::InitialDistribution,
-        /// Chain stepping mode.
+        /// Always `PerPair`. Kept only because `perfbench/src/trace.rs`
+        /// destructures it; the next benchmark change deletes it.
         stepping: meg_core::evolving::Stepping,
     },
     /// Concrete geometric-MEG configuration.
@@ -473,20 +474,16 @@ fn resolve_cell(
             p_hat,
             q,
             init,
-            stepping,
         } => {
             let p_hat = p_hat.resolve(n, q);
             let params = EdgeMegParams::try_with_stationary(n, p_hat, q)
                 .map_err(|e| ScenarioError(format!("cell {index}: {e}")))?;
-            if stepping == SteppingKind::Transitions && params.num_pairs() > MAX_TRANSITION_PAIRS {
-                return Err(too_many_pairs_for_transitions(index, n));
-            }
             ResolvedSubstrate::Edge {
                 engine,
                 params,
                 p_hat,
                 init: init.to_initial_distribution(),
-                stepping: stepping.to_stepping(),
+                stepping: meg_core::evolving::Stepping::PerPair,
             }
         }
         Substrate::Geometric {
@@ -555,19 +552,6 @@ fn resolve_cell(
         trials,
         round_budget: scenario.round_budget,
     })
-}
-
-/// Transition stepping indexes node pairs with `u32` in both edge engines,
-/// so a cell with more than [`MAX_TRANSITION_PAIRS`] pairs (`n ≥ 92_683`)
-/// cannot run it. Out of line and cold, like the edge-parameter errors, so
-/// the check adds no message-building code to `resolve_cell`.
-#[cold]
-#[inline(never)]
-fn too_many_pairs_for_transitions(index: usize, n: usize) -> ScenarioError {
-    ScenarioError(format!(
-        "cell {index}: n={n} has more than {MAX_TRANSITION_PAIRS} node pairs, too many \
-         for transition stepping; use per_pair stepping"
-    ))
 }
 
 /// Outcome of a single trial: the cell observable (`value` is the completion
@@ -846,19 +830,16 @@ pub(crate) fn execute_trial(cell: &Cell, _trial: usize, rng: &mut ChaCha8Rng) ->
             engine,
             params,
             init: start,
-            stepping,
             ..
         } => {
             let sub_seed: u64 = rng.gen();
             match engine {
                 EdgeEngine::Sparse => {
-                    let meg =
-                        init(|| SparseEdgeMeg::with_stepping(*params, *start, *stepping, sub_seed));
+                    let meg = init(|| SparseEdgeMeg::new(*params, *start, sub_seed));
                     drive(meg, cell, 0, rng)
                 }
                 EdgeEngine::Dense => {
-                    let meg =
-                        init(|| DenseEdgeMeg::with_stepping(*params, *start, *stepping, sub_seed));
+                    let meg = init(|| DenseEdgeMeg::new(*params, *start, sub_seed));
                     drive(meg, cell, 0, rng)
                 }
             }
@@ -1148,9 +1129,7 @@ pub fn run_scenario(scenario: &Scenario, master_seed: u64) -> Result<Vec<Row>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{
-        InitKind, MoveRadiusSpec, PHatSpec, Precision, RadiusSpec, SteppingKind, Sweep,
-    };
+    use crate::scenario::{InitKind, MoveRadiusSpec, PHatSpec, Precision, RadiusSpec, Sweep};
 
     fn tiny_scenario() -> Scenario {
         Scenario {
@@ -1163,7 +1142,6 @@ mod tests {
                     p_hat: PHatSpec::LogFactor(3.0),
                     q: 0.5,
                     init: InitKind::Stationary,
-                    stepping: SteppingKind::PerPair,
                 },
                 Substrate::Geometric {
                     n: 80,
@@ -1503,7 +1481,6 @@ mod tests {
                     p_hat: PHatSpec::LogFactor(3.0),
                     q: 0.5,
                     init: InitKind::Stationary,
-                    stepping: SteppingKind::PerPair,
                 },
             ],
             protocols: vec![Protocol::OccupancyProbe],
@@ -1525,38 +1502,8 @@ mod tests {
         assert!(edge.rounds.is_none());
     }
 
-    #[test]
-    fn transitions_stepping_cells_resolve_and_flood() {
-        let mut s = tiny_scenario();
-        for sub in &mut s.substrates {
-            if let Substrate::Edge { stepping, .. } = sub {
-                *stepping = SteppingKind::Transitions;
-            }
-        }
-        let cells = resolve_cells(&s).unwrap();
-        assert_eq!(cells[0].substrate_label, "edge-sparse-transitions");
-        assert!(cells.iter().any(|c| matches!(
-            c.substrate,
-            ResolvedSubstrate::Edge {
-                stepping: meg_core::evolving::Stepping::Transitions,
-                ..
-            }
-        )));
-        let rows = run_scenario(&s, 99).unwrap();
-        let flood = rows
-            .iter()
-            .find(|r| r.substrate == "edge-sparse-transitions" && r.protocol == "flooding")
-            .unwrap();
-        assert!(
-            flood.completion_rate > 0.0,
-            "transitions stepping should flood above threshold: {flood:?}"
-        );
-        // Determinism holds under the fast path too.
-        assert_eq!(rows, run_scenario(&s, 99).unwrap());
-    }
-
     /// The builtins as their golden fixtures pin them: name of the fixture
-    /// and the scenario that produced it (all 33).
+    /// and the scenario that produced it (all 32).
     fn golden_cases() -> Vec<(String, Scenario)> {
         use crate::builtin::{builtin, builtin_names};
         let mut cases = Vec::new();
@@ -1573,21 +1520,13 @@ mod tests {
             };
             cases.push((format!("{name}.adaptive.jsonl"), adaptive));
         }
-        let mut transitions = builtin("edge_vs_n").unwrap().scaled(0.1);
-        transitions.trials = 2;
-        for sub in &mut transitions.substrates {
-            if let Substrate::Edge { stepping, .. } = sub {
-                *stepping = SteppingKind::Transitions;
-            }
-        }
-        cases.push(("edge_vs_n.transitions.jsonl".into(), transitions));
         cases
     }
 
     #[test]
     fn golden_rows_are_byte_identical_at_any_trial_thread_count() {
         let cases = golden_cases();
-        assert_eq!(cases.len(), 33);
+        assert_eq!(cases.len(), 32);
         for threads in [1, 3, 7] {
             for (fixture, scenario) in &cases {
                 let path = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
@@ -1696,33 +1635,27 @@ mod tests {
     }
 
     #[test]
-    fn transitions_beyond_u32_pairs_is_an_error_naming_the_cell() {
+    fn edge_cells_past_u32_pairs_resolve_on_both_engines() {
+        // Pair indices are u64, so a cell with more than u32::MAX pairs
+        // (C(92_683, 2) > 2³²) resolves on either engine.
+        let ns = [92_682usize, 92_683, 100_000];
         for kind in [EdgeEngine::Sparse, EdgeEngine::Dense] {
             let mut s = tiny_scenario();
             s.substrates.truncate(1);
-            if let Substrate::Edge {
-                engine, stepping, ..
-            } = &mut s.substrates[0]
-            {
+            if let Substrate::Edge { engine, .. } = &mut s.substrates[0] {
                 *engine = kind;
-                *stepping = SteppingKind::Transitions;
             }
             s.protocols.truncate(1);
-            // C(92_682, 2) = 4_294_930_221 fits in u32; C(92_683, 2) does not.
-            s.sweep = Sweep::over(Param::N, [92_682.0, 92_683.0]);
-            let err = resolve_cells(&s).unwrap_err();
-            assert!(
-                err.0.contains("cell 1:") && err.0.contains("n=92683"),
-                "{kind:?}: {err}"
-            );
-            s.sweep = Sweep::over(Param::N, [92_682.0]);
-            assert_eq!(resolve_cells(&s).unwrap().len(), 1, "{kind:?}");
-            // Per-pair stepping has no such limit.
-            if let Substrate::Edge { stepping, .. } = &mut s.substrates[0] {
-                *stepping = SteppingKind::PerPair;
-            }
-            s.sweep = Sweep::over(Param::N, [100_000.0]);
-            assert_eq!(resolve_cells(&s).unwrap().len(), 1, "{kind:?}");
+            s.sweep = Sweep::over(Param::N, ns.map(|n| n as f64));
+            let resolved: Vec<usize> = resolve_cells(&s)
+                .unwrap()
+                .iter()
+                .map(|cell| match cell.substrate {
+                    ResolvedSubstrate::Edge { params, .. } => params.n,
+                    _ => unreachable!("an edge scenario resolves to edge cells"),
+                })
+                .collect();
+            assert_eq!(resolved, ns, "{kind:?}");
         }
     }
 
@@ -1881,7 +1814,6 @@ mod tests {
                 p_hat: PHatSpec::Fixed(0.2),
                 q: 0.3,
                 init: InitKind::Stationary,
-                stepping: SteppingKind::PerPair,
             }],
             protocols: vec![Protocol::Probabilistic { beta: 0.9 }],
             sweep: Sweep::over(Param::Beta, [0.25, 0.75]),

@@ -176,46 +176,6 @@ impl InitKind {
     }
 }
 
-/// How the per-edge chains are stepped each round (see
-/// `meg_core::evolving::Stepping`). Serialized as `"per_pair"` /
-/// `"transitions"`; scenarios written before the field existed decode as
-/// [`SteppingKind::PerPair`], the reference path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SteppingKind {
-    /// One Bernoulli draw per potential pair per round (reference path).
-    #[default]
-    PerPair,
-    /// Geometric skip-sampled flips applied as snapshot deltas (fast path).
-    Transitions,
-}
-
-impl SteppingKind {
-    /// Stable identifier used in JSON and CLI flags.
-    pub fn id(self) -> &'static str {
-        match self {
-            SteppingKind::PerPair => "per_pair",
-            SteppingKind::Transitions => "transitions",
-        }
-    }
-
-    /// Inverse of [`id`](SteppingKind::id).
-    pub fn from_id(s: &str) -> Result<Self, ScenarioError> {
-        match s {
-            "per_pair" => Ok(SteppingKind::PerPair),
-            "transitions" => Ok(SteppingKind::Transitions),
-            _ => Err(ScenarioError(format!("unknown stepping mode `{s}`"))),
-        }
-    }
-
-    /// The `meg-core` stepping mode this selects.
-    pub fn to_stepping(self) -> meg_core::evolving::Stepping {
-        match self {
-            SteppingKind::PerPair => meg_core::evolving::Stepping::PerPair,
-            SteppingKind::Transitions => meg_core::evolving::Stepping::Transitions,
-        }
-    }
-}
-
 /// The deterministic adversarial constructions of the Introduction
 /// (implemented in `meg_core::adversarial`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -416,8 +376,6 @@ pub enum Substrate {
         q: f64,
         /// Initial distribution of the chains.
         init: InitKind,
-        /// Chain stepping mode (defaults to the per-pair reference path).
-        stepping: SteppingKind,
     },
     /// Geometric-MEG: a mobility model plus a transmission radius.
     Geometric {
@@ -453,13 +411,6 @@ impl Substrate {
     /// `geo-grid_walk`.
     pub fn label(&self) -> String {
         match self {
-            // The stepping mode is surfaced only when it deviates from the
-            // default, so pre-existing row labels stay byte-identical.
-            Substrate::Edge {
-                engine,
-                stepping: SteppingKind::Transitions,
-                ..
-            } => format!("edge-{}-transitions", engine.id()),
             Substrate::Edge { engine, .. } => format!("edge-{}", engine.id()),
             Substrate::Geometric { mobility, .. } => format!("geo-{}", mobility.id()),
             Substrate::Adversarial { construction, .. } => format!("adv-{}", construction.id()),
@@ -496,23 +447,14 @@ impl Substrate {
                 p_hat,
                 q,
                 init,
-                stepping,
-            } => {
-                let mut pairs = vec![
-                    ("family", Json::Str("edge".into())),
-                    ("n", Json::Num(*n as f64)),
-                    ("engine", Json::Str(engine.id().into())),
-                    ("p_hat", p_hat.to_json()),
-                    ("q", Json::Num(*q)),
-                    ("init", Json::Str(init.id().into())),
-                ];
-                // Emitted only when non-default, so scenario files written
-                // before the field existed re-render byte-identically.
-                if *stepping != SteppingKind::PerPair {
-                    pairs.push(("stepping", Json::Str(stepping.id().into())));
-                }
-                Json::obj(pairs)
-            }
+            } => Json::obj([
+                ("family", Json::Str("edge".into())),
+                ("n", Json::Num(*n as f64)),
+                ("engine", Json::Str(engine.id().into())),
+                ("p_hat", p_hat.to_json()),
+                ("q", Json::Num(*q)),
+                ("init", Json::Str(init.id().into())),
+            ]),
             Substrate::Geometric {
                 n,
                 mobility,
@@ -548,18 +490,27 @@ impl Substrate {
     pub fn from_json(v: &Json) -> Result<Self, ScenarioError> {
         let ctx = "substrate";
         match string(v, "family", ctx)?.as_str() {
-            "edge" => Ok(Substrate::Edge {
-                n: uint(v, "n", ctx)?,
-                engine: EdgeEngine::from_id(&string(v, "engine", ctx)?)?,
-                p_hat: PHatSpec::from_json(field(v, "p_hat", ctx)?)?,
-                q: num(v, "q", ctx)?,
-                init: InitKind::from_id(&string(v, "init", ctx)?)?,
-                // Absent in scenarios written before PR 6: per-pair default.
-                stepping: match v.get("stepping") {
-                    Some(_) => SteppingKind::from_id(&string(v, "stepping", ctx)?)?,
-                    None => SteppingKind::PerPair,
-                },
-            }),
+            "edge" => {
+                // Older scenarios may name the stepping mode. Per-pair is the
+                // one mode, so any other value must fail rather than run
+                // per-pair and give different rows than it asked for.
+                if v.get("stepping").is_some() {
+                    let mode = string(v, "stepping", ctx)?;
+                    if mode != "per_pair" {
+                        return Err(ScenarioError(format!(
+                            "{ctx}: field `stepping` is `{mode}`, but edge-MEGs step per pair \
+                             only: `per_pair` is the one accepted value"
+                        )));
+                    }
+                }
+                Ok(Substrate::Edge {
+                    n: uint(v, "n", ctx)?,
+                    engine: EdgeEngine::from_id(&string(v, "engine", ctx)?)?,
+                    p_hat: PHatSpec::from_json(field(v, "p_hat", ctx)?)?,
+                    q: num(v, "q", ctx)?,
+                    init: InitKind::from_id(&string(v, "init", ctx)?)?,
+                })
+            }
             "geometric" => Ok(Substrate::Geometric {
                 n: uint(v, "n", ctx)?,
                 mobility: MobilityKind::from_id(&string(v, "mobility", ctx)?)?,
@@ -1385,7 +1336,6 @@ mod tests {
                     p_hat: PHatSpec::LogFactor(3.0),
                     q: 0.5,
                     init: InitKind::Stationary,
-                    stepping: SteppingKind::PerPair,
                 },
                 Substrate::Geometric {
                     n: 400,
@@ -1561,7 +1511,6 @@ mod tests {
             p_hat: PHatSpec::Fixed(0.1),
             q: 0.0,
             init: InitKind::Stationary,
-            stepping: SteppingKind::PerPair,
         }];
         assert!(s.validate().is_err());
     }
@@ -1582,34 +1531,35 @@ mod tests {
     }
 
     #[test]
-    fn stepping_round_trips_and_defaults_to_per_pair() {
-        let mut s = demo();
-        if let Substrate::Edge { stepping, .. } = &mut s.substrates[0] {
-            *stepping = SteppingKind::Transitions;
+    fn a_stepping_key_decodes_only_as_per_pair() {
+        // Scenarios carry no `stepping` key: per-pair is the one mode.
+        let edge = demo().substrates[0];
+        let text = edge.to_json().render();
+        assert!(!text.contains("stepping"), "{text}");
+        assert_eq!(Substrate::from_json(&edge.to_json()).unwrap(), edge);
+        let with_stepping = |value: Json| {
+            let Json::Obj(mut pairs) = edge.to_json() else {
+                unreachable!("a substrate renders as an object")
+            };
+            pairs.push(("stepping".into(), value));
+            Substrate::from_json(&Json::Obj(pairs))
+        };
+        // An older file that names the mode that always ran still decodes,
+        // to the same substrate, and re-renders without the key.
+        let per_pair = with_stepping(Json::Str("per_pair".into())).unwrap();
+        assert_eq!(per_pair, edge);
+        assert_eq!(per_pair.to_json().render(), text);
+        // Any other value fails, naming the key and the one mode, instead of
+        // running per-pair and giving other rows than the file asked for.
+        for value in ["transitions", "warp", ""] {
+            let err = with_stepping(Json::Str(value.into())).unwrap_err().0;
+            assert!(
+                err.contains("stepping") && err.contains("per_pair"),
+                "{value}: {err}"
+            );
         }
-        let back = Scenario::parse(&s.to_json().render()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.substrates[0].label(), "edge-sparse-transitions");
-        // Scenario files written before the field existed carry no
-        // `stepping` key: decoding must default to the per-pair reference
-        // path rather than reject them — and the default must re-render
-        // byte-identically (no `stepping` key emitted).
-        let default_text = demo().to_json().render();
-        assert!(!default_text.contains("stepping"));
-        let legacy = Scenario::parse(&default_text).unwrap();
-        assert!(matches!(
-            legacy.substrates[0],
-            Substrate::Edge {
-                stepping: SteppingKind::PerPair,
-                ..
-            }
-        ));
-        // Unknown ids are rejected, not silently defaulted.
-        assert!(SteppingKind::from_id("warp").is_err());
-        assert_eq!(
-            SteppingKind::from_id("transitions").unwrap().id(),
-            "transitions"
-        );
+        let err = with_stepping(Json::Num(1.0)).unwrap_err().0;
+        assert!(err.contains("stepping"), "{err}");
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! same rows. This test keeps a verbatim copy of the pre-refactor loops
 //! (compiled only under `cfg(test)` by virtue of living in a test target)
 //! and replays a randomized scenario grid through both paths — both edge
-//! engines, dense `PerPair` and sub-linear `Transitions` stepping, the
-//! geometric grid-walk substrate, and a static baseline, under fixed *and*
-//! adaptive precision — asserting the aggregated rows come out identical
-//! down to their JSON rendering.
+//! engines, the geometric grid-walk substrate, and a static baseline, under
+//! fixed *and* adaptive precision — asserting the aggregated rows come out
+//! identical down to their JSON rendering.
 
 use meg_core::evolving::{EvolvingGraph, FrozenGraph};
 use meg_core::protocols::ProtocolResult;
@@ -21,7 +20,7 @@ use meg_engine::run::{
 };
 use meg_engine::scenario::{
     EdgeEngine, InitKind, MobilityKind, MoveRadiusSpec, PHatSpec, Precision, Protocol, RadiusSpec,
-    Scenario, StaticKind, SteppingKind, Substrate, Sweep,
+    Scenario, StaticKind, Substrate, Sweep,
 };
 use meg_geometric::{GeometricMeg, GeometricMegParams};
 use meg_graph::{generators, visit_neighbors, Node, NodeSet};
@@ -223,17 +222,16 @@ fn legacy_execute_trial(cell: &Cell, rng: &mut ChaCha8Rng) -> TrialOutcome {
             engine,
             params,
             init,
-            stepping,
             ..
         } => {
             let sub_seed: u64 = rng.gen();
             match engine {
                 EdgeEngine::Sparse => {
-                    let mut meg = SparseEdgeMeg::with_stepping(*params, *init, *stepping, sub_seed);
+                    let mut meg = SparseEdgeMeg::new(*params, *init, sub_seed);
                     legacy_drive(&mut meg, &cell.protocol, 0, cell.round_budget, rng)
                 }
                 EdgeEngine::Dense => {
-                    let mut meg = DenseEdgeMeg::with_stepping(*params, *init, *stepping, sub_seed);
+                    let mut meg = DenseEdgeMeg::new(*params, *init, sub_seed);
                     legacy_drive(&mut meg, &cell.protocol, 0, cell.round_budget, rng)
                 }
             }
@@ -294,7 +292,7 @@ fn arb_spreading_protocol() -> impl Strategy<Value = Protocol> {
 
 fn arb_substrate() -> impl Strategy<Value = Substrate> {
     (0u64..6, 8usize..40, 0.5f64..3.0, 0.2f64..0.8).prop_map(|(kind, n, factor, q)| match kind {
-        // Both edge engines × both stepping modes.
+        // Both edge engines, each as likely as another family.
         0..=3 => Substrate::Edge {
             n,
             engine: if kind < 2 {
@@ -305,11 +303,6 @@ fn arb_substrate() -> impl Strategy<Value = Substrate> {
             p_hat: PHatSpec::LogFactor(factor),
             q,
             init: InitKind::Stationary,
-            stepping: if kind % 2 == 0 {
-                SteppingKind::PerPair
-            } else {
-                SteppingKind::Transitions
-            },
         },
         4 => Substrate::Geometric {
             n,

@@ -603,37 +603,63 @@ fn cli_adaptive_worker_pool_matches_single_process_and_converges() {
 }
 
 #[test]
-fn cli_transitions_past_u32_pairs_exits_2_naming_the_cell() {
-    // C(100_000, 2) node pairs overflow the u32 pair index of transition
-    // stepping in either engine: resolution must reject the cell with an
-    // input error (exit 2) before any trial runs, not panic (exit 101).
-    let dir = tmp("u32-pairs");
+fn cli_retired_stepping_inputs_exit_2() {
+    // Per-pair is the one stepping mode. A scenario file may still name it,
+    // and then runs exactly as without the key; any other mode is an input
+    // error (exit 2) naming the key, never a per-pair run with other rows.
+    let dir = tmp("stepping");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("scenario.json");
-    for engine in ["sparse", "dense"] {
+    let path = file.to_str().expect("utf8 temp path");
+    let run_with = |engine: &str, stepping: &str| {
         std::fs::write(
             &file,
             format!(
-                r#"{{"name":"big_transitions","description":"transitions past u32 pairs",
-                "substrates":[{{"family":"edge","n":100000,"engine":"{engine}",
-                "p_hat":{{"log_factor":3}},"q":0.5,"init":"stationary",
-                "stepping":"transitions"}}],
-                "protocols":["flooding"],"sweep":{{"axes":[]}},"trials":1,"round_budget":100}}"#
+                r#"{{"name":"stepping","description":"stepping key",
+                "substrates":[{{"family":"edge","n":60,"engine":"{engine}",
+                "p_hat":{{"log_factor":3}},"q":0.5,"init":"stationary"{stepping}}}],
+                "protocols":["flooding"],"sweep":{{"axes":[]}},"trials":2,"round_budget":100}}"#
             ),
         )
         .unwrap();
-        let out = meg_lab()
-            .args(["run", "--file", file.to_str().expect("utf8 temp path")])
+        meg_lab()
+            .args(["run", "--file", path, "--format", "json", "--seed", "9"])
             .output()
-            .expect("meg-lab runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{engine}: {stderr}");
-        assert!(
-            stderr.contains("cell 0") && stderr.contains("n=100000"),
-            "{engine}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{engine}: no row may be emitted");
+            .expect("meg-lab runs")
+    };
+    for engine in ["sparse", "dense"] {
+        let plain = run_with(engine, "");
+        assert!(plain.status.success(), "{engine}");
+        let per_pair = run_with(engine, r#","stepping":"per_pair""#);
+        assert!(per_pair.status.success(), "{engine}");
+        assert_eq!(per_pair.stdout, plain.stdout, "{engine}");
+        assert!(!plain.stdout.is_empty(), "{engine}");
+        for mode in ["transitions", "warp"] {
+            let out = run_with(engine, &format!(r#","stepping":"{mode}""#));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{engine} {mode}: {stderr}");
+            assert!(
+                stderr.contains("stepping") && stderr.contains("per_pair"),
+                "{engine} {mode}: {stderr}"
+            );
+            assert!(
+                out.stdout.is_empty(),
+                "{engine} {mode}: no row may be emitted"
+            );
+        }
     }
+    // The `--stepping` flag is gone: it takes the unknown-flag path.
+    let out = meg_lab()
+        .args(["run", "quick_smoke", "--stepping", "per_pair"])
+        .output()
+        .expect("meg-lab runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag `--stepping`") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

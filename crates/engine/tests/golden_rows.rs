@@ -54,34 +54,6 @@ fn every_builtin_matches_its_fixed_trials_golden_fixture() {
 }
 
 #[test]
-fn the_transitions_stepping_run_matches_its_golden_fixture() {
-    // One fixture pins the `Stepping::Transitions` fast path itself (the 26
-    // fixtures above all run under the default per-pair stepping and guard
-    // that the new mode changed nothing there). Regenerate with:
-    //
-    // ```text
-    // MEG_SCALE=0.1 meg-lab run edge_vs_n --trials 2 --seed 20260730 \
-    //     --stepping transitions --format json
-    // ```
-    use meg_engine::scenario::{SteppingKind, Substrate};
-    let mut scenario = builtin("edge_vs_n")
-        .expect("registry consistent")
-        .scaled(SCALE);
-    scenario.trials = 2;
-    for sub in &mut scenario.substrates {
-        if let Substrate::Edge { stepping, .. } = sub {
-            *stepping = SteppingKind::Transitions;
-        }
-    }
-    let got = rendered_rows(&scenario);
-    let want = fixture("edge_vs_n.transitions.jsonl");
-    assert_eq!(
-        got, want,
-        "transitions-stepping rows drifted from the pinned fixture"
-    );
-}
-
-#[test]
 fn every_builtin_matches_its_adaptive_golden_fixture() {
     for name in builtin_names() {
         let mut scenario = builtin(name).expect("registry consistent").scaled(SCALE);

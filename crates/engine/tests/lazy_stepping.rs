@@ -7,7 +7,7 @@
 //! edge engines' RNG cursor and the nodes' positions read as they did at
 //! construction.
 
-use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
+use meg_core::evolving::{EvolvingGraph, InitialDistribution};
 use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
 use meg_geometric::{GeometricMeg, GeometricMegParams};
 use meg_mobility::{Mobility, TorusWalkers};
@@ -31,24 +31,18 @@ fn k_advances_take_k_minus_one_steps_on_every_substrate() {
     let stationary = InitialDistribution::Stationary;
     obs::install();
     for k in [1u64, 2, 7] {
-        for stepping in [Stepping::PerPair, Stepping::Transitions] {
-            let mut sparse = SparseEdgeMeg::with_stepping(params, stationary, stepping, 3);
-            let cursor = sparse.rng_cursor_probe();
-            assert_eq!(
-                spans_over(&mut sparse, k),
-                (k - 1, k),
-                "sparse {stepping:?}"
-            );
-            if k == 1 {
-                assert_eq!(sparse.rng_cursor_probe(), cursor, "sparse {stepping:?}");
-            }
+        let mut sparse = SparseEdgeMeg::new(params, stationary, 3);
+        let cursor = sparse.rng_cursor_probe();
+        assert_eq!(spans_over(&mut sparse, k), (k - 1, k), "sparse");
+        if k == 1 {
+            assert_eq!(sparse.rng_cursor_probe(), cursor, "sparse");
+        }
 
-            let mut dense = DenseEdgeMeg::with_stepping(params, stationary, stepping, 3);
-            let cursor = dense.rng_cursor_probe();
-            assert_eq!(spans_over(&mut dense, k), (k - 1, k), "dense {stepping:?}");
-            if k == 1 {
-                assert_eq!(dense.rng_cursor_probe(), cursor, "dense {stepping:?}");
-            }
+        let mut dense = DenseEdgeMeg::new(params, stationary, 3);
+        let cursor = dense.rng_cursor_probe();
+        assert_eq!(spans_over(&mut dense, k), (k - 1, k), "dense");
+        if k == 1 {
+            assert_eq!(dense.rng_cursor_probe(), cursor, "dense");
         }
 
         let mut grid = GeometricMeg::from_params(GeometricMegParams::new(200, 1.5, 4.0), 5);

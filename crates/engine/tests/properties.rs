@@ -7,7 +7,7 @@ use meg_engine::json::Json;
 use meg_engine::run::Row;
 use meg_engine::scenario::{
     AdversarialKind, Axis, EdgeEngine, InitKind, MobilityKind, MoveRadiusSpec, PHatSpec, Param,
-    Precision, Protocol, RadiusSpec, Scenario, StaticKind, SteppingKind, Substrate, Sweep,
+    Precision, Protocol, RadiusSpec, Scenario, StaticKind, Substrate, Sweep,
 };
 use meg_engine::sink::{row_to_csv, CSV_HEADER};
 use meg_stats::Summary;
@@ -62,15 +62,8 @@ fn arb_move_radius() -> impl Strategy<Value = MoveRadiusSpec> {
 }
 
 fn arb_edge_substrate() -> impl Strategy<Value = Substrate> {
-    (
-        2usize..5000,
-        0u64..2,
-        arb_phat(),
-        0.01f64..=1.0,
-        0u64..3,
-        proptest::bool::ANY,
-    )
-        .prop_map(|(n, engine, p_hat, q, init, transitions)| Substrate::Edge {
+    (2usize..5000, 0u64..2, arb_phat(), 0.01f64..=1.0, 0u64..3).prop_map(
+        |(n, engine, p_hat, q, init)| Substrate::Edge {
             n,
             engine: if engine == 0 {
                 EdgeEngine::Dense
@@ -84,12 +77,8 @@ fn arb_edge_substrate() -> impl Strategy<Value = Substrate> {
                 1 => InitKind::Empty,
                 _ => InitKind::Full,
             },
-            stepping: if transitions {
-                SteppingKind::Transitions
-            } else {
-                SteppingKind::PerPair
-            },
-        })
+        },
+    )
 }
 
 fn arb_geo_substrate() -> impl Strategy<Value = Substrate> {

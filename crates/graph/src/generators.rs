@@ -152,45 +152,6 @@ pub fn index_of_pair(n: u64, a: u64, b: u64) -> u64 {
     a * n - a * (a + 1) / 2 + (b - a - 1)
 }
 
-/// Incremental [`pair_from_index`] for ascending pair indices: the endpoints
-/// of the `k`-th pair of the row-major upper triangle, with the row tracked
-/// monotonically (row `a` holds the `n−1−a` pairs `(a, a+1) .. (a, n−1)`), so
-/// a walk over `m` indices costs `O(n + m)` and no square root.
-///
-/// Indices passed to [`pair`](RowWalker::pair) must be non-decreasing; one
-/// at or past `C(n, 2)` panics.
-#[derive(Clone, Debug)]
-pub struct RowWalker {
-    a: u64,
-    row_start: u64,
-    row_len: u64,
-}
-
-impl RowWalker {
-    /// A walker positioned at pair 0 of the `n`-node triangle.
-    pub fn new(n: usize) -> Self {
-        RowWalker {
-            a: 0,
-            row_start: 0,
-            row_len: (n as u64).saturating_sub(1),
-        }
-    }
-
-    /// The endpoints `(a, b)`, `a < b`, of the pair with linear index `k`.
-    #[inline]
-    pub fn pair(&mut self, k: u64) -> (Node, Node) {
-        debug_assert!(k >= self.row_start, "pair indices must not decrease");
-        while k >= self.row_start + self.row_len {
-            // Row `a + 1` holds pairs only while row `a` holds two or more.
-            assert!(self.row_len > 1, "pair index {k} outside the triangle");
-            self.row_start += self.row_len;
-            self.row_len -= 1;
-            self.a += 1;
-        }
-        (self.a as Node, (self.a + 1 + (k - self.row_start)) as Node)
-    }
-}
-
 /// Random geometric graph: nodes at the given 2-D positions, an edge whenever
 /// two nodes are at Euclidean distance ≤ `radius`.
 ///
@@ -304,35 +265,6 @@ mod tests {
             assert_eq!(index_of_pair(n, a, b), idx);
             assert_eq!(index_of_pair(n, b, a), idx);
         }
-    }
-
-    #[test]
-    fn row_walker_decodes_like_pair_from_index() {
-        // Every index of every triangle, including the single pair at n = 2
-        // and the last row's single pair (n−2, n−1).
-        for n in 2..=64u64 {
-            let mut rows = RowWalker::new(n as usize);
-            for k in 0..n * (n - 1) / 2 {
-                let (a, b) = pair_from_index(n, k);
-                assert_eq!(rows.pair(k), (a as Node, b as Node), "n {n}, k {k}");
-            }
-        }
-        // Sparse walks skip whole rows; equal consecutive indices are allowed.
-        let n = 50u64;
-        let mut rows = RowWalker::new(n as usize);
-        for k in [0, 0, 3, 48, 49, 500, 1000, 1000, 1224] {
-            let (a, b) = pair_from_index(n, k);
-            assert_eq!(rows.pair(k), (a as Node, b as Node), "k {k}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the triangle")]
-    fn row_walker_rejects_an_index_past_the_triangle() {
-        // C(5, 2) = 10: index 10 would be row 4, which holds no pair.
-        let mut rows = RowWalker::new(5);
-        rows.pair(9);
-        rows.pair(10);
     }
 
     #[test]

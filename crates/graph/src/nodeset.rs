@@ -195,38 +195,6 @@ impl NodeSet {
         self.len = count;
     }
 
-    /// The word-parallel body of [`out_neighborhood`](crate::out_neighborhood):
-    /// `mark` ORs node bits, untested, into the words of an empty set over
-    /// this set's universe; then this set's members are cleared and the rest
-    /// counted. A bit marked in the last word's tail panics here, once per
-    /// call, as [`insert`](NodeSet::insert) would; ids past the last word
-    /// already fail the slice index inside `mark`.
-    pub(crate) fn marked_outside(&self, mark: impl FnOnce(&mut [u64])) -> NodeSet {
-        let mut words = vec![0u64; self.words.len()];
-        mark(&mut words);
-        let rem = self.universe % 64;
-        let tail = match words.last() {
-            Some(&last) if rem != 0 => last >> rem,
-            _ => 0,
-        };
-        assert!(
-            tail == 0,
-            "node {} outside universe {}",
-            self.universe + tail.trailing_zeros() as usize,
-            self.universe
-        );
-        let mut len = 0usize;
-        for (w, m) in words.iter_mut().zip(&self.words) {
-            *w &= !m;
-            len += w.count_ones() as usize;
-        }
-        NodeSet {
-            words,
-            universe: self.universe,
-            len,
-        }
-    }
-
     /// Returns the complement of the set within its universe.
     pub fn complement(&self) -> NodeSet {
         let mut out = NodeSet::full(self.universe);

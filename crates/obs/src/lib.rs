@@ -60,19 +60,11 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Edges born this run (edge-MEG stepping, both engines and modes).
+    /// Edges born this run (edge-MEG stepping, both engines).
     EdgeBirths,
     /// Edges that died this run.
     EdgeDeaths,
-    /// Delta rounds applied through `SnapshotBuf::apply_delta`.
-    DeltaRounds,
-    /// Delta rounds absorbed in place within the per-row slack.
-    DeltaPatched,
-    /// Delta rounds that exhausted the slack and fell back to a rebuild.
-    DeltaRebuilds,
-    /// Arc-slot bytes written by slack-exhaustion snapshot rebuilds.
-    RebuildBytes,
-    /// RNG draws consumed by skip-sampling the flip calendar.
+    /// Uniform RNG draws of the sparse edge engine's birth skip sampler.
     RngDraws,
     /// Candidate distance tests the geometric row gather made: each node
     /// tests the nodes of the buckets it scans in its 3×3 bucket
@@ -103,13 +95,9 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in rendering order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 13] = [
         Counter::EdgeBirths,
         Counter::EdgeDeaths,
-        Counter::DeltaRounds,
-        Counter::DeltaPatched,
-        Counter::DeltaRebuilds,
-        Counter::RebuildBytes,
         Counter::RngDraws,
         Counter::BucketScanVisits,
         Counter::Rounds,
@@ -128,10 +116,6 @@ impl Counter {
         match self {
             Counter::EdgeBirths => "edge_births",
             Counter::EdgeDeaths => "edge_deaths",
-            Counter::DeltaRounds => "delta_rounds",
-            Counter::DeltaPatched => "delta_patched",
-            Counter::DeltaRebuilds => "delta_rebuilds",
-            Counter::RebuildBytes => "rebuild_bytes",
             Counter::RngDraws => "rng_draws",
             Counter::BucketScanVisits => "bucket_scan_visits",
             Counter::Rounds => "rounds",
@@ -182,7 +166,7 @@ impl Gauge {
 /// (with a debug assertion to catch typos). `advance` is one substrate round;
 /// `step` and `build` nest inside it: `step` moves the substrate's state (the
 /// edge chain or the node walk) and `build` turns it into the returned
-/// snapshot (a full CSR build or a delta). Substrates step lazily, at the
+/// snapshot (a full CSR build). Substrates step lazily, at the
 /// start of every `advance` but the first, so a trial of `k` rounds records
 /// `k` `build`s and `k − 1` `step`s. `init` is one trial's substrate
 /// construction (the stationary draw, the mobility initialisation or the
@@ -345,23 +329,6 @@ pub fn uninstall() {
 pub fn add(counter: Counter, n: u64) {
     if installed() {
         COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Records one snapshot-delta round: bumps [`Counter::DeltaRounds`] and the
-/// patched/rebuilt split (plus [`Counter::RebuildBytes`] for a rebuild).
-/// Takes plain values rather than `meg-graph`'s `DeltaOutcome` so the graph
-/// crate stays below this one in the dependency DAG.
-#[inline]
-pub fn record_delta(rebuilt: bool, rebuild_bytes: u64) {
-    if installed() {
-        add(Counter::DeltaRounds, 1);
-        if rebuilt {
-            add(Counter::DeltaRebuilds, 1);
-            add(Counter::RebuildBytes, rebuild_bytes);
-        } else {
-            add(Counter::DeltaPatched, 1);
-        }
     }
 }
 
@@ -725,17 +692,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fraction of delta rounds that fell back to a rebuild, or `None` when
-    /// no delta rounds ran.
-    pub fn delta_fallback_rate(&self) -> Option<f64> {
-        let rounds = self.counter("delta_rounds");
-        if rounds == 0 {
-            None
-        } else {
-            Some(self.counter("delta_rebuilds") as f64 / rounds as f64)
-        }
-    }
-
     /// Share of the trial threads' time spent inside trials: the `trial`
     /// span total over trial threads × the `sweep` span total, or `None`
     /// when no in-process sweep was recorded. Idle threads (waiting on the
@@ -762,21 +718,8 @@ impl MetricsSnapshot {
         for &(name, v) in &self.counters {
             out.push_str(&format!("  {name:<22} {v}\n"));
         }
-        let rate = self.delta_fallback_rate();
-        let utilization = self.trial_thread_utilization();
-        if rate.is_some() || utilization.is_some() {
+        if let Some(u) = self.trial_thread_utilization() {
             out.push_str("derived\n");
-        }
-        if let Some(rate) = rate {
-            out.push_str(&format!(
-                "  {:<22} {:.2}% ({} of {} delta rounds rebuilt)\n",
-                "delta_fallback_rate",
-                rate * 100.0,
-                self.counter("delta_rebuilds"),
-                self.counter("delta_rounds"),
-            ));
-        }
-        if let Some(u) = utilization {
             out.push_str(&format!(
                 "  trial-thread utilization {u:.3} (trial span / trial threads × sweep span)\n"
             ));
@@ -881,15 +824,12 @@ mod tests {
         // Enabled: counters accumulate, gauges summarize, spans time.
         add(Counter::EdgeBirths, 5);
         add(Counter::EdgeBirths, 2);
-        add(Counter::DeltaRounds, 4);
-        add(Counter::DeltaRebuilds, 1);
         sample(Gauge::InformedPerRound, 10);
         sample(Gauge::InformedPerRound, 30);
         drop(span("advance"));
         drop(span("advance"));
         let snap = snapshot();
         assert_eq!(snap.counter("edge_births"), 7);
-        assert_eq!(snap.delta_fallback_rate(), Some(0.25));
         let informed = snap.gauges[0];
         assert_eq!((informed.count, informed.min, informed.max), (2, 10, 30));
         assert_eq!(informed.mean(), 20.0);
@@ -904,7 +844,7 @@ mod tests {
         let later = snapshot();
         let deltas = later.counter_deltas(&snap);
         assert!(deltas.contains(&("edge_births", 3)));
-        assert!(deltas.contains(&("delta_rounds", 0)));
+        assert!(deltas.contains(&("rng_draws", 0)));
         let shipped = later.delta_counters_snapshot(&snap);
         assert_eq!(shipped.counter("edge_births"), 3);
         assert_eq!(shipped.span("advance").unwrap().count, 0);
@@ -919,7 +859,6 @@ mod tests {
         for s in SPAN_NAMES {
             assert!(report.contains(s) && jsonl.contains(s));
         }
-        assert!(report.contains("delta_fallback_rate"));
         assert!(report.contains("p50_ms") && jsonl.contains("p99_ms"));
 
         // Reinstalling resets; uninstalling freezes.

@@ -1,10 +1,10 @@
 //! Goodness-of-fit tests: Pearson chi-square against expected counts and
 //! the two-sample Kolmogorov–Smirnov distance.
 //!
-//! These back the statistical-equivalence layer of the stepping tests: the
-//! skip-sampling (`Transitions`) edge dynamics must be *distributionally*
-//! indistinguishable from the per-pair reference even though the two paths
-//! draw different random variates, so the test suite compares empirical
+//! These back the chain-law tests of the edge-MEG engines: the dense and
+//! sparse engines must be *distributionally* indistinguishable from the
+//! two-state chain's laws and from each other even though they draw
+//! different random variates, so the test suite compares empirical
 //! stationary densities, flip rates, and holding-time histograms against
 //! closed-form laws (chi-square) and against each other (KS).
 //!

@@ -9,8 +9,8 @@
 //! * [`fit`] — least-squares fits, including log–log power-law fits used to
 //!   check the `√n/R` and `log n / log(np̂)` scaling shapes;
 //! * [`gof`] — chi-square and two-sample KS goodness-of-fit tests with
-//!   deterministic closed-form critical values, backing the
-//!   stepping-equivalence suite;
+//!   deterministic closed-form critical values, backing the edge-MEG
+//!   chain-law suite;
 //! * [`histogram`] — fixed-width binning;
 //! * [`table`] — ASCII and CSV rendering of experiment tables;
 //! * [`runner`] — seeded, rayon-parallel Monte-Carlo trial execution;

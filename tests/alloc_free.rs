@@ -6,23 +6,19 @@
 //! which the buffer and workspace capacities grow to the run's high-water
 //! mark — stepping the dense-edge and geometric evolving graphs must perform
 //! **zero** heap allocations (the acceptance bar of the
-//! allocation-free snapshot pipeline refactor). Both stepping modes are
-//! covered: the per-pair reference path — which now steps 64 chains per
-//! round through the word-packed [`meg::graph::PairBits`] state (fixed words
-//! reused in place) — and the `Stepping::Transitions` skip-sampling path,
-//! whose per-round work is a `SnapshotBuf::apply_delta` edit rather than a
-//! rebuild — raw delta rounds (including the slack-exhaustion rebuild
-//! fallback) are measured directly as well. Geometric snapshots are built
+//! allocation-free snapshot pipeline refactor). The dense engine steps 64
+//! chains per word through the word-packed [`meg::graph::PairBits`] state
+//! (fixed words reused in place) and fills its rows from the set bits
+//! (`SnapshotBuf::build_from_pairs`). Geometric snapshots are built
 //! row by row (`SnapshotBuf::build_rows`): each node gathers its own CSR row
 //! from the bucket grid through the fixed-lane gather kernel of
 //! `meg-geometric::radius_graph`, straight into the reused `targets` array.
 //! The square-region section covers the Euclidean lanes and a torus-walkers
 //! section covers the wrap-around lanes (the torus build mixes both metric
 //! monomorphisations, so each region gets its own bar). The
-//! sparse engine keeps its alive set in flat reused `Vec`s under both
-//! stepping modes (an ascending pair-index list merged in place per-pair, at
-//! fast and slow churn, a swap-removed array under transitions), and both are
-//! held to the same bar.
+//! sparse engine keeps its alive set in one flat reused `Vec` (an ascending
+//! pair-index list merged in place), held to the same bar at fast and slow
+//! churn.
 //!
 //! The protocol layer is held to the same bar at `epidemic_threshold`'s
 //! operating point: `EpidemicMachine::step` on word-packed compartment sets
@@ -150,55 +146,7 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
         "torus geometric advance() allocated {torus_allocs} times after warm-up"
     );
 
-    // --- dense edge-MEG, transitions stepping (delta snapshot path) -------
-    use meg::core::evolving::{InitialDistribution, Stepping};
-    let params = EdgeMegParams::with_stationary(256, 0.08, 0.4);
-    let mut fast = DenseEdgeMeg::with_stepping(
-        params,
-        InitialDistribution::Stationary,
-        Stepping::Transitions,
-        7,
-    );
-    for _ in 0..100 {
-        fast.advance();
-    }
-    let (fast_allocs, fast_edges) = allocations_during(|| {
-        let mut total = 0usize;
-        for _ in 0..200 {
-            total += fast.advance().num_edges();
-        }
-        total
-    });
-    assert!(fast_edges > 0, "dense transitions workload degenerated");
-    assert_eq!(
-        fast_allocs, 0,
-        "dense transitions advance() allocated {fast_allocs} times after warm-up"
-    );
-
-    // --- sparse edge-MEG, transitions stepping ----------------------------
     use meg::edge::SparseEdgeMeg;
-    let params = EdgeMegParams::with_stationary(256, 0.03, 0.4);
-    let mut sparse = SparseEdgeMeg::with_stepping(
-        params,
-        InitialDistribution::Stationary,
-        Stepping::Transitions,
-        13,
-    );
-    for _ in 0..100 {
-        sparse.advance();
-    }
-    let (sparse_allocs, sparse_edges) = allocations_during(|| {
-        let mut total = 0usize;
-        for _ in 0..200 {
-            total += sparse.advance().num_edges();
-        }
-        total
-    });
-    assert!(sparse_edges > 0, "sparse transitions workload degenerated");
-    assert_eq!(
-        sparse_allocs, 0,
-        "sparse transitions advance() allocated {sparse_allocs} times after warm-up"
-    );
 
     // --- sparse edge-MEG, per-pair stepping ------------------------------
     // Deaths mark the ascending alive list in place, and births merge into
@@ -298,62 +246,6 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
             );
         }
     }
-
-    // --- raw SnapshotBuf delta rounds -------------------------------------
-    // A ring with slack 2, hammered with kill/revive delta rounds plus
-    // slack-exhaustion rebuilds: after one warm-up rebuild (which sizes the
-    // staging buffer), every delta round — in-place *and* fallback — must be
-    // allocation-free.
-    use meg::graph::SnapshotBuf;
-    let n = 64u32;
-    let mut buf = SnapshotBuf::new();
-    buf.begin(n as usize);
-    for u in 0..n {
-        buf.push_edge(u.min((u + 1) % n), u.max((u + 1) % n));
-    }
-    buf.build_with_slack(2);
-    let kill: Vec<(u32, u32)> = (0..n)
-        .step_by(2)
-        .map(|u| {
-            let v = (u + 1) % n;
-            (u.min(v), u.max(v))
-        })
-        .collect();
-    // Three chords at one hub exceed its slack of 2 and trigger the rebuild
-    // fallback; a second hub provides a fresh exhaustion for the measured
-    // window.
-    let chords_a: [(u32, u32); 3] = [(0, 4), (0, 8), (0, 12)];
-    let chords_b: [(u32, u32); 3] = [(1, 5), (1, 9), (1, 13)];
-    for _ in 0..4 {
-        assert!(!buf.apply_delta(&[], &kill).is_rebuilt());
-        assert!(!buf.apply_delta(&kill, &[]).is_rebuilt());
-    }
-    // Warm-up rebuild: exceeding the hub's slack must report `Rebuilt`.
-    assert!(buf.apply_delta(&chords_a, &[]).is_rebuilt());
-    let _ = buf.apply_delta(&[], &chords_a);
-    let (delta_allocs, delta_edges) = allocations_during(|| {
-        let mut total = 0usize;
-        let mut rebuilds = 0usize;
-        for _ in 0..100 {
-            rebuilds += buf.apply_delta(&[], &kill).is_rebuilt() as usize;
-            rebuilds += buf.apply_delta(&kill, &[]).is_rebuilt() as usize;
-            total += buf.num_edges();
-        }
-        // Fallback rebuild, measured: the outcome must say so.
-        rebuilds += buf.apply_delta(&chords_b, &[]).is_rebuilt() as usize;
-        let _ = buf.apply_delta(&[], &chords_b);
-        (total + buf.num_edges(), rebuilds)
-    });
-    let (delta_edges, delta_rebuilds) = delta_edges;
-    assert!(delta_edges > 0, "delta workload degenerated");
-    assert!(
-        delta_rebuilds >= 1,
-        "the chord burst must exhaust slack and report Rebuilt"
-    );
-    assert_eq!(
-        delta_allocs, 0,
-        "apply_delta allocated {delta_allocs} times after warm-up"
-    );
 
     // --- recorder installed: observation must not allocate either ---------
     // The recorder's storage is entirely static: counters and gauges are
