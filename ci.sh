@@ -448,11 +448,11 @@ PYEOF
     echo "general_bound: $(wc -l < "$PROTO_DIR/bound.on.jsonl") rows identical with the recorder on, probe span live"
     rm -rf "$PROTO_DIR"
 
-    step "distributed observability smoke (fault-injected pool: shipping + trace + progress)"
+    step "distributed observability smoke (fault-injected pool: shipping + trace + progress + cut)"
     OBS_DIR=$(mktemp -d)
     # shellcheck disable=SC2086
     $MEG_LAB run quick_smoke $COMMON > "$OBS_DIR/reference.jsonl"
-    # Every worker aborts after one cell, so the sweep only completes through
+    # Every worker aborts after one request, so the sweep only completes through
     # the respawn path — with the whole observability stack turned on.
     # shellcheck disable=SC2086
     MEG_PROGRESS_FORCE=1 $MEG_LAB run quick_smoke $COMMON \
@@ -496,6 +496,35 @@ print(f"distributed observability smoke: {cells} cells, {narrated} respawn(s) "
       f"(counter agrees), {shipped} worker-side trials shipped, "
       f"{spans} trace spans")
 PYEOF
+    # The pool cuts each cell's trials into min(trials, workers) items. Five
+    # trials on three crashing workers cut every cell 2 + 2 + 1, each item
+    # on a fresh worker; the rows must still equal the in-process run's.
+    # shellcheck disable=SC2086
+    $MEG_LAB run quick_smoke $COMMON --trials 5 > "$OBS_DIR/reference5.jsonl"
+    # shellcheck disable=SC2086
+    $MEG_LAB run quick_smoke $COMMON --trials 5 --workers 3 --worker-fail-after 1 \
+        > "$OBS_DIR/rows5.jsonl"
+    if ! cmp "$OBS_DIR/reference5.jsonl" "$OBS_DIR/rows5.jsonl"; then
+        diff -u "$OBS_DIR/reference5.jsonl" "$OBS_DIR/rows5.jsonl" >&2
+        echo "rows changed with 5 trials cut across 3 crashing workers" >&2
+        rm -rf "$OBS_DIR"
+        exit 1
+    fi
+    # Rows cannot show whether the cut fires; the coordinator's request count
+    # can. A fault-free 2-worker pool makes one round trip per hello plus one
+    # per item: 2 + 4 cells x min(2 trials, 2 workers) = 10 at this scale.
+    # shellcheck disable=SC2086
+    $MEG_LAB run quick_smoke $COMMON --workers 2 --metrics report \
+        > /dev/null 2> "$OBS_DIR/pool.metrics.txt"
+    ROUND_TRIPS=$(awk '$1 == "worker_round_trip" { print $2 }' "$OBS_DIR/pool.metrics.txt")
+    [ "$ROUND_TRIPS" = 10 ] || {
+        echo "worker_round_trip count ${ROUND_TRIPS:-missing} != 10 (2 hellos + 8 items):" >&2
+        cat "$OBS_DIR/pool.metrics.txt" >&2
+        rm -rf "$OBS_DIR"
+        exit 1
+    }
+    echo "pool cut: $(wc -l < "$OBS_DIR/rows5.jsonl") rows identical on 3 crashing workers;" \
+        "$ROUND_TRIPS round trips on 2 workers"
     rm -rf "$OBS_DIR"
 
     step "metrics overhead guard (dense stepping bench, on/off median ratio ≤ 1.05)"

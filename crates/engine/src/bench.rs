@@ -532,36 +532,42 @@ impl OverheadResult {
 }
 
 /// Times one workload with the recorder uninstalled vs installed and reports
-/// the median ratio. The two variants are **interleaved per repetition**
-/// (off, on, off, on, …) so slow machine drift — thermal throttling,
-/// frequency ramp-up, cache warming — cancels out of the ratio instead of
-/// biasing whichever variant ran second. Both variants execute the identical
-/// seeded work (the checksums are asserted equal), so the ratio isolates the
-/// instrumentation cost. `None` if the name is unknown.
+/// the median ratio. The two variants are **interleaved per repetition**, and
+/// which one runs first alternates (off-on, on-off, off-on, …), so slow
+/// machine drift — thermal throttling, frequency ramp-up, cache warming —
+/// cancels out of the ratio instead of biasing whichever variant ran second.
+/// Both variants execute the identical seeded work (the checksums are
+/// asserted equal), so the ratio isolates the instrumentation cost. `None`
+/// if the name is unknown.
 pub fn run_overhead(name: &str, opts: &BenchOptions) -> Option<OverheadResult> {
     let repetitions = opts.repetitions.max(1);
     obs::uninstall();
     for _ in 0..opts.warmup {
         run_once(name, opts.scale)?;
     }
-    let mut off_ms = Vec::with_capacity(repetitions);
-    let mut on_ms = Vec::with_capacity(repetitions);
-    let mut off_sum = 0.0;
-    let mut on_sum = 0.0;
-    for _ in 0..repetitions {
-        obs::uninstall();
-        let start = Instant::now();
-        let (_, sum) = run_once(name, opts.scale)?;
-        off_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        off_sum = sum;
-
-        obs::install();
+    // One timed repetition with the recorder on or off: (ms, checksum).
+    let timed = |on: bool| {
+        if on {
+            obs::install();
+        }
         let start = Instant::now();
         let step = run_once(name, opts.scale);
-        on_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        let ms = start.elapsed().as_secs_f64() * 1e3;
         obs::uninstall();
-        on_sum = step?.1;
+        Some((ms, step?.1))
+    };
+    // Indexed by `on`: [off, on].
+    let mut samples_ms: [Vec<f64>; 2] = Default::default();
+    let mut sums = [0.0; 2];
+    for rep in 0..repetitions {
+        for on in [rep % 2 == 1, rep % 2 == 0] {
+            let (ms, sum) = timed(on)?;
+            samples_ms[usize::from(on)].push(ms);
+            sums[usize::from(on)] = sum;
+        }
     }
+    let [off_ms, on_ms] = samples_ms;
+    let [off_sum, on_sum] = sums;
     assert_eq!(
         off_sum, on_sum,
         "metrics must not change behaviour for `{name}`"

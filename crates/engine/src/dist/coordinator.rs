@@ -23,11 +23,13 @@
 //!    exactly the corresponding subsequence of an unsharded run's output.
 //!
 //! In the worker pool the coordinator aggregates every row from the
-//! outcomes its workers return; a fixed-trials cell is one batch of all its
-//! trials. Under a
+//! outcomes its workers return. It cuts every checkpoint step of `t` trials
+//! into `min(t, L)` contiguous batches for its `L` lanes, the longer ones
+//! first, so the workers share every cell: a fixed-trials cell of 5 trials
+//! on 2 workers is the batches `0..3` and `3..5`. Under a
 //! [`Precision::TargetStderr`](crate::scenario::Precision::TargetStderr)
 //! scenario the **adaptive control loop** decides each cell's trial count:
-//! each cell's first `min_trials` are dispatched as a batch, the returned
+//! each cell's first `min_trials` are dispatched as batches, the returned
 //! outcomes' standard error is checked against `eps` at every checkpoint of
 //! the shared doubling schedule (`meg_stats::precision_checkpoints`), and
 //! incremental batches are re-dispatched until the target is met or
@@ -656,14 +658,15 @@ fn worker_thread(
 /// Runs `todo` through a pool of `opts.workers` subprocesses, invoking
 /// `on_result` (on the calling thread) as each finished row line arrives.
 ///
+/// The pool has one lane per worker, capped at the trials the cells can run.
 /// The shared control loop ([`Control`]) opens every cell under
-/// [`Plan::for_cell`] and sends trial batches. A fixed-trials cell is one
-/// batch of all its trials, so one round trip. An adaptive cell starts with
-/// its `min_trials` batch; the loop inspects the returned outcomes' standard
-/// error at every checkpoint of the shared doubling schedule and sends
-/// incremental batches while the target is unmet. Either way this thread
-/// aggregates each row itself from exactly the outcomes an unsharded run
-/// would draw, so the row bytes match.
+/// [`Plan::for_cell`] and cuts each checkpoint step into one trial batch per
+/// lane at most, each batch one round trip. A fixed-trials cell is one step
+/// of all its trials. An adaptive cell starts with its `min_trials` step; the
+/// loop inspects the returned outcomes' standard error at every checkpoint of
+/// the shared doubling schedule and sends incremental steps while the target
+/// is unmet. Either way this thread aggregates each row itself from exactly
+/// the outcomes an unsharded run would draw, so the row bytes match.
 #[allow(clippy::too_many_arguments)] // internal seam; run_sharded is the API
 fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
     scenario: &Scenario,
@@ -689,14 +692,18 @@ fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
         fingerprint: super::checkpoint::scenario_fingerprint(scenario),
     };
     // Trace lane layout follows `lane_names(opts.workers)`: lanes past the
-    // pool (when fewer cells than workers) simply stay empty.
+    // pool (when fewer trials than workers) simply stay empty.
     let coord_lane = opts.workers;
+    let plans: Vec<Plan> = todo
+        .iter()
+        .map(|&c| Plan::for_cell(&scenario.precision, &cells[c]))
+        .collect();
+    let pool_size = sched::lanes_for(&plans, opts.workers);
     let queue = WorkQueue::new();
-    let mut control = Control::new(&queue, false, journal.map(|j| (j, coord_lane)));
-    for &c in todo {
-        control.open(c, Plan::for_cell(&scenario.precision, &cells[c]));
+    let mut control = Control::new(&queue, pool_size, journal.map(|j| (j, coord_lane)));
+    for (&c, plan) in todo.iter().zip(plans) {
+        control.open(c, plan);
     }
-    let pool_size = opts.workers.min(todo.len());
     let ctx = PoolCtx {
         cmd: &cmd,
         handshake: &handshake,

@@ -23,12 +23,12 @@
 //!   one shard, either in-process or by dispatching trial batches to
 //!   `--workers k` subprocesses (dead workers are respawned and their
 //!   in-flight request retried), aggregating each row and streaming rows
-//!   back in canonical cell order. A fixed-trials cell is one batch; under
-//!   an adaptive-precision scenario (`Precision::TargetStderr`,
-//!   `meg-lab run --target-stderr`) the per-cell control loop dispatches
-//!   `min_trials`, inspects the returned standard error, and re-dispatches
-//!   incremental trial batches until the target is met or `max_trials` is
-//!   spent;
+//!   back in canonical cell order. A fixed-trials cell is cut into one
+//!   contiguous batch per worker at most; under an adaptive-precision
+//!   scenario (`Precision::TargetStderr`, `meg-lab run --target-stderr`)
+//!   the per-cell control loop dispatches `min_trials`, inspects the
+//!   returned standard error, and re-dispatches incremental trial batches,
+//!   cut the same way, until the target is met or `max_trials` is spent;
 //! * [`trace`] / [`progress`] — sweep observability: a Chrome trace-event
 //!   journal of per-cell lifecycle events (`--trace out.json`, viewable in
 //!   Perfetto) and a throttled single-line stderr status (`--progress`).

@@ -37,10 +37,12 @@
 //! cell's seed from the global index it was handed, and trial `i`'s
 //! randomness depends only on that seed and `i`, so which process executes
 //! a batch never changes a byte, and batches concatenate byte-identically
-//! to one fixed run. A fixed-trials cell is one batch of all its trials;
-//! the adaptive control loop grows a cell with further batches. A batch
-//! must run at least one trial and stay within the cell's trial budget
-//! (its `trials`, or the adaptive `max_trials`).
+//! to one fixed run. The coordinator cuts each cell's trials into one
+//! contiguous batch per pool lane at most (a fixed-trials cell of 5 trials
+//! on 2 workers is `0..3` and `3..5`); the adaptive control loop grows a
+//! cell with further batches, cut the same way. A batch must run at least
+//! one trial and stay within the cell's trial budget (its `trials`, or the
+//! adaptive `max_trials`).
 //!
 //! Requests run on the engine's trial queue, with the worker's own trial
 //! threads (`RAYON_NUM_THREADS`, else all cores).

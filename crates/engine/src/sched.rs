@@ -6,10 +6,14 @@
 //! parts, shared by the in-process trial threads ([`run_jobs`]) and the
 //! worker pool of [`crate::dist`]:
 //!
-//! * [`WorkQueue`] holds [`WorkItem`]s first in, first out: `(cell, trial)`
-//!   units for trial threads, one trial batch per checkpoint step for a pool.
-//!   Every cell's first units are queued in cell order when it opens, so a
-//!   fixed-trials sweep runs cell-major.
+//! * [`WorkQueue`] holds [`WorkItem`]s first in, first out. The control loop
+//!   cuts each checkpoint step of `k` trials into `min(k, cut)` contiguous
+//!   items in trial order, the first `k mod min(k, cut)` of them one trial
+//!   longer ([`cut_step`]). A pool of `L` lanes cuts at `cut = L`, so every
+//!   lane shares every step while each item stays one request round trip;
+//!   trial threads cut with no cap, into `(cell, trial)` units. Every cell's
+//!   first items are queued in cell order when it opens, so a fixed-trials
+//!   sweep runs cell-major.
 //!   Lanes (scoped threads) pop an item, execute it and send the reply to
 //!   the calling thread. A lane holds one item at a time, so at most
 //!   `lanes` items are in flight.
@@ -41,8 +45,7 @@ use std::time::Instant;
 
 /// One unit of work a lane takes off the queue: trials
 /// `start .. start + count` of a cell, answered with their raw outcomes.
-/// Trial threads take one-trial units; a pool sends one batch per
-/// checkpoint step.
+/// [`cut_step`] makes them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct WorkItem {
     pub(crate) cell: usize,
@@ -237,13 +240,31 @@ struct CellCtl {
     started: Option<Instant>,
 }
 
+/// Cuts trials `from .. to` of `cell` into `min(to - from, cut)` contiguous
+/// items in trial order, the first `(to - from) mod min(to - from, cut)` of
+/// them one trial longer than the rest.
+fn cut_step(cell: usize, from: usize, to: usize, cut: usize) -> impl Iterator<Item = WorkItem> {
+    let items = (to - from).min(cut);
+    let mut start = from;
+    (0..items).map(move |i| {
+        // The remaining trials shared among the remaining items, rounded up.
+        let item = WorkItem {
+            cell,
+            start,
+            count: (to - start).div_ceil(items - i),
+        };
+        start += item.count;
+        item
+    })
+}
+
 /// The adaptive control loop: per-cell outcome buffers and checkpoint
 /// decisions. Runs on the calling thread only.
 pub(crate) struct Control<'a> {
     queue: &'a WorkQueue,
-    /// One queue item per trial (trial threads) or one per checkpoint step
-    /// (a pool, where each item is a request round trip).
-    per_trial: bool,
+    /// The most items one checkpoint step is cut into ([`cut_step`]): the
+    /// pool size, or `usize::MAX` for trial threads (one-trial items).
+    cut: usize,
     cells: BTreeMap<usize, CellCtl>,
     /// Journal and lane that checkpoint doublings are marked on.
     journal: Option<(&'a TraceJournal, usize)>,
@@ -252,12 +273,12 @@ pub(crate) struct Control<'a> {
 impl<'a> Control<'a> {
     pub(crate) fn new(
         queue: &'a WorkQueue,
-        per_trial: bool,
+        cut: usize,
         journal: Option<(&'a TraceJournal, usize)>,
     ) -> Control<'a> {
         Control {
             queue,
-            per_trial,
+            cut,
             cells: BTreeMap::new(),
             journal,
         }
@@ -288,19 +309,7 @@ impl<'a> Control<'a> {
         st.outcomes
             .resize(to - st.plan.first, TrialOutcome::failed());
         st.missing = to - from;
-        if self.per_trial {
-            self.queue.push((from..to).map(|start| WorkItem {
-                cell,
-                start,
-                count: 1,
-            }));
-        } else {
-            self.queue.push([WorkItem {
-                cell,
-                start: from,
-                count: to - from,
-            }]);
-        }
+        self.queue.push(cut_step(cell, from, to, self.cut));
     }
 
     /// Takes the outcomes of trials `start ..` of `cell`. Once every outcome
@@ -482,11 +491,16 @@ pub(crate) struct Job<'a> {
     pub(crate) plan: Plan,
 }
 
-/// The trial threads `jobs` run on: `threads`, capped at the most trials
-/// the jobs can run.
+/// The lanes a sweep of `plans` runs on: `lanes`, capped at the most trials
+/// the plans can run (a lane past that could never take an item).
+pub(crate) fn lanes_for<'p>(plans: impl IntoIterator<Item = &'p Plan>, lanes: usize) -> usize {
+    let budget: usize = plans.into_iter().map(Plan::budget).sum();
+    lanes.clamp(1, budget.max(1))
+}
+
+/// The trial threads `jobs` run on ([`lanes_for`]).
 fn trial_threads(jobs: &[Job<'_>], threads: usize) -> usize {
-    let budget: usize = jobs.iter().map(|j| j.plan.budget()).sum();
-    threads.clamp(1, budget.max(1))
+    lanes_for(jobs.iter().map(|j| &j.plan), threads)
 }
 
 /// Runs `jobs` (distinct cells) on [`trial_threads`] scoped threads and
@@ -508,7 +522,7 @@ where
 {
     let by_cell: BTreeMap<usize, &Job<'_>> = jobs.iter().map(|j| (j.cell.index, j)).collect();
     let queue = WorkQueue::new();
-    let mut control = Control::new(&queue, true, journal.map(|j| (j, 0)));
+    let mut control = Control::new(&queue, usize::MAX, journal.map(|j| (j, 0)));
     for job in jobs {
         control.open(job.cell.index, job.plan.clone());
     }
@@ -593,4 +607,59 @@ where
         trial_threads(jobs, threads) as u64,
     );
     run_rows(scenario, jobs, threads, journal, trial, on_row)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The items [`Control::open`] queues for trials `start .. start + k`
+    /// of cell 3 under `cut`.
+    fn queued(start: usize, k: usize, cut: usize) -> Vec<WorkItem> {
+        let queue = WorkQueue::new();
+        let mut control = Control::new(&queue, cut, None);
+        control.open(3, Plan::range(start, k));
+        std::iter::from_fn(|| queue.pop()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn a_step_is_cut_into_balanced_contiguous_items(start in 0usize..1_000_000) {
+            for k in 1..=64 {
+                for lanes in 1..=8 {
+                    let items = queued(start, k, lanes);
+                    prop_assert_eq!(items.len(), k.min(lanes));
+                    let mut next = start;
+                    for item in &items {
+                        prop_assert_eq!((item.cell, item.start), (3, next));
+                        next += item.count;
+                    }
+                    prop_assert_eq!(next, start + k, "the items cover the step exactly once");
+                    let longest = items[0].count;
+                    prop_assert!(items.iter().all(|i| i.count > 0 && i.count + 1 >= longest));
+                    prop_assert!(
+                        items.windows(2).all(|w| w[0].count >= w[1].count),
+                        "the longer items come first: {:?}", items
+                    );
+                }
+                // Trial threads cut with no cap: one item per trial.
+                let units = queued(start, k, usize::MAX);
+                prop_assert_eq!(units.len(), k);
+                prop_assert!(units
+                    .iter()
+                    .zip(start..)
+                    .all(|(u, i)| u.start == i && u.count == 1));
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_are_capped_at_the_trial_budget() {
+        let plans = [Plan::range(0, 2), Plan::range(4, 1)];
+        assert_eq!(lanes_for(&plans, 2), 2);
+        assert_eq!(lanes_for(&plans, 8), 3);
+        assert_eq!(lanes_for(&plans[1..], 4), 1);
+        assert_eq!(lanes_for(&[], 4), 1);
+    }
 }

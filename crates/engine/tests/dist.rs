@@ -187,6 +187,43 @@ fn dir_arg(dir: &Path) -> &str {
     dir.to_str().expect("utf8 temp path")
 }
 
+/// The work items a `--trace` journal records a complete span for, as
+/// `(cell, first trial, end trial)` parsed from the span names.
+fn traced_items(trace: &Path) -> Vec<(usize, usize, usize)> {
+    let doc = Json::parse(&std::fs::read_to_string(trace).expect("trace file written"))
+        .expect("trace parses as JSON");
+    doc.get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|e| {
+            let name = e.get("name").and_then(Json::as_str).expect("span name");
+            let parsed = name.strip_prefix("cell ").and_then(|rest| {
+                let (cell, range) = rest.split_once(" trials ")?;
+                let (from, to) = range.split_once("..")?;
+                Some((cell.parse().ok()?, from.parse().ok()?, to.parse().ok()?))
+            });
+            parsed.unwrap_or_else(|| panic!("span `{name}` names no trial range"))
+        })
+        .collect()
+}
+
+/// The trial ranges `items` cut each cell into, sorted, keyed by cell.
+fn cuts_by_cell(items: &[(usize, usize, usize)]) -> Vec<(usize, Vec<(usize, usize)>)> {
+    let mut by_cell = std::collections::BTreeMap::<usize, Vec<(usize, usize)>>::new();
+    for &(cell, from, to) in items {
+        by_cell.entry(cell).or_default().push((from, to));
+    }
+    by_cell
+        .into_iter()
+        .map(|(cell, mut ranges)| {
+            ranges.sort_unstable();
+            (cell, ranges)
+        })
+        .collect()
+}
+
 #[test]
 fn cli_shard_merge_round_trip_is_byte_identical() {
     let reference = cli_unsharded_json();
@@ -296,16 +333,18 @@ fn cli_coordinator_restarts_crashing_workers() {
     );
 
     // With fail-after=1 every worker thread respawns once per item after its
-    // first, so total respawns land in [cells − workers, cells − 1].
+    // first. Each cell's 2 trials are cut into min(2, workers) = 2 items, so
+    // total respawns land in [items − workers, items − 1].
+    let items = 2 * cells;
     let narrated = stderr
         .lines()
         .filter(|l| l.contains("worker respawned"))
         .count();
     assert!(
-        (cells - 2..=cells - 1).contains(&narrated),
+        (items - 2..=items - 1).contains(&narrated),
         "expected {} or {} respawn lines, saw {narrated}:\n{stderr}",
-        cells - 2,
-        cells - 1
+        items - 2,
+        items - 1
     );
     assert!(
         stderr.lines().any(|l| l.contains("worker died")),
@@ -392,18 +431,21 @@ fn cli_full_observability_stack_keeps_stdout_identical() {
     );
 
     // The trace journal is valid trace-event JSON with one complete-phase
-    // span per cell on the worker lanes.
-    let doc = Json::parse(&std::fs::read_to_string(&trace_path).expect("trace file written"))
-        .expect("trace parses as JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array");
-    let spans = events
-        .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-        .count();
-    assert_eq!(spans, cells, "one complete span per cell, got {spans}");
+    // span per work item on the worker lanes: each cell's 2 trials are cut
+    // into min(2, workers) = 2 items, which cover them exactly once.
+    let items = traced_items(&trace_path);
+    assert_eq!(
+        items.len(),
+        2 * cells,
+        "one complete span per item: {items:?}"
+    );
+    assert_eq!(
+        cuts_by_cell(&items),
+        (0..cells)
+            .map(|cell| (cell, vec![(0, 1), (1, 2)]))
+            .collect::<Vec<_>>(),
+        "every cell's spans must cover its trials exactly once"
+    );
     std::fs::remove_file(&trace_path).unwrap();
 }
 
@@ -600,6 +642,53 @@ fn cli_adaptive_worker_pool_matches_single_process_and_converges() {
     }
     assert_eq!(run_ok(&["merge", dir_arg(&dir)]), reference);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cli_uneven_cuts_across_three_workers_match_the_in_process_run() {
+    // Five trials on three workers cut every cell 2 + 2 + 1; the adaptive
+    // leg grows cells through the 3, 6 and 12 trial checkpoints, each step
+    // cut across the pool. Under `--worker-fail-after 1` every item after a
+    // worker's first runs on a respawned worker. Every leg must print the
+    // in-process rows byte for byte.
+    let base = ["run", "quick_smoke", "--scale", "0.25", "--seed", "2009"];
+    let adaptive = [
+        "--target-stderr",
+        "0.3",
+        "--min-trials",
+        "3",
+        "--max-trials",
+        "12",
+    ];
+    let pool = ["--format", "json", "--workers", "3"];
+    let faulty = ["--worker-fail-after", "1"];
+    for precision in [&["--trials", "5"][..], &adaptive[..]] {
+        let reference = run_ok(&[&base[..], precision, &["--format", "json"]].concat());
+        for extra in [&[][..], &faulty[..]] {
+            let pooled = run_ok(&[&base[..], precision, &pool[..], extra].concat());
+            assert_eq!(pooled, reference, "{precision:?} {extra:?}");
+        }
+    }
+
+    // The trace shows the cut itself, which the rows cannot.
+    let trace = tmp("uneven-cut.json");
+    let rows = run_ok(
+        &[
+            &base[..],
+            &["--trials", "5"],
+            &pool[..],
+            &["--trace", dir_arg(&trace)],
+        ]
+        .concat(),
+    );
+    let cells = rows.lines().count();
+    assert_eq!(
+        cuts_by_cell(&traced_items(&trace)),
+        (0..cells)
+            .map(|cell| (cell, vec![(0, 2), (2, 4), (4, 5)]))
+            .collect::<Vec<_>>()
+    );
+    std::fs::remove_file(&trace).unwrap();
 }
 
 #[test]
