@@ -117,6 +117,23 @@ if [ "$MODE" != "quick" ]; then
         exit 1
     fi
     echo "meg-lab emitted $ROWS well-formed JSON rows"
+    # A reader that stops after one row ends the run quietly, in-process and
+    # from a pool: under pipefail a non-zero meg-lab status fails the
+    # pipeline, and a panic on stderr is a failure too.
+    PIPE_ERR=$(mktemp)
+    for pool in "" "--workers 2"; do
+        # shellcheck disable=SC2086
+        if ! FIRST=$(cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
+            run quick_smoke --trials 2 --format json $pool 2> "$PIPE_ERR" | head -n 1) \
+            || grep -q panicked "$PIPE_ERR" || [[ "$FIRST" != '{"scenario":'* ]]; then
+            echo "meg-lab $pool failed when its reader closed after one row:" >&2
+            cat "$PIPE_ERR" >&2
+            rm -f "$PIPE_ERR"
+            exit 1
+        fi
+    done
+    rm -f "$PIPE_ERR"
+    echo "meg-lab exits 0 quietly when its reader closes early"
 
     step "meg-lab sharded smoke (0/2 + 1/2 + merge, byte-identical to unsharded, JSON and CSV)"
     MEG_LAB="cargo run -q --release --offline -p meg-engine --bin meg-lab --"

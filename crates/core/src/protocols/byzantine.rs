@@ -61,7 +61,6 @@ pub struct ByzantineMachine {
     /// (node, adopts_correct) decided this round; first writer wins.
     newly: Vec<(Node, bool)>,
     pending: meg_graph::NodeSet,
-    scratch: Vec<Node>,
     informed_count: usize,
     correct_count: usize,
     tampered_adoptions: u64,
@@ -94,7 +93,6 @@ impl ByzantineMachine {
             opinion,
             newly: Vec::new(),
             pending: meg_graph::NodeSet::new(n),
-            scratch: Vec::new(),
             informed_count: 1 + placed,
             correct_count: 1,
             tampered_adoptions: 0,
@@ -149,7 +147,6 @@ impl ProtocolMachine for ByzantineMachine {
             opinion,
             newly,
             pending,
-            scratch,
             informed_count,
             correct_count,
             tampered_adoptions,
@@ -158,7 +155,7 @@ impl ProtocolMachine for ByzantineMachine {
         newly.clear();
         pending.clear();
         for u in 0..n as Node {
-            let Some(v) = random_contact(g, u, scratch, rng) else {
+            let Some(v) = random_contact(g, u, rng) else {
                 continue;
             };
             *messages += 1;

@@ -24,7 +24,7 @@
 //! its own predicate.
 
 use super::state_machine::{NodeState, ProtocolMachine};
-use meg_graph::{visit_neighbors, Graph, Node, NodeSet};
+use meg_graph::{Graph, Node, NodeSet};
 use meg_markov::gen_bool_threshold;
 use rand::Rng;
 
@@ -231,12 +231,12 @@ impl ProtocolMachine for EpidemicMachine {
             let mut c = 0usize;
             let mut top: Node = 0;
             let mut degree = 0u64;
-            visit_neighbors(g, u, |v| {
+            for &v in g.neighbors(u) {
                 candidates[c] = v;
                 c += susceptible.contains(v) as usize;
                 top = top.max(v);
                 degree += 1;
-            });
+            }
             // A tail bit is never set, so an id in the last word's tail
             // would pass as not susceptible; one check per row catches it.
             assert!((top as usize) < n, "node {top} outside universe {n}");
@@ -454,7 +454,7 @@ pub(crate) mod legacy {
                 if !matches!(health[u as usize], Health::Infectious { .. }) {
                     continue;
                 }
-                visit_neighbors(g, u, |v| {
+                for &v in g.neighbors(u) {
                     *messages += 1;
                     if matches!(health[v as usize], Health::Susceptible)
                         && !pending_set.contains(v)
@@ -463,7 +463,7 @@ pub(crate) mod legacy {
                         pending_set.insert(v);
                         pending.push(v);
                     }
-                });
+                }
             }
 
             // Phase 2: timers on the round-start infectious/immune nodes.
@@ -525,27 +525,9 @@ mod tests {
     use super::*;
     use crate::evolving::{EvolvingGraph, FrozenGraph, ScheduledGraph};
     use crate::protocols::state_machine::{run_machine, RunOutcome};
-    use meg_graph::{generators, AdjacencyList, SnapshotBuf};
+    use meg_graph::{generators, AdjacencyList};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    /// A snapshot seen without its `neighbor_slice`, so every row reaches
-    /// the machine through `for_each_neighbor`.
-    struct CallbackRows<'a>(&'a SnapshotBuf);
-
-    impl Graph for CallbackRows<'_> {
-        fn num_nodes(&self) -> usize {
-            self.0.num_nodes()
-        }
-
-        fn num_edges(&self) -> usize {
-            self.0.num_edges()
-        }
-
-        fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
-            self.0.for_each_neighbor(u, f)
-        }
-    }
 
     /// Every node's state and every counter of the two machines agree.
     fn assert_same(new: &EpidemicMachine, old: &legacy::EpidemicMachine, at: &str) {
@@ -571,7 +553,7 @@ mod tests {
         // d = 1–4 and contagion exactly 0, exactly 1 or in (0, 1). Every
         // fourth case has n > 128 (three words or more); the others span
         // 1..=128, so most last words are partial.
-        let (mut multi_word, mut ragged, mut callback, mut reinfected) = (0, 0, 0, 0);
+        let (mut multi_word, mut ragged, mut reinfected) = (0, 0, 0);
         for case in 0..96u64 {
             let mut gen = ChaCha8Rng::seed_from_u64(case ^ 0x5151);
             let n = if case % 4 == 0 {
@@ -603,7 +585,6 @@ mod tests {
                 .map(|_| generators::erdos_renyi(n, p, &mut gen))
                 .collect();
             let source = gen.gen_range(0..n as Node);
-            let by_callback = gen.gen_bool(0.25);
             let mut meg = ScheduledGraph::new(schedule);
             let mut new = EpidemicMachine::new(n, source, contagion, d, immunity);
             let mut old = legacy::EpidemicMachine::new(n, source, contagion, d, immunity);
@@ -616,11 +597,7 @@ mod tests {
                     break;
                 }
                 let s = meg.advance();
-                if by_callback {
-                    new.step(&CallbackRows(s), &mut rng_new);
-                } else {
-                    new.step(s, &mut rng_new);
-                }
+                new.step(s, &mut rng_new);
                 old.step(s, &mut rng_old);
                 assert_same(&new, &old, &format!("{at}, round {round}"));
             }
@@ -631,10 +608,9 @@ mod tests {
             );
             multi_word += (n > 128) as usize;
             ragged += (n % 64 != 0) as usize;
-            callback += by_callback as usize;
             reinfected += (new.infections() > new.final_size() as u64) as usize;
         }
-        assert!(multi_word >= 24 && ragged >= 48 && callback >= 12);
+        assert!(multi_word >= 24 && ragged >= 48);
         assert!(
             reinfected >= 10,
             "only {reinfected} runs re-infected a node (SIS/SIRS re-susceptibility)"
@@ -654,9 +630,11 @@ mod tests {
             fn num_edges(&self) -> usize {
                 1
             }
-            fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
+            fn neighbors(&self, u: Node) -> &[Node] {
                 if u == 0 {
-                    f(10);
+                    &[10]
+                } else {
+                    &[]
                 }
             }
         }

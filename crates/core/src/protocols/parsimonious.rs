@@ -14,7 +14,7 @@
 use super::state_machine::{run_machine, NodeState, ProtocolMachine};
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{visit_neighbors, Graph, Node, NodeSet};
+use meg_graph::{Graph, Node, NodeSet};
 use rand::Rng;
 
 /// Per-node state of parsimonious flooding.
@@ -126,12 +126,12 @@ impl ProtocolMachine for ParsimoniousMachine {
             }
             any_active = true;
             remaining_active[u as usize] -= 1;
-            visit_neighbors(g, u, |v| {
+            for &v in g.neighbors(u) {
                 *messages += 1;
                 if !informed.contains(v) {
                     newly.push(v);
                 }
-            });
+            }
         }
         for &v in newly.iter() {
             if informed.insert(v) {

@@ -5,7 +5,7 @@
 use super::state_machine::{run_machine, NodeState, ProtocolMachine};
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{visit_neighbors, Graph, Node, NodeSet};
+use meg_graph::{Graph, Node, NodeSet};
 use rand::Rng;
 
 /// Per-node state of (probabilistic) flooding: informed or not.
@@ -107,11 +107,11 @@ impl ProtocolMachine for FloodMachine {
                     continue;
                 }
                 *messages += g.degree(u) as u64;
-                visit_neighbors(g, u, |v| {
+                for &v in g.neighbors(u) {
                     if !informed.contains(v) {
                         newly.push(v);
                     }
-                });
+                }
             }
         } else {
             // Plain flooding past n/2 (the second phase of Lemma 2.4): the
@@ -122,7 +122,7 @@ impl ProtocolMachine for FloodMachine {
             for v in 0..n as Node {
                 if informed.contains(v) {
                     *messages += g.degree(v) as u64;
-                } else if has_neighbor_in(g, v, informed) {
+                } else if g.neighbors(v).iter().any(|&w| informed.contains(w)) {
                     newly.push(v);
                 }
             }
@@ -142,19 +142,6 @@ impl ProtocolMachine for FloodMachine {
 
     fn messages_sent(&self) -> u64 {
         self.messages
-    }
-}
-
-/// Does `v` have a neighbor in `set`? Stops at the first hit when the
-/// snapshot exposes a contiguous neighbor slice.
-fn has_neighbor_in<G: Graph + ?Sized>(g: &G, v: Node, set: &NodeSet) -> bool {
-    match g.neighbor_slice(v) {
-        Some(slice) => slice.iter().any(|&w| set.contains(w)),
-        None => {
-            let mut hit = false;
-            g.for_each_neighbor(v, &mut |w| hit |= set.contains(w));
-            hit
-        }
     }
 }
 
@@ -215,12 +202,12 @@ pub(crate) mod legacy {
                 if beta < 1.0 && !rng.gen_bool(beta) {
                     continue;
                 }
-                visit_neighbors(snapshot, u, |v| {
+                for &v in snapshot.neighbors(u) {
                     messages += 1;
                     if !informed.contains(v) {
                         newly.push(v);
                     }
-                });
+                }
             }
             for &v in &newly {
                 informed.insert(v);

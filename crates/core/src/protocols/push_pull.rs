@@ -25,7 +25,6 @@ pub use super::probabilistic::FloodState;
 pub struct PushPullMachine {
     informed: NodeSet,
     newly: Vec<Node>,
-    scratch: Vec<Node>,
     messages: u64,
 }
 
@@ -38,7 +37,6 @@ impl PushPullMachine {
         PushPullMachine {
             informed: NodeSet::singleton(n, source),
             newly: Vec::new(),
-            scratch: Vec::new(),
             messages: 0,
         }
     }
@@ -68,12 +66,11 @@ impl ProtocolMachine for PushPullMachine {
         let Self {
             informed,
             newly,
-            scratch,
             messages,
         } = self;
         newly.clear();
         for u in 0..n as Node {
-            let Some(v) = random_contact(g, u, scratch, rng) else {
+            let Some(v) = random_contact(g, u, rng) else {
                 continue;
             };
             *messages += 1;

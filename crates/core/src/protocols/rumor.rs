@@ -30,7 +30,6 @@ pub use super::probabilistic::FloodState;
 pub struct RumorMachine {
     informed: NodeSet,
     newly: Vec<Node>,
-    scratch: Vec<Node>,
     messages: u64,
 }
 
@@ -43,7 +42,6 @@ impl RumorMachine {
         RumorMachine {
             informed: NodeSet::singleton(n, source),
             newly: Vec::new(),
-            scratch: Vec::new(),
             messages: 0,
         }
     }
@@ -72,12 +70,11 @@ impl ProtocolMachine for RumorMachine {
         let Self {
             informed,
             newly,
-            scratch,
             messages,
         } = self;
         newly.clear();
         for u in informed.iter() {
-            let Some(v) = random_contact(g, u, scratch, rng) else {
+            let Some(v) = random_contact(g, u, rng) else {
                 continue;
             };
             *messages += 1;

@@ -230,33 +230,18 @@ where
 /// isolated in this snapshot.
 ///
 /// Random-contact machines (push–pull, rumor, Byzantine) draw exactly one
-/// `gen_range` over the neighbor count per non-isolated caller. When the
-/// snapshot exposes a contiguous neighbor slice (the engine's `SnapshotBuf`
-/// always does) the draw indexes it directly — the same order, hence the
-/// same byte stream, as the historical `snapshot.neighbors(u)` code path.
-/// Other `Graph` impls fall back to collecting into `scratch`.
-pub(super) fn random_contact<G, R>(
-    g: &G,
-    u: Node,
-    scratch: &mut Vec<Node>,
-    rng: &mut R,
-) -> Option<Node>
+/// `gen_range` over the neighbor count per non-isolated caller and index
+/// `u`'s row with it, so the row order fixes the byte stream.
+pub(super) fn random_contact<G, R>(g: &G, u: Node, rng: &mut R) -> Option<Node>
 where
     G: Graph + ?Sized,
     R: Rng,
 {
-    if let Some(slice) = g.neighbor_slice(u) {
-        if slice.is_empty() {
-            return None;
-        }
-        return Some(slice[rng.gen_range(0..slice.len())]);
-    }
-    scratch.clear();
-    g.for_each_neighbor(u, &mut |v| scratch.push(v));
-    if scratch.is_empty() {
+    let row = g.neighbors(u);
+    if row.is_empty() {
         return None;
     }
-    Some(scratch[rng.gen_range(0..scratch.len())])
+    Some(row[rng.gen_range(0..row.len())])
 }
 
 #[cfg(test)]

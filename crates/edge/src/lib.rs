@@ -20,8 +20,10 @@
 //! `chain_laws` test suite checks both against the chain's closed-form laws
 //! and against each other.
 //!
-//! [`init`] provides the stationary / empty / full initialisations used by the
-//! stationary-vs-worst-case gap experiments.
+//! Both take their start as an
+//! [`InitialDistribution`](meg_core::evolving::InitialDistribution): the
+//! stationary draw, or the empty or full graph of the stationary-vs-worst-case
+//! gap experiments.
 //!
 //! ## Example
 //!
@@ -50,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod dense;
-pub mod init;
 pub mod model;
 pub mod sparse;
 

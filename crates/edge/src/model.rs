@@ -78,12 +78,6 @@ impl EdgeMegParams {
         self.num_pairs() as f64 * self.stationary_edge_probability()
     }
 
-    /// Suggests the cheaper engine for this configuration: sparse when the
-    /// expected stationary snapshot has fewer than ~15% of all pairs alive.
-    pub fn prefers_sparse_engine(&self) -> bool {
-        self.stationary_edge_probability() < 0.15
-    }
-
     /// Expected number of edge flips per round in the stationary regime:
     /// `N·(1−p̂)·p` births plus `N·p̂·q` deaths, which are equal
     /// (detailed balance), giving `2N·pq/(p+q)`.
@@ -128,14 +122,12 @@ mod tests {
         assert!((p.stationary_edge_probability() - 0.2).abs() < 1e-12);
         assert_eq!(p.num_pairs(), 4950);
         assert!((p.expected_stationary_edges() - 990.0).abs() < 1e-9);
-        assert!(!p.prefers_sparse_engine());
     }
 
     #[test]
     fn with_stationary_inverts_correctly() {
         let params = EdgeMegParams::with_stationary(1_000, 0.01, 0.5);
         assert!((params.stationary_edge_probability() - 0.01).abs() < 1e-12);
-        assert!(params.prefers_sparse_engine());
         assert_eq!(params.q, 0.5);
     }
 

@@ -13,7 +13,11 @@
 //! 2. **against each other** — per-edge empirical densities, per-round flip
 //!    counts and holding-time histograms from independent seeds must agree
 //!    across the engines (two-sample KS / chi-square), in the fast-mixing
-//!    battery regime and in the sparse engine's home regime.
+//!    battery regime and in the sparse engine's home regime;
+//! 3. **from the empty and the full start** — `G_t`'s edge count is exactly
+//!    `Binomial(C(n,2), P^t(x, 1))` with `x` the start's state, which fixes
+//!    which snapshot the `(t+1)`-th `advance` returns (a stationary start
+//!    cannot tell `G_t` from `G_{t+1}`).
 //!
 //! Every test uses fixed seeds and the deterministic critical values of
 //! `meg_stats::gof`, so a pass is reproducible, not probabilistic.
@@ -275,5 +279,91 @@ fn engines_agree_in_the_sparse_regime() {
             (mean_density - 0.08).abs() < 0.01,
             "{engine:?}: mean density {mean_density} vs p̂ 0.08"
         );
+    }
+}
+
+/// Replicates per engine and cell of the fixed-start laws.
+const START_REPLICATES: u64 = 200;
+/// The rounds `t` whose snapshot `G_t` the fixed-start laws check.
+const START_TIMES: [u32; 6] = [0, 1, 2, 5, 10, 20];
+/// Bound on each fixed-start z-score (mean and variance), set before the
+/// first run: 120 scores under the null exceed it with probability ≈ 1%.
+const START_Z: f64 = 4.0;
+
+/// `|E(G_t)|` for every `t` in [`START_TIMES`], over [`START_REPLICATES`]
+/// runs from `init`: row `i` holds the counts at `START_TIMES[i]`. The
+/// `(t+1)`-th `advance` returns `G_t`.
+fn edge_counts_from(
+    engine: Engine,
+    params: EdgeMegParams,
+    init: InitialDistribution,
+) -> Vec<Vec<f64>> {
+    let mut counts = vec![Vec::new(); START_TIMES.len()];
+    for replicate in 0..START_REPLICATES {
+        let seed = SEED_A ^ (replicate << 20);
+        match engine {
+            Engine::Dense => {
+                record_edge_counts(&mut DenseEdgeMeg::new(params, init, seed), &mut counts)
+            }
+            Engine::Sparse => {
+                record_edge_counts(&mut SparseEdgeMeg::new(params, init, seed), &mut counts)
+            }
+        }
+    }
+    counts
+}
+
+/// Appends `|E(G_t)|` to `counts[i]` for `t = START_TIMES[i]`.
+fn record_edge_counts<M: EvolvingGraph>(meg: &mut M, counts: &mut [Vec<f64>]) {
+    let mut at = 0;
+    for t in 0..=START_TIMES[START_TIMES.len() - 1] {
+        let m = meg.advance().num_edges();
+        if t == START_TIMES[at] {
+            counts[at].push(m as f64);
+            at += 1;
+        }
+    }
+}
+
+#[test]
+fn empty_and_full_starts_follow_the_t_step_law() {
+    // From a fixed start every pair is an independent chain started in
+    // state x, present at round t with P^t(x, 1) = p̂ + (x − p̂)λ₂ᵗ, so
+    // |E(G_t)| ~ Binomial(N, P^t(x, 1)) with N = C(n, 2). Each mean is
+    // checked as a z-score against the exact binomial standard error, each
+    // sample variance against the standard error that the binomial's
+    // fourth central moment gives. Slow churn (q = 0.05 and 0.02, λ₂ ≈ 0.93
+    // and 0.98) keeps the start visible up to t = 20; fast churn (q = 0.5)
+    // has forgotten it by t = 5.
+    let r = START_REPLICATES as f64;
+    for (n, p_hat, q) in [(40, 0.3, 0.05), (40, 0.3, 0.5), (40, 0.05, 0.02)] {
+        let params = EdgeMegParams::with_stationary(n, p_hat, q);
+        let pairs = params.num_pairs() as f64;
+        for (init, full) in [
+            (InitialDistribution::Empty, false),
+            (InitialDistribution::Full, true),
+        ] {
+            for engine in ENGINES {
+                let counts = edge_counts_from(engine, params, init);
+                for (&t, xs) in START_TIMES.iter().zip(&counts) {
+                    let at = format!("{engine:?} {init:?} n={n} p̂={p_hat} q={q} t={t}");
+                    let p = params.chain().prob_present_after(full, t);
+                    let (mean, var) = (pairs * p, pairs * p * (1.0 - p));
+                    if var == 0.0 {
+                        assert!(xs.iter().all(|&x| x == mean), "{at}: not {mean} edges");
+                        continue;
+                    }
+                    let m = xs.iter().sum::<f64>() / r;
+                    let s2 = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (r - 1.0);
+                    let mu4 = var * (1.0 + 3.0 * (pairs - 2.0) * p * (1.0 - p));
+                    let z_mean = (m - mean) / (var / r).sqrt();
+                    let z_var = (s2 - var) / ((mu4 - var * var * (r - 3.0) / (r - 1.0)) / r).sqrt();
+                    assert!(
+                        z_mean.abs() <= START_Z && z_var.abs() <= START_Z,
+                        "{at}: mean {m} vs {mean} (z {z_mean:.2}), variance {s2} vs {var} (z {z_var:.2})"
+                    );
+                }
+            }
+        }
     }
 }

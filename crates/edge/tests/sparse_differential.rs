@@ -183,7 +183,7 @@ impl ReferenceSparse {
 /// Every row in stored order: the edge set plus each row's push order.
 fn rows(snap: &impl Graph) -> Vec<Vec<Node>> {
     (0..snap.num_nodes() as Node)
-        .map(|u| snap.neighbors_vec(u))
+        .map(|u| snap.neighbors(u).to_vec())
         .collect()
 }
 

@@ -82,6 +82,8 @@ use meg_engine::run::Row;
 use meg_engine::scenario::Scenario;
 use meg_engine::sink::{row_to_csv, rows_to_table, OutputFormat, CSV_HEADER};
 use meg_engine::{builtin, builtin_names, Json};
+use std::fmt;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage:
@@ -108,6 +110,43 @@ fn fail(msg: &str) -> ! {
     eprintln!("meg-lab: {msg}");
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// The locked stdout everything `meg-lab` prints goes through. Once its
+/// reader has gone away (`meg-lab run … | head -1`, or a worker's
+/// coordinator that exited) the process ends at once, with status 0 and
+/// nothing on stderr; a pool's workers stop at their next stdin read (EOF)
+/// or reply write.
+struct Out(io::StdoutLock<'static>);
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf).map_err(exit_if_closed)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush().map_err(exit_if_closed)
+    }
+}
+
+fn exit_if_closed(e: io::Error) -> io::Error {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    e
+}
+
+impl Out {
+    /// Prints `text`; a write error other than a closed reader goes
+    /// through [`fail`].
+    fn print(&mut self, text: impl fmt::Display) {
+        write!(self, "{text}").unwrap_or_else(|e| fail(&format!("cannot write to stdout: {e}")));
+    }
+
+    /// Prints `text` and a newline.
+    fn println(&mut self, text: impl fmt::Display) {
+        self.print(format_args!("{text}\n"));
+    }
 }
 
 /// One validation rule per `run` knob: the `--flag` and its `MEG_*`
@@ -196,37 +235,38 @@ const MAX_TRIALS: Knob<usize> = Knob {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut Out(io::stdout().lock());
     match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("show") => cmd_show(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("--help") | Some("-h") | Some("help") | None => println!("{USAGE}"),
+        Some("list") => cmd_list(out),
+        Some("show") => cmd_show(out, &args[1..]),
+        Some("run") => cmd_run(out, &args[1..]),
+        Some("worker") => cmd_worker(out, &args[1..]),
+        Some("merge") => cmd_merge(out, &args[1..]),
+        Some("bench") => cmd_bench(out, &args[1..]),
+        Some("--help") | Some("-h") | Some("help") | None => out.println(USAGE),
         Some(other) => fail(&format!("unknown command `{other}`")),
     }
 }
 
-fn cmd_list() {
-    println!("built-in scenarios:");
+fn cmd_list(out: &mut Out) {
+    out.println("built-in scenarios:");
     for name in builtin_names() {
         let s = builtin(name).expect("registry is consistent");
-        println!(
+        out.println(format_args!(
             "  {name:<20} {} [{} cells × {} trials]",
             s.description,
             s.num_cells(),
             s.trials
-        );
+        ));
     }
 }
 
-fn cmd_show(args: &[String]) {
+fn cmd_show(out: &mut Out, args: &[String]) {
     let Some(name) = args.first() else {
         fail("`show` needs a scenario name");
     };
     match builtin(name) {
-        Some(s) => println!("{}", s.to_json().render_pretty()),
+        Some(s) => out.println(s.to_json().render_pretty()),
         None => fail(&format!(
             "unknown scenario `{name}` (try: {})",
             builtin_names().join(", ")
@@ -261,7 +301,7 @@ fn normalized(path: &PathBuf) -> PathBuf {
     out
 }
 
-fn cmd_run(args: &[String]) {
+fn cmd_run(out: &mut Out, args: &[String]) {
     let mut name: Option<String> = None;
     let mut file: Option<String> = None;
     let mut seed: Option<u64> = None;
@@ -437,11 +477,11 @@ fn cmd_run(args: &[String]) {
     let mut csv_header_due = format == OutputFormat::Csv;
     let report = run_sharded(&scenario, seed, &opts, |cell, line| {
         if std::mem::take(&mut csv_header_due) {
-            println!("{CSV_HEADER}");
+            out.println(CSV_HEADER);
         }
         match format {
-            OutputFormat::Json => println!("{line}"),
-            OutputFormat::Csv => println!("{}", row_to_csv(&parse_row(line))),
+            OutputFormat::Json => out.println(line),
+            OutputFormat::Csv => out.println(row_to_csv(&parse_row(line))),
             OutputFormat::Table => table_rows.push(parse_row(line)),
         }
         if let Some(mode) = metrics {
@@ -450,7 +490,7 @@ fn cmd_run(args: &[String]) {
     })
     .unwrap_or_else(|e| fail(&format!("run failed: {e}")));
     if csv_header_due {
-        println!("{CSV_HEADER}");
+        out.println(CSV_HEADER);
     }
     if let Some(mode) = metrics {
         harness::emit_metrics_summary_merged(mode, &report.worker_metrics);
@@ -469,22 +509,22 @@ fn cmd_run(args: &[String]) {
             "{}: {} (seed {seed}{shard_note})",
             scenario.name, scenario.description
         );
-        print!("{}", rows_to_table(&caption, &table_rows).render_ascii());
+        out.print(rows_to_table(&caption, &table_rows).render_ascii());
         if whole {
-            println!(
+            out.println(format_args!(
                 "\n{} cells, seed {seed}; rerun any cell in isolation with the `seed` \
                  column of its row.",
                 report.rows.len()
-            );
+            ));
         } else {
-            println!(
+            out.println(format_args!(
                 "\nshard {}: {} of {} cell(s) emitted ({} executed, {} resumed).",
                 opts.shard,
                 report.rows.len(),
                 report.assigned,
                 report.executed,
                 report.resumed
-            );
+            ));
         }
     }
     if !report.complete {
@@ -497,7 +537,7 @@ fn cmd_run(args: &[String]) {
     }
 }
 
-fn cmd_bench(args: &[String]) {
+fn cmd_bench(out: &mut Out, args: &[String]) {
     use meg_engine::bench::{
         bench_names, results_to_json, run_bench, run_bench_with_counters, run_overhead,
         BenchOptions,
@@ -506,7 +546,7 @@ fn cmd_bench(args: &[String]) {
     let mut opts = BenchOptions::default();
     let mut names: Vec<String> = Vec::new();
     let mut label = String::from("meg-lab bench");
-    let mut out: Option<PathBuf> = None;
+    let mut out_file: Option<PathBuf> = None;
     let mut list = false;
     let mut counters = false;
     let mut overhead = false;
@@ -543,7 +583,7 @@ fn cmd_bench(args: &[String]) {
                     .unwrap_or_else(|| fail("--scale must be a positive number"));
             }
             "--label" => label = flag_value("--label"),
-            "--out" => out = Some(PathBuf::from(flag_value("--out"))),
+            "--out" => out_file = Some(PathBuf::from(flag_value("--out"))),
             "--counters" => counters = true,
             "--overhead" => overhead = true,
             "--baseline" => baseline = Some(PathBuf::from(flag_value("--baseline"))),
@@ -560,9 +600,9 @@ fn cmd_bench(args: &[String]) {
     }
 
     if list {
-        println!("registered bench workloads:");
+        out.println("registered bench workloads:");
         for name in bench_names() {
-            println!("  {name}");
+            out.println(format_args!("  {name}"));
         }
         return;
     }
@@ -587,11 +627,11 @@ fn cmd_bench(args: &[String]) {
                         bench_names().join(", ")
                     ))
                 });
-                println!("{}", m.to_json().render());
+                out.println(m.to_json().render());
                 m
             })
             .collect();
-        if let Some(path) = out {
+        if let Some(path) = out_file {
             let doc = meg_engine::Json::obj([
                 ("label", meg_engine::Json::Str(label)),
                 (
@@ -627,11 +667,11 @@ fn cmd_bench(args: &[String]) {
                 bench_names().join(", ")
             ))
         });
-        println!("{}", r.to_json().render());
+        out.println(r.to_json().render());
         results.push(r);
     }
     let doc = results_to_json(&label, &opts, &results);
-    if let Some(path) = out {
+    if let Some(path) = out_file {
         std::fs::write(&path, doc.render_pretty() + "\n")
             .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
         eprintln!(
@@ -659,7 +699,7 @@ fn cmd_bench(args: &[String]) {
     }
 }
 
-fn cmd_worker(args: &[String]) {
+fn cmd_worker(out: &mut Out, args: &[String]) {
     let mut fail_after: Option<usize> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -675,15 +715,13 @@ fn cmd_worker(args: &[String]) {
             other => fail(&format!("unknown worker flag `{other}`")),
         }
     }
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    if let Err(e) = worker::serve(stdin.lock(), stdout.lock(), fail_after) {
+    if let Err(e) = worker::serve(io::stdin().lock(), out, fail_after) {
         eprintln!("meg-lab worker: {e}");
         std::process::exit(2);
     }
 }
 
-fn cmd_merge(args: &[String]) {
+fn cmd_merge(out: &mut Out, args: &[String]) {
     let mut dir: Option<PathBuf> = None;
     let mut format = OutputFormat::Json;
     let mut it = args.iter();
@@ -707,13 +745,13 @@ fn cmd_merge(args: &[String]) {
     match format {
         OutputFormat::Json => {
             for line in &merged.lines {
-                println!("{line}");
+                out.println(line);
             }
         }
         OutputFormat::Csv => {
-            println!("{CSV_HEADER}");
+            out.println(CSV_HEADER);
             for line in &merged.lines {
-                println!("{}", row_to_csv(&parse_row(line)));
+                out.println(row_to_csv(&parse_row(line)));
             }
         }
         OutputFormat::Table => {
@@ -722,7 +760,7 @@ fn cmd_merge(args: &[String]) {
                 "{} (merged, seed {})",
                 merged.header.scenario, merged.header.master_seed
             );
-            print!("{}", rows_to_table(&caption, &rows).render_ascii());
+            out.print(rows_to_table(&caption, &rows).render_ascii());
         }
     }
     eprintln!(

@@ -796,3 +796,66 @@ fn cli_swept_protocol_value_outside_its_domain_exits_2_naming_the_axis() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn cli_output_closed_early_exits_0_quietly() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    // 300 one-trial cells print about 130 kB of rows, more than a pipe
+    // holds, so `meg-lab` is still writing when the reader below goes.
+    let dir = tmp("closed-stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let n_values: Vec<String> = (10..310).map(|n| n.to_string()).collect();
+    let file = dir.join("scenario.json");
+    std::fs::write(
+        &file,
+        format!(
+            r#"{{"name":"pipe","description":"many small cells",
+            "substrates":[{{"family":"edge","n":20,"engine":"sparse",
+            "p_hat":{{"log_factor":3}},"q":0.5,"init":"stationary"}}],
+            "protocols":["flooding"],
+            "sweep":{{"axes":[{{"param":"n","values":[{}]}}]}},
+            "trials":1,"round_budget":1000}}"#,
+            n_values.join(",")
+        ),
+    )
+    .unwrap();
+    let scenario = file.to_str().expect("utf8 temp path");
+    let parts = dir.join("parts");
+    run_ok(&[
+        "run",
+        "--file",
+        scenario,
+        "--format",
+        "json",
+        "--out",
+        dir_arg(&parts),
+    ]);
+
+    let run = ["run", "--file", scenario, "--format", "json"];
+    let pooled = [&run[..], &["--workers", "2"]].concat();
+    let merge = ["merge", dir_arg(&parts)];
+    for args in [&run[..], &pooled, &merge] {
+        let mut child = meg_lab()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("meg-lab runs");
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("one row line");
+        // The reader is dropped: every later write finds the pipe closed.
+        // Workers inherit stderr, so reading it to EOF also waits for them.
+        let out = child.wait_with_output().expect("meg-lab exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            first.starts_with(r#"{"scenario":"pipe","cell":0,"#),
+            "{args:?}: {first}"
+        );
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -221,11 +221,11 @@ fn reference_epidemic(
         // 1. Infectious nodes try to infect their susceptible neighbours.
         let mut infected = BTreeSet::new();
         for &i in &infectious {
-            snapshot.for_each_neighbor(i, &mut |v| {
+            for &v in snapshot.neighbors(i) {
                 if susceptible.contains(&v) && rng.gen::<f64>() < contagion {
                     infected.insert(v);
                 }
-            });
+            }
         }
         // 2. Every node's state is updated for the next round.
         for v in 0..n {

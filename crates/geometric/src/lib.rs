@@ -14,7 +14,6 @@
 //!   the proof of Theorem 3.2 (occupancy concentration, black/gray/white
 //!   classification), exposed so the experiments can measure exactly the
 //!   quantities the proof manipulates;
-//! * [`density`] — the density scaling of Observation 3.3;
 //! * [`snapshot`] — one-shot stationary snapshots for expansion and
 //!   connectivity experiments that do not need the full dynamics.
 //!
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod cells;
-pub mod density;
 pub mod model;
 pub mod radius_graph;
 pub mod snapshot;

@@ -52,7 +52,7 @@ pub fn snapshot_of<M: Mobility>(mobility: &M, transmission_radius: f64) -> Stati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meg_graph::{connectivity, metrics, Graph};
+    use meg_graph::{connectivity, Graph};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -63,7 +63,7 @@ mod tests {
         assert_eq!(snap.positions.len(), 300);
         assert_eq!(snap.graph.num_nodes(), 300);
         // expected degree ≈ πR² ≈ 78 — just check it is in a broad plausible band
-        let avg = metrics::average_degree(&snap.graph);
+        let avg = 2.0 * snap.graph.num_edges() as f64 / 300.0;
         assert!(avg > 30.0 && avg < 150.0, "average degree {avg}");
     }
 

@@ -9,9 +9,12 @@ use crate::{Graph, Node};
 /// Undirected simple graph stored as one neighbor vector per node.
 ///
 /// Self-loops are rejected; parallel edges are ignored when added through
-/// [`AdjacencyList::add_edge`]. Neighbor lists are kept unsorted for O(1)
-/// insertion; call [`AdjacencyList::sort_neighbors`] if deterministic
-/// iteration order is required.
+/// [`AdjacencyList::add_edge`], which scans `u`'s row for a duplicate before
+/// it appends (O(degree) per insertion). Each row lists its neighbors in
+/// insertion order ([`AdjacencyList::remove_edge`] moves the row's last entry
+/// into the gap). That order is deterministic and nothing sorts it:
+/// RNG-consuming consumers (random contacts, BFS balls) read rows in it, and
+/// the golden rows rely on it.
 #[derive(Clone, Debug, Default)]
 pub struct AdjacencyList {
     adj: Vec<Vec<Node>>,
@@ -119,18 +122,6 @@ impl AdjacencyList {
         self.num_edges = 0;
     }
 
-    /// Borrows the neighbor slice of `u`.
-    pub fn neighbors(&self, u: Node) -> &[Node] {
-        &self.adj[u as usize]
-    }
-
-    /// Sorts every neighbor list (useful for deterministic output and tests).
-    pub fn sort_neighbors(&mut self) {
-        for list in self.adj.iter_mut() {
-            list.sort_unstable();
-        }
-    }
-
     /// Returns every edge `{u, v}` with `u < v`, in node order.
     pub fn edges(&self) -> Vec<(Node, Node)> {
         let mut out = Vec::with_capacity(self.num_edges);
@@ -154,27 +145,8 @@ impl Graph for AdjacencyList {
         self.num_edges
     }
 
-    fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
-        for &v in &self.adj[u as usize] {
-            f(v);
-        }
-    }
-
-    fn degree(&self, u: Node) -> usize {
-        self.adj[u as usize].len()
-    }
-
-    fn has_edge(&self, u: Node, v: Node) -> bool {
-        let (a, b) = if self.adj[u as usize].len() <= self.adj[v as usize].len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.adj[a as usize].contains(&b)
-    }
-
-    fn neighbor_slice(&self, u: Node) -> Option<&[Node]> {
-        Some(&self.adj[u as usize])
+    fn neighbors(&self, u: Node) -> &[Node] {
+        &self.adj[u as usize]
     }
 }
 

@@ -5,7 +5,7 @@
 //! for lower-bound sanity checks, and the reference implementation that the
 //! flooding engine on a *frozen* evolving graph must agree with.
 
-use crate::{visit_neighbors, Graph, Node};
+use crate::{Graph, Node};
 
 /// Distance label meaning "unreachable".
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -21,12 +21,12 @@ pub fn distances<G: Graph + ?Sized>(g: &G, source: Node) -> Vec<u32> {
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        visit_neighbors(g, u, |v| {
+        for &v in g.neighbors(u) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 queue.push_back(v);
             }
-        });
+        }
     }
     dist
 }

@@ -1,5 +1,4 @@
-//! Connectivity: connected components, a union–find structure, and
-//! connectivity predicates.
+//! Connectivity: connected components and connectivity predicates.
 //!
 //! The paper's bounds assume the stationary snapshots are connected
 //! (`R ≥ c√(log n)` for geometric-MEG, `p̂ ≥ c log n / n` for edge-MEG).
@@ -7,67 +6,6 @@
 //! and the disconnected regime is itself an interesting ablation.
 
 use crate::{Graph, Node};
-
-/// Classic union–find (disjoint set union) with path halving and union by size.
-#[derive(Clone, Debug)]
-pub struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-    components: usize,
-}
-
-impl UnionFind {
-    /// Creates `n` singleton components.
-    pub fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-            components: n,
-        }
-    }
-
-    /// Finds the representative of `x` (with path halving).
-    pub fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let grand = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = grand;
-            x = grand;
-        }
-        x
-    }
-
-    /// Merges the components of `a` and `b`. Returns `true` if they were
-    /// previously distinct.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        if self.size[ra as usize] < self.size[rb as usize] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
-        self.components -= 1;
-        true
-    }
-
-    /// Returns `true` if `a` and `b` are in the same component.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of components.
-    pub fn num_components(&self) -> usize {
-        self.components
-    }
-
-    /// Size of the component containing `x`.
-    pub fn component_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
-}
 
 /// Summary of the component structure of a graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,12 +45,12 @@ pub fn connected_components<G: Graph + ?Sized>(g: &G) -> Components {
         queue.push_back(start as Node);
         while let Some(u) = queue.pop_front() {
             size += 1;
-            g.for_each_neighbor(u, &mut |v| {
+            for &v in g.neighbors(u) {
                 if labels[v as usize] == u32::MAX {
                     labels[v as usize] = id;
                     queue.push_back(v);
                 }
-            });
+            }
         }
         sizes.push(size);
     }
@@ -133,20 +71,6 @@ pub fn is_connected<G: Graph + ?Sized>(g: &G) -> bool {
 mod tests {
     use super::*;
     use crate::{generators, AdjacencyList};
-
-    #[test]
-    fn union_find_basic() {
-        let mut uf = UnionFind::new(5);
-        assert_eq!(uf.num_components(), 5);
-        assert!(uf.union(0, 1));
-        assert!(uf.union(1, 2));
-        assert!(!uf.union(0, 2));
-        assert_eq!(uf.num_components(), 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 3));
-        assert_eq!(uf.component_size(1), 3);
-        assert_eq!(uf.component_size(4), 1);
-    }
 
     #[test]
     fn components_of_two_triangles() {

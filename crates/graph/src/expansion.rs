@@ -8,7 +8,7 @@
 //! (random-subset and BFS-ball sampling, the latter catching the clustered
 //! sets that are worst for geometric graphs).
 
-use crate::{visit_neighbors, Graph, Node, NodeSet};
+use crate::{Graph, Node, NodeSet};
 use rand::Rng;
 
 /// `|N(I)|` for the given set.
@@ -252,7 +252,7 @@ impl ProbeScratch {
             frontier.popped += 1;
             frontier.read = 0;
             let (marks, stamp, nodes) = (&mut self.marks, self.stamp, &mut self.nodes);
-            visit_neighbors(g, u, |v| {
+            for &v in g.neighbors(u) {
                 if nodes.len() < target {
                     frontier.read += 1;
                     if marks[v as usize] != stamp {
@@ -260,7 +260,7 @@ impl ProbeScratch {
                         nodes.push(v);
                     }
                 }
-            });
+            }
         }
         frontier
     }
@@ -280,7 +280,7 @@ impl ProbeScratch {
             } else {
                 0
             };
-            visit_row_from(g, self.nodes[i], from, |v| {
+            g.neighbors(self.nodes[i])[from..].iter().for_each(|&v| {
                 let mark = &mut marks[v as usize];
                 count += (*mark != stamp) as usize;
                 *mark = stamp;
@@ -294,23 +294,6 @@ impl ProbeScratch {
             }
         }
         count
-    }
-}
-
-/// Invokes `f` on the neighbors of `u` from position `from` of its row on,
-/// in [`visit_neighbors`] order.
-fn visit_row_from<G: Graph + ?Sized>(g: &G, u: Node, from: usize, mut f: impl FnMut(Node)) {
-    match g.neighbor_slice(u) {
-        Some(row) => row[from..].iter().for_each(|&v| f(v)),
-        None => {
-            let mut at = 0usize;
-            g.for_each_neighbor(u, &mut |v| {
-                if at >= from {
-                    f(v);
-                }
-                at += 1;
-            });
-        }
     }
 }
 
@@ -432,17 +415,16 @@ mod tests {
         queue.push_back(seed);
         while set.len() < target {
             let Some(u) = queue.pop_front() else { break };
-            let mut done = false;
-            visit_neighbors(g, u, |v| {
-                if done || set.contains(v) {
-                    return;
+            for &v in g.neighbors(u) {
+                if set.contains(v) {
+                    continue;
                 }
                 set.insert(v);
                 queue.push_back(v);
                 if set.len() >= target {
-                    done = true;
+                    break;
                 }
-            });
+            }
         }
         set
     }
@@ -474,22 +456,6 @@ mod tests {
         }
         points.dedup_by_key(|p| p.h);
         points
-    }
-
-    /// The same rows through `for_each_neighbor` only, so the sampler
-    /// takes its callback path (no `neighbor_slice`).
-    struct Callbacks<'a>(&'a AdjacencyList);
-
-    impl Graph for Callbacks<'_> {
-        fn num_nodes(&self) -> usize {
-            self.0.num_nodes()
-        }
-        fn num_edges(&self) -> usize {
-            self.0.num_edges()
-        }
-        fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
-            self.0.for_each_neighbor(u, f)
-        }
     }
 
     const STRATEGIES: [SamplingStrategy; 3] = [
@@ -535,28 +501,24 @@ mod tests {
         }
     }
 
-    /// The sampler against the reference on `g`, for every strategy and
-    /// both row paths: the same minimum bit for bit, and the same RNG
-    /// cursor after the call.
+    /// The sampler against the reference on `g`, for every strategy: the
+    /// same minimum bit for bit, and the same RNG cursor after the call.
     fn assert_sampler_matches(g: &AdjacencyList, h: usize, samples: usize, seed: u64) {
         for strategy in STRATEGIES {
             let mut want_rng = ChaCha8Rng::seed_from_u64(seed);
             let want = reference_min_expansion(g, h, samples, strategy, &mut want_rng);
-            let views: [&dyn Graph; 2] = [g, &Callbacks(g)];
-            for view in views {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let got = min_expansion_sampled(view, h, samples, strategy, &mut rng);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{strategy:?} h={h}: {got} vs {want}"
-                );
-                assert_eq!(
-                    rng.clone().next_u64(),
-                    want_rng.clone().next_u64(),
-                    "{strategy:?}"
-                );
-            }
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let got = min_expansion_sampled(g, h, samples, strategy, &mut rng);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{strategy:?} h={h}: {got} vs {want}"
+            );
+            assert_eq!(
+                rng.clone().next_u64(),
+                want_rng.clone().next_u64(),
+                "{strategy:?}"
+            );
         }
     }
 
@@ -585,7 +547,7 @@ mod tests {
             let mut want_rng = ChaCha8Rng::seed_from_u64(seed);
             let want = reference_profile(&g, samples, strategy, &mut want_rng);
             let mut got_rng = ChaCha8Rng::seed_from_u64(seed);
-            let got = ExpansionProfile::measure(&Callbacks(&g), samples, strategy, &mut got_rng);
+            let got = ExpansionProfile::measure(&g, samples, strategy, &mut got_rng);
             prop_assert_eq!(got.points.len(), want.len());
             for (a, b) in got.points.iter().zip(&want) {
                 prop_assert_eq!((a.h, a.min_ratio.to_bits()), (b.h, b.min_ratio.to_bits()));

@@ -13,8 +13,8 @@
 //! * [`AdjacencyList`] and [`SnapshotBuf`] — a mutable adjacency list and
 //!   the reusable flat CSR buffer every evolving-graph snapshot is built
 //!   into, both implementing the [`Graph`] trait;
-//! * traversals and global metrics: [`bfs`], [`connectivity`], [`diameter`],
-//!   [`degree`], [`metrics`];
+//! * traversals and global measures: [`bfs`], [`connectivity`],
+//!   [`diameter`], [`degree`];
 //! * [`expansion`] — measurement of the parameterized `(h, k)`-node-expansion
 //!   that drives the paper's flooding-time bounds;
 //! * [`generators`] — classic random and deterministic graph families used as
@@ -52,7 +52,6 @@ pub mod degree;
 pub mod diameter;
 pub mod expansion;
 pub mod generators;
-pub mod metrics;
 pub mod nodeset;
 pub mod pair_bits;
 pub mod snapshot_buf;
@@ -65,10 +64,9 @@ pub use snapshot_buf::{RowWriter, SnapshotBuf};
 /// A node identifier. Nodes are always the integers `0 .. n`.
 pub type Node = u32;
 
-/// Minimal read-only interface shared by all static graph representations.
-///
-/// The trait is object-safe so higher layers (the flooding engine, the
-/// expansion analyzer) can operate on any snapshot representation.
+/// Read-only interface shared by the static graph representations
+/// ([`AdjacencyList`], [`SnapshotBuf`]): the node and edge counts and one
+/// contiguous neighbor row per node.
 pub trait Graph {
     /// Number of nodes `n`. Nodes are `0 .. n`.
     fn num_nodes(&self) -> usize;
@@ -76,62 +74,27 @@ pub trait Graph {
     /// Number of undirected edges.
     fn num_edges(&self) -> usize;
 
-    /// Invokes `f` on every neighbor of `u`.
+    /// The neighbor row of `u`.
     ///
-    /// The same neighbor is never reported twice and `u` itself is never
-    /// reported (simple graphs only).
-    fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node));
+    /// No neighbor appears twice and `u` itself never appears (simple graphs
+    /// only). The order is the representation's row order, which
+    /// RNG-consuming consumers (random contacts, BFS balls) rely on.
+    fn neighbors(&self, u: Node) -> &[Node];
 
     /// Degree of node `u`.
     fn degree(&self, u: Node) -> usize {
-        let mut d = 0usize;
-        self.for_each_neighbor(u, &mut |_| d += 1);
-        d
+        self.neighbors(u).len()
     }
 
-    /// Returns `true` if `{u, v}` is an edge.
+    /// Returns `true` if `{u, v}` is an edge (scans the shorter of the two
+    /// rows).
     fn has_edge(&self, u: Node, v: Node) -> bool {
-        let mut found = false;
-        self.for_each_neighbor(u, &mut |w| {
-            if w == v {
-                found = true;
-            }
-        });
-        found
-    }
-
-    /// Collects the neighbors of `u` into a vector (convenience, allocates).
-    fn neighbors_vec(&self, u: Node) -> Vec<Node> {
-        let mut out = Vec::with_capacity(self.degree(u));
-        self.for_each_neighbor(u, &mut |v| out.push(v));
-        out
-    }
-
-    /// Borrows the neighbors of `u` as a contiguous slice when the
-    /// representation stores them contiguously ([`AdjacencyList`],
-    /// [`SnapshotBuf`]); `None` otherwise.
-    ///
-    /// Hot loops should go through [`visit_neighbors`], which takes this fast
-    /// path when available and falls back to
-    /// [`for_each_neighbor`](Graph::for_each_neighbor) (a dynamic call per
-    /// neighbor) when it is not. The slice order **must** equal the
-    /// `for_each_neighbor` order — RNG-consuming consumers rely on it.
-    fn neighbor_slice(&self, _u: Node) -> Option<&[Node]> {
-        None
-    }
-}
-
-/// Invokes `f` on every neighbor of `u`, using the contiguous
-/// [`Graph::neighbor_slice`] fast path when the representation provides one.
-#[inline]
-pub fn visit_neighbors<G: Graph + ?Sized>(g: &G, u: Node, mut f: impl FnMut(Node)) {
-    match g.neighbor_slice(u) {
-        Some(slice) => {
-            for &v in slice {
-                f(v);
-            }
-        }
-        None => g.for_each_neighbor(u, &mut f),
+        let (a, b) = if self.degree(u) <= self.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.neighbors(a).contains(&b)
     }
 }
 
@@ -144,11 +107,11 @@ pub fn out_neighborhood<G: Graph + ?Sized>(g: &G, set: &NodeSet) -> NodeSet {
     assert_eq!(set.universe(), g.num_nodes(), "universe mismatch");
     let mut out = NodeSet::new(g.num_nodes());
     for u in set.iter() {
-        visit_neighbors(g, u, |v| {
+        for &v in g.neighbors(u) {
             if !set.contains(v) {
                 out.insert(v);
             }
-        });
+        }
     }
     out
 }
@@ -165,7 +128,7 @@ mod tests {
     /// of `I` lists as a neighbor.
     fn out_neighborhood_definition<G: Graph + ?Sized>(g: &G, set: &NodeSet) -> BTreeSet<Node> {
         set.iter()
-            .flat_map(|u| g.neighbors_vec(u))
+            .flat_map(|u| g.neighbors(u).iter().copied())
             .filter(|&v| !set.contains(v))
             .collect()
     }
@@ -227,9 +190,11 @@ mod tests {
         fn num_edges(&self) -> usize {
             1
         }
-        fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
+        fn neighbors(&self, u: Node) -> &[Node] {
             if u == 0 {
-                f(self.neighbor);
+                std::slice::from_ref(&self.neighbor)
+            } else {
+                &[]
             }
         }
     }

@@ -42,9 +42,8 @@ use crate::{AdjacencyList, Graph, Node};
 /// A mutable, reusable CSR-style snapshot of an undirected simple graph.
 ///
 /// Lifecycle: one [`build_from_pairs`](SnapshotBuf::build_from_pairs) or
-/// [`build_rows`](SnapshotBuf::build_rows) call → query (via [`Graph`] or
-/// [`neighbors`](SnapshotBuf::neighbors)) → the next build, which reuses
-/// every buffer.
+/// [`build_rows`](SnapshotBuf::build_rows) call → query through [`Graph`]
+/// → the next build, which reuses every buffer.
 ///
 /// ## Example
 ///
@@ -236,13 +235,6 @@ impl SnapshotBuf {
         });
     }
 
-    /// Borrows the neighbor row of `u`.
-    #[inline]
-    pub fn neighbors(&self, u: Node) -> &[Node] {
-        let u = u as usize;
-        &self.targets[self.offsets[u]..self.offsets[u + 1]]
-    }
-
     /// Returns every edge `{u, v}` with `u < v`, in CSR row order
     /// (allocates; intended for tests, not the hot path).
     pub fn edges(&self) -> Vec<(Node, Node)> {
@@ -258,7 +250,7 @@ impl SnapshotBuf {
     }
 
     /// Copies the snapshot into a fresh [`AdjacencyList`] whose rows equal
-    /// [`neighbors`](SnapshotBuf::neighbors) row for row, in order
+    /// [`Graph::neighbors`] row for row, in order
     /// (test/interop helper — allocates).
     pub fn to_adjacency(&self) -> AdjacencyList {
         AdjacencyList::from_rows(
@@ -328,32 +320,16 @@ impl Graph for SnapshotBuf {
         self.m
     }
 
-    fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
-        for &v in self.neighbors(u) {
-            f(v);
-        }
+    /// Row `u` is `targets[offsets[u]..offsets[u + 1]]`.
+    #[inline]
+    fn neighbors(&self, u: Node) -> &[Node] {
+        let u = u as usize;
+        &self.targets[self.offsets[u]..self.offsets[u + 1]]
     }
 
     fn degree(&self, u: Node) -> usize {
         let u = u as usize;
         self.offsets[u + 1] - self.offsets[u]
-    }
-
-    fn has_edge(&self, u: Node, v: Node) -> bool {
-        // Scan the shorter of the two neighbor lists (same trick as
-        // `AdjacencyList::has_edge`). No engine calls this on its hot path:
-        // the sparse engine tests birth candidates against its sorted alive
-        // list, the dense one against its pair bits.
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a).contains(&b)
-    }
-
-    fn neighbor_slice(&self, u: Node) -> Option<&[Node]> {
-        Some(self.neighbors(u))
     }
 }
 
@@ -379,7 +355,6 @@ mod tests {
         assert!(buf.has_edge(2, 3) && buf.has_edge(3, 2));
         assert!(!buf.has_edge(0, 4));
         assert_eq!(buf.edges(), vec![(0, 1), (1, 2), (1, 4), (2, 3)]);
-        assert_eq!(buf.neighbor_slice(1), Some(&[0, 2, 4][..]));
         // Row builds keep the producer's order: the same edges added to an
         // adjacency list in another order list row 1 in that order.
         let mut g = AdjacencyList::new(5);

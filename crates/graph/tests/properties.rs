@@ -35,7 +35,7 @@ fn pair_list(n: usize, shape: u32, density: f64, seed: u64) -> Vec<u64> {
 /// Every row in stored order.
 fn rows(g: &impl Graph) -> Vec<Vec<Node>> {
     (0..g.num_nodes() as Node)
-        .map(|u| g.neighbors_vec(u))
+        .map(|u| g.neighbors(u).to_vec())
         .collect()
 }
 

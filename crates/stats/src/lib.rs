@@ -5,13 +5,11 @@
 //!
 //! * [`summary`] — means, variances, medians and extreme values;
 //! * [`quantile`] — order statistics on f64 samples;
-//! * [`ci`] — normal-approximation confidence intervals;
 //! * [`fit`] — least-squares fits, including log–log power-law fits used to
 //!   check the `√n/R` and `log n / log(np̂)` scaling shapes;
 //! * [`gof`] — chi-square and two-sample KS goodness-of-fit tests with
 //!   deterministic closed-form critical values, backing the edge-MEG
 //!   chain-law suite;
-//! * [`histogram`] — fixed-width binning;
 //! * [`table`] — ASCII and CSV rendering of experiment tables;
 //! * [`runner`] — seeded, rayon-parallel Monte-Carlo trial execution;
 //! * [`seeds`] — deterministic per-trial RNG stream derivation.
@@ -34,17 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ci;
 pub mod fit;
 pub mod gof;
-pub mod histogram;
 pub mod quantile;
 pub mod runner;
 pub mod seeds;
 pub mod summary;
 pub mod table;
 
-pub use ci::ConfidenceInterval;
 pub use fit::{linear_fit, power_law_fit, LinearFit};
 pub use gof::{chi_square_gof, ks_two_sample, Alpha, ChiSquareTest, KsTest};
 pub use runner::{

@@ -10,8 +10,8 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`graph`] | static-graph substrate: adjacency lists, flat CSR snapshot buffers, node sets, BFS, connectivity, diameter, expansion measurement, generators |
-//! | [`markov`] | finite Markov chains: the two-state edge chain, random walks on support graphs, stationary laws, mixing diagnostics |
-//! | [`stats`] | experiment substrate: summaries, confidence intervals, scaling fits, tables, seeded parallel trial runner |
+//! | [`markov`] | the two-state edge chain of Section 4 and its word-at-a-time stepper |
+//! | [`stats`] | experiment substrate: summaries, quantiles, scaling fits, goodness-of-fit tests, tables, seeded parallel trial runner |
 //! | [`mobility`] | node-mobility models: grid random walk (the paper's model), walkers on a torus, random waypoint, billiard |
 //! | [`core`] | the paper's contribution: evolving-graph traits, the flooding process, expander sequences and bound evaluators, closed-form bounds, protocol variants, adversarial constructions |
 //! | [`geometric`] | geometric-MEG: mobility + transmission radius, cell-partition machinery of Theorem 3.2 |
@@ -62,7 +62,6 @@ pub mod prelude {
         parsimonious_flood, probabilistic_flood, push_pull_gossip, ProtocolResult,
     };
     pub use meg_core::spec;
-    pub use meg_edge::init::AutoEdgeMeg;
     pub use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
     pub use meg_engine::{
         builtin, run_scenario, OutputFormat, Param, Protocol, Scenario, Substrate, Sweep,
@@ -71,7 +70,7 @@ pub mod prelude {
     pub use meg_graph::{AdjacencyList, Graph, Node, NodeSet};
     pub use meg_markov::TwoStateChain;
     pub use meg_mobility::{Billiard, GridWalk, Mobility, RandomWaypoint, TorusWalkers};
-    pub use meg_stats::{ConfidenceInterval, Summary, Table};
+    pub use meg_stats::{Summary, Table};
 }
 
 #[cfg(test)]

@@ -192,7 +192,7 @@ proptest! {
         prop_assert_eq!(nb.intersection_len(&set), 0);
         // every reported neighbor really has an edge into the set
         for v in nb.iter() {
-            let touches = g.neighbors_vec(v).iter().any(|&u| set.contains(u));
+            let touches = g.neighbors(v).iter().any(|&u| set.contains(u));
             prop_assert!(touches);
         }
     }
