@@ -18,7 +18,7 @@
 //! any static graph so that static flooding (= BFS) is a special case handled
 //! by the same engine.
 
-use meg_graph::{AdjacencyList, Graph, SnapshotBuf};
+use meg_graph::{AdjacencyList, Graph, NodeSet, SnapshotBuf};
 
 /// How the underlying Markov chain is initialised at time 0.
 ///
@@ -71,6 +71,18 @@ pub trait EvolvingGraph {
     /// reads, and between calls the model's state is the one the returned
     /// snapshot shows.
     fn advance(&mut self) -> &SnapshotBuf;
+
+    /// [`advance`](EvolvingGraph::advance) for a caller that reads only the
+    /// rows in `rows` (every row when `None`) of the returned snapshot.
+    ///
+    /// The model's state moves exactly as under `advance`, and every row in
+    /// `rows` equals its row in a full build, in order. A model may leave
+    /// the other rows empty; the snapshot is then partial
+    /// ([`SnapshotBuf::build_rows_of`]) and its edge count unknown. The
+    /// default builds everything.
+    fn advance_rows(&mut self, _rows: Option<&NodeSet>) -> &SnapshotBuf {
+        self.advance()
+    }
 
     /// Number of snapshots produced so far (i.e. the index of the *next*
     /// snapshot that [`advance`](EvolvingGraph::advance) will return).

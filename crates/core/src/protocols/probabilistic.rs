@@ -46,6 +46,10 @@ impl NodeState for FloodState {
 /// while `|I| ≤ n/2`, the uninformed ones after. Messages are counted as
 /// `Σ_{u∈I} deg(u)` on both sides of the switch. At β < 1 the round always
 /// scans the informed nodes in ascending order, one `gen_bool(β)` draw each.
+///
+/// A round that scans the informed side reads nothing but the informed
+/// nodes' rows, so [`rows_read`](ProtocolMachine::rows_read) answers the
+/// informed set then, and a geometric substrate builds only those rows.
 pub struct FloodMachine {
     beta: f64,
     informed: NodeSet,
@@ -66,6 +70,12 @@ impl FloodMachine {
             newly: Vec::new(),
             messages: 0,
         }
+    }
+
+    /// Whether the next round scans the informed side: always at β < 1,
+    /// and at β = 1 while `|I| ≤ n/2`.
+    fn scans_informed_side(&self) -> bool {
+        self.beta < 1.0 || self.informed.len() * 2 <= self.informed.universe()
     }
 }
 
@@ -90,6 +100,7 @@ impl ProtocolMachine for FloodMachine {
         R: Rng,
     {
         let beta = self.beta;
+        let informed_side = self.scans_informed_side();
         let Self {
             informed,
             newly,
@@ -98,7 +109,7 @@ impl ProtocolMachine for FloodMachine {
         } = self;
         let n = informed.universe();
         newly.clear();
-        if beta < 1.0 || informed.len() * 2 <= n {
+        if informed_side {
             // Scan the informed side in ascending order. β = 1 must not
             // consume randomness (plain flooding is RNG-free); `gen_bool` is
             // only reached when β < 1.
@@ -130,6 +141,10 @@ impl ProtocolMachine for FloodMachine {
         for &v in newly.iter() {
             informed.insert(v);
         }
+    }
+
+    fn rows_read(&self) -> Option<&NodeSet> {
+        self.scans_informed_side().then_some(&self.informed)
     }
 
     fn is_complete(&self) -> bool {
@@ -229,7 +244,7 @@ pub(crate) mod legacy {
 mod tests {
     use super::*;
     use crate::evolving::{FrozenGraph, ScheduledGraph};
-    use meg_graph::{bfs, generators, AdjacencyList};
+    use meg_graph::{bfs, generators, AdjacencyList, SnapshotBuf};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -302,6 +317,86 @@ mod tests {
         assert!(
             switched >= 30,
             "only {switched} of 40 β = 1 runs scanned the uninformed side"
+        );
+    }
+
+    /// A snapshot that panics when a row or the edge count is read outside
+    /// the rows its machine declared before the round.
+    struct Declared<'a> {
+        g: &'a SnapshotBuf,
+        rows: Option<&'a NodeSet>,
+    }
+
+    impl Graph for Declared<'_> {
+        fn num_nodes(&self) -> usize {
+            self.g.num_nodes()
+        }
+
+        fn num_edges(&self) -> usize {
+            assert!(self.rows.is_none(), "edge count read after declaring rows");
+            self.g.num_edges()
+        }
+
+        fn neighbors(&self, u: Node) -> &[Node] {
+            assert!(
+                self.rows.is_none_or(|r| r.contains(u)),
+                "row {u} read outside the declared rows"
+            );
+            self.g.neighbors(u)
+        }
+    }
+
+    #[test]
+    fn rounds_read_only_the_rows_they_declare() {
+        // Random schedules whose β = 1 runs cross n/2: while |I| ≤ n/2 (and
+        // at β < 1 in every round) the machine declares the informed set
+        // and must read nothing else, past n/2 it declares every row. The
+        // guarded runs must also equal the legacy loop's.
+        let mut crossed = 0;
+        for case in 0..40u64 {
+            let mut gen = ChaCha8Rng::seed_from_u64(100 + case);
+            let n = gen.gen_range(6..48usize);
+            let len = gen.gen_range(1..5usize);
+            let schedule: Vec<AdjacencyList> = (0..len)
+                .map(|_| generators::erdos_renyi(n, 2.5 / n as f64, &mut gen))
+                .collect();
+            let source = gen.gen_range(0..n as Node);
+            for beta in [1.0, 0.6] {
+                let mut rng = ChaCha8Rng::seed_from_u64(case);
+                let mut rng_old = rng.clone();
+                let mut meg = ScheduledGraph::new(schedule.clone());
+                let mut machine = FloodMachine::new(n, source, beta);
+                let mut trace = vec![machine.coverage()];
+                while trace.len() <= 60 && !machine.is_complete() {
+                    let declared = machine.rows_read().cloned();
+                    let half = 2 * machine.coverage() <= n;
+                    assert_eq!(declared.is_some(), beta < 1.0 || half, "case {case}");
+                    crossed += usize::from(declared.is_none());
+                    let g = meg.advance();
+                    machine.step(
+                        &Declared {
+                            g,
+                            rows: declared.as_ref(),
+                        },
+                        &mut rng,
+                    );
+                    trace.push(machine.coverage());
+                }
+                let old = legacy::probabilistic_flood_reference(
+                    &mut ScheduledGraph::new(schedule.clone()),
+                    source,
+                    beta,
+                    60,
+                    &mut rng_old,
+                );
+                assert_eq!(trace, old.informed_per_round, "case={case} beta={beta}");
+                assert_eq!(machine.messages_sent(), old.messages_sent, "case={case}");
+                assert_eq!(rng.gen::<u64>(), rng_old.gen::<u64>(), "RNG cursor drifted");
+            }
+        }
+        assert!(
+            crossed >= 30,
+            "only {crossed} β = 1 rounds scanned past n/2"
         );
     }
 

@@ -17,7 +17,9 @@
 //! * [`run_machine`] — the driver: `advance → step → record`, bounded by a
 //!   round budget, reporting [`RunOutcome::Censored`] when the budget is
 //!   exhausted (processes like endemic SIS legitimately *never* complete —
-//!   the cap is a measurement decision, not an error).
+//!   the cap is a measurement decision, not an error). Each advance is told
+//!   which rows the step will read ([`ProtocolMachine::rows_read`]), so a
+//!   substrate may build only those.
 //!
 //! The four pre-existing protocols are thin machines over this chassis and
 //! remain byte-identical to their historical RNG draw order; the epidemic
@@ -28,7 +30,7 @@
 
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{Graph, Node};
+use meg_graph::{Graph, Node, NodeSet};
 use rand::Rng;
 
 /// A per-node protocol state.
@@ -83,6 +85,17 @@ pub trait ProtocolMachine {
     where
         G: Graph + ?Sized,
         R: Rng;
+
+    /// The rows of the next snapshot that the next [`step`](Self::step)
+    /// may read, or `None` for any row, and for its edge count.
+    ///
+    /// [`run_machine`] passes the answer to
+    /// [`EvolvingGraph::advance_rows`], which may leave every other row
+    /// empty. The default, `None`, always holds; a machine that answers a
+    /// set must read nothing else of that snapshot.
+    fn rows_read(&self) -> Option<&NodeSet> {
+        None
+    }
 
     /// The protocol's completion predicate.
     ///
@@ -178,8 +191,10 @@ impl MachineResult {
 
 /// Drives `machine` over `meg` for at most `max_rounds` rounds.
 ///
-/// Each round advances the evolving graph by one snapshot, steps the
-/// machine against it, and records the coverage. The loop stops when the
+/// Each round advances the evolving graph by one snapshot, built for the
+/// rows the machine says its step reads
+/// ([`rows_read`](ProtocolMachine::rows_read)), steps the machine against
+/// it, and records the coverage. The loop stops when the
 /// completion predicate holds, when the machine reports it can no longer
 /// progress, or when the budget is exhausted — in which case the run is
 /// *censored*: [`MachineResult::rounds`] equals `max_rounds` and the caller
@@ -201,7 +216,7 @@ where
     let mut completed = machine.is_complete();
     let mut stalled = false;
     while rounds < max_rounds && !completed {
-        let snapshot = meg.advance();
+        let snapshot = meg.advance_rows(machine.rows_read());
         machine.step(snapshot, rng);
         rounds += 1;
         coverage_per_round.push(machine.coverage());

@@ -515,8 +515,12 @@ pub struct OverheadResult {
     /// Median wall time with the `meg-obs` recorder installed, in
     /// milliseconds.
     pub on_median_ms: f64,
-    /// `on_median_ms / off_median_ms` — 1.0 means free, 1.05 is the guard.
+    /// `on_median_ms / off_median_ms` — 1.0 means free.
     pub ratio: f64,
+    /// The median over repetitions of each pair's on/off ratio. A pair's two
+    /// runs are adjacent in time, so host drift between pairs cancels out of
+    /// each ratio.
+    pub pair_ratio: f64,
 }
 
 impl OverheadResult {
@@ -527,12 +531,14 @@ impl OverheadResult {
             ("off_median_ms", Json::Num(self.off_median_ms)),
             ("on_median_ms", Json::Num(self.on_median_ms)),
             ("ratio", Json::Num(self.ratio)),
+            ("pair_ratio", Json::Num(self.pair_ratio)),
         ])
     }
 }
 
 /// Times one workload with the recorder uninstalled vs installed and reports
-/// the median ratio. The two variants are **interleaved per repetition**, and
+/// the ratio of the medians and the median of the per-pair ratios. The two
+/// variants are **interleaved per repetition**, and
 /// which one runs first alternates (off-on, on-off, off-on, …), so slow
 /// machine drift — thermal throttling, frequency ramp-up, cache warming —
 /// cancels out of the ratio instead of biasing whichever variant ran second.
@@ -574,11 +580,18 @@ pub fn run_overhead(name: &str, opts: &BenchOptions) -> Option<OverheadResult> {
     );
     let off_median_ms = quantile(&off_ms, 0.5).expect("non-empty");
     let on_median_ms = quantile(&on_ms, 0.5).expect("non-empty");
+    let ratio = |on: f64, off: f64| on / off.max(f64::MIN_POSITIVE);
+    let pair_ratios: Vec<f64> = on_ms
+        .iter()
+        .zip(&off_ms)
+        .map(|(&on, &off)| ratio(on, off))
+        .collect();
     Some(OverheadResult {
         name: name.to_string(),
         off_median_ms,
         on_median_ms,
-        ratio: on_median_ms / off_median_ms.max(f64::MIN_POSITIVE),
+        ratio: ratio(on_median_ms, off_median_ms),
+        pair_ratio: quantile(&pair_ratios, 0.5).expect("non-empty"),
     })
 }
 
@@ -657,9 +670,11 @@ mod tests {
         let m = run_overhead("edge_dense_snapshots_n2048", &TINY).unwrap();
         assert!(m.off_median_ms >= 0.0 && m.on_median_ms >= 0.0);
         assert!(m.ratio.is_finite() && m.ratio > 0.0);
+        assert!(m.pair_ratio.is_finite() && m.pair_ratio > 0.0);
         assert!(!obs::installed(), "recorder must be off after --overhead");
         let text = m.to_json().render();
         assert!(text.contains("\"ratio\":"), "{text}");
+        assert!(text.contains("\"pair_ratio\":"), "{text}");
     }
 
     #[test]

@@ -702,7 +702,7 @@ fn dispatch_to_workers<F: FnMut(usize, String) -> Result<(), DistError>>(
     let queue = WorkQueue::new();
     let mut control = Control::new(&queue, pool_size, journal.map(|j| (j, coord_lane)));
     for (&c, plan) in todo.iter().zip(plans) {
-        control.open(c, plan);
+        control.open(c, plan)?;
     }
     let ctx = PoolCtx {
         cmd: &cmd,

@@ -245,7 +245,7 @@ pub fn serve<R: BufRead, W: Write>(
                 )));
             }
             let seed = cell_seed(&scenario.name, *master_seed, index);
-            let outcomes = run_cell_range(cell, seed, start, count);
+            let outcomes = run_cell_range(cell, seed, start, count)?;
             let reply = Json::obj([
                 ("cell", Json::Num(index as f64)),
                 ("start", Json::Num(start as f64)),
@@ -360,7 +360,7 @@ mod tests {
         let scenario = quick_smoke().scaled(0.25);
         let cells = resolve_cells(&scenario).unwrap();
         let seed = cell_seed(&scenario.name, 2009, 1);
-        let reference = run_cell_range(&cells[1], seed, 0, 2);
+        let reference = run_cell_range(&cells[1], seed, 0, 2).unwrap();
 
         let requests = format!(
             "{}\n{}\n{}\n{}\n",

@@ -42,7 +42,6 @@ use meg_stats::seeds::{derive_seed, labeled_seed};
 use meg_stats::Summary;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::convert::Infallible;
 
 /// Fully resolved numeric parameters of one cell's substrate.
 #[derive(Clone, Debug, PartialEq)]
@@ -941,23 +940,24 @@ pub fn adaptive_stop(eps: f64, outcomes: &[TrialOutcome]) -> bool {
 /// Runs trials `start .. start + count` of one resolved cell — the batch
 /// unit of the distributed adaptive control loop. Trial `i`'s randomness
 /// depends only on `(cell_seed, i)`, so concatenated batches are
-/// byte-identical to one fixed run of the same length.
+/// byte-identical to one fixed run of the same length. Fails when `count`
+/// outcomes do not fit in memory.
 pub fn run_cell_range(
     cell: &Cell,
     cell_seed: u64,
     start: usize,
     count: usize,
-) -> Vec<TrialOutcome> {
+) -> Result<Vec<TrialOutcome>, ScenarioError> {
     let mut out = Vec::new();
     if count == 0 {
-        return out;
+        return Ok(out);
     }
     let job = Job {
         cell,
         seed: cell_seed,
         plan: Plan::range(start, count),
     };
-    let Ok(()) = sched::run_jobs::<Infallible, _, _>(
+    sched::run_jobs::<ScenarioError, _, _>(
         &[job],
         meg_stats::trial_threads(),
         None,
@@ -966,8 +966,8 @@ pub fn run_cell_range(
             out = outcomes;
             Ok(())
         },
-    );
-    out
+    )?;
+    Ok(out)
 }
 
 /// Aggregates a cell's trial outcomes into its result [`Row`].
@@ -1042,14 +1042,15 @@ pub fn aggregate_row(
 
 /// Runs one resolved cell under `cell_seed` and the scenario's
 /// [`Precision`](crate::scenario::Precision) policy, and aggregates its row.
-pub fn run_cell(scenario: &Scenario, cell: &Cell, cell_seed: u64) -> Row {
+/// Fails when the cell's trials do not fit in memory.
+pub fn run_cell(scenario: &Scenario, cell: &Cell, cell_seed: u64) -> Result<Row, ScenarioError> {
     let job = Job {
         cell,
         seed: cell_seed,
         plan: Plan::for_cell(&scenario.precision, cell),
     };
     let mut out = None;
-    let Ok(()) = sched::run_rows::<Infallible, _, _>(
+    sched::run_rows::<ScenarioError, _, _>(
         scenario,
         &[job],
         meg_stats::trial_threads(),
@@ -1059,8 +1060,8 @@ pub fn run_cell(scenario: &Scenario, cell: &Cell, cell_seed: u64) -> Row {
             out = Some(row);
             Ok(())
         },
-    );
-    out.expect("a one-cell sweep releases one row")
+    )?;
+    Ok(out.expect("a one-cell sweep releases one row"))
 }
 
 /// The seed of cell `index` of `scenario` under `master_seed`.
@@ -1071,7 +1072,8 @@ pub fn cell_seed(scenario_name: &str, master_seed: u64, index: usize) -> u64 {
 /// Runs every cell of the scenario, invoking `on_row` as each row is
 /// produced (streaming sinks, ascending cell order), and returns all rows.
 /// All cells share one trial queue drained by
-/// `meg_stats::trial_threads()` trial threads.
+/// `meg_stats::trial_threads()` trial threads. Fails, before any row, on an
+/// invalid scenario or a cell whose trials do not fit in memory.
 pub fn run_scenario_streaming<F: FnMut(&Row)>(
     scenario: &Scenario,
     master_seed: u64,
@@ -1090,7 +1092,7 @@ fn run_scenario_on<F: FnMut(&Row)>(
     let cells = resolve_cells(scenario)?;
     let jobs = scenario_jobs(scenario, &cells, master_seed, 0..cells.len());
     let mut rows = Vec::with_capacity(cells.len());
-    let Ok(()) = sched::run_sweep::<Infallible, _, _>(
+    sched::run_sweep::<ScenarioError, _, _>(
         scenario,
         &jobs,
         threads,
@@ -1101,7 +1103,7 @@ fn run_scenario_on<F: FnMut(&Row)>(
             rows.push(row);
             Ok(())
         },
-    );
+    )?;
     Ok(rows)
 }
 
@@ -1204,7 +1206,7 @@ mod tests {
         let all = run_scenario(&s, 7).unwrap();
         let cells = resolve_cells(&s).unwrap();
         // Re-run only cell 5, alone: identical row.
-        let lone = run_cell(&s, &cells[5], cell_seed(&s.name, 7, 5));
+        let lone = run_cell(&s, &cells[5], cell_seed(&s.name, 7, 5)).unwrap();
         assert_eq!(lone, all[5]);
     }
 
@@ -1569,10 +1571,11 @@ mod tests {
             outcome
         };
         let mut seen = Vec::new();
-        let Ok(()) = sched::run_rows::<Infallible, _, _>(&s, &jobs, 3, None, trial, |row| {
+        sched::run_rows::<ScenarioError, _, _>(&s, &jobs, 3, None, trial, |row| {
             seen.push(row);
             Ok(())
-        });
+        })
+        .unwrap();
         let finished = finished.into_inner().unwrap();
         let last = |c: usize| finished.iter().rposition(|&x| x == c).unwrap();
         assert!(last(1) < last(0), "cell 1 must finish first: {finished:?}");
@@ -1609,7 +1612,7 @@ mod tests {
                     execute_trial(cell, i, rng)
                 };
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    sched::run_rows::<Infallible, _, _>(&s, &jobs, 3, None, trial, |_| Ok(()))
+                    sched::run_rows::<ScenarioError, _, _>(&s, &jobs, 3, None, trial, |_| Ok(()))
                 }));
                 let message = run.err().and_then(|p| p.downcast::<String>().ok());
                 let _ = tx.send(message.map(|m| *m));

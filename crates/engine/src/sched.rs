@@ -30,16 +30,18 @@
 //! order in which they finish can change a row byte. A lane that panics
 //! shuts the queue down, so the other lanes and the control loop stop
 //! instead of waiting for follow-up batches, and the sweep ends with that
-//! panic.
+//! panic. A trial count too large to hold is an input error: each step's
+//! outcome slots and work items are reserved fallibly before any is
+//! written, and the sweep ends with an error naming the cell.
 
 use crate::dist::trace::TraceJournal;
 use crate::run::{adaptive_stop, aggregate_row, Cell, Row, TrialOutcome};
-use crate::scenario::{Precision, Scenario};
+use crate::scenario::{Precision, Scenario, ScenarioError};
 use meg_obs as obs;
 use meg_stats::precision_checkpoints;
 use meg_stats::seeds::trial_rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, TryReserveError, VecDeque};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -123,13 +125,19 @@ impl WorkQueue {
         }
     }
 
-    /// Queues items and wakes the lanes waiting for them.
-    pub(crate) fn push(&self, items: impl IntoIterator<Item = WorkItem>) {
+    /// Queues items and wakes the lanes waiting for them. Fails, queueing
+    /// nothing, when the queue cannot grow to hold them.
+    pub(crate) fn push(
+        &self,
+        items: impl ExactSizeIterator<Item = WorkItem>,
+    ) -> Result<(), TryReserveError> {
         let mut st = self.state.lock().expect("queue lock");
+        st.items.try_reserve(items.len())?;
         st.items.extend(items);
         obs::sample(obs::Gauge::QueueDepth, st.items.len() as u64);
         drop(st);
         self.available.notify_all();
+        Ok(())
     }
 
     /// Marks one more cell open: lanes wait for its follow-up batches.
@@ -243,7 +251,12 @@ struct CellCtl {
 /// Cuts trials `from .. to` of `cell` into `min(to - from, cut)` contiguous
 /// items in trial order, the first `(to - from) mod min(to - from, cut)` of
 /// them one trial longer than the rest.
-fn cut_step(cell: usize, from: usize, to: usize, cut: usize) -> impl Iterator<Item = WorkItem> {
+fn cut_step(
+    cell: usize,
+    from: usize,
+    to: usize,
+    cut: usize,
+) -> impl ExactSizeIterator<Item = WorkItem> {
     let items = (to - from).min(cut);
     let mut start = from;
     (0..items).map(move |i| {
@@ -285,12 +298,11 @@ impl<'a> Control<'a> {
     }
 
     /// Opens `cell` under `plan` and queues its trials up to the first
-    /// checkpoint. The plan must run at least one trial.
-    pub(crate) fn open(&mut self, cell: usize, plan: Plan) {
+    /// checkpoint. The plan must run at least one trial. Fails, naming the
+    /// cell, when that step does not fit in memory.
+    pub(crate) fn open(&mut self, cell: usize, plan: Plan) -> Result<(), ScenarioError> {
         assert!(plan.budget() > 0, "cell {cell} has no trials to run");
-        if plan.grows() {
-            self.queue.hold_cell();
-        }
+        let grows = plan.grows();
         let mut st = CellCtl {
             plan,
             outcomes: Vec::new(),
@@ -298,31 +310,44 @@ impl<'a> Control<'a> {
             checkpoint: 0,
             started: None,
         };
-        self.queue_to_checkpoint(cell, &mut st);
+        self.queue_to_checkpoint(cell, &mut st)?;
+        if grows {
+            self.queue.hold_cell();
+        }
         self.cells.insert(cell, st);
+        Ok(())
     }
 
     /// Queues the trials between what `st` holds and its current checkpoint.
-    fn queue_to_checkpoint(&self, cell: usize, st: &mut CellCtl) {
+    /// Their outcome slots and work items are reserved before any is
+    /// written, so a step too large to hold is an error, not an abort.
+    fn queue_to_checkpoint(&self, cell: usize, st: &mut CellCtl) -> Result<(), ScenarioError> {
         let from = st.plan.first + st.outcomes.len();
         let to = st.plan.checkpoints[st.checkpoint];
-        st.outcomes
-            .resize(to - st.plan.first, TrialOutcome::failed());
+        let slots = to - st.plan.first;
+        let too_many =
+            |_| ScenarioError(format!("cell {cell}: {slots} trials do not fit in memory"));
+        st.outcomes.try_reserve_exact(to - from).map_err(too_many)?;
+        self.queue
+            .push(cut_step(cell, from, to, self.cut))
+            .map_err(too_many)?;
+        st.outcomes.resize(slots, TrialOutcome::failed());
         st.missing = to - from;
-        self.queue.push(cut_step(cell, from, to, self.cut));
+        Ok(())
     }
 
     /// Takes the outcomes of trials `start ..` of `cell`. Once every outcome
     /// up to the current checkpoint is in, either queues the next batch (the
     /// target is unmet and budget is left) or finalizes the cell, returning
-    /// its outcomes and when its first item started.
+    /// its outcomes and when its first item started. Fails when the next
+    /// batch does not fit in memory.
     fn absorb(
         &mut self,
         cell: usize,
         start: usize,
         outcomes: Vec<TrialOutcome>,
         started: Instant,
-    ) -> Option<(Vec<TrialOutcome>, Instant)> {
+    ) -> Result<Option<(Vec<TrialOutcome>, Instant)>, ScenarioError> {
         let mut st = self.cells.remove(&cell).expect("reply for an open cell");
         st.started = Some(st.started.map_or(started, |t| t.min(started)));
         let offset = start - st.plan.first;
@@ -332,7 +357,7 @@ impl<'a> Control<'a> {
         }
         if st.missing > 0 {
             self.cells.insert(cell, st);
-            return None;
+            return Ok(None);
         }
         let last = st.checkpoint + 1 == st.plan.checkpoints.len();
         if !last && !adaptive_stop(st.plan.eps, &st.outcomes) {
@@ -345,14 +370,14 @@ impl<'a> Control<'a> {
                     Some(cell),
                 );
             }
-            self.queue_to_checkpoint(cell, &mut st);
+            self.queue_to_checkpoint(cell, &mut st)?;
             self.cells.insert(cell, st);
-            return None;
+            return Ok(None);
         }
         if st.plan.grows() {
             self.queue.finish_cell();
         }
-        Some((st.outcomes, st.started.unwrap_or(started)))
+        Ok(Some((st.outcomes, st.started.unwrap_or(started))))
     }
 }
 
@@ -361,8 +386,9 @@ impl<'a> Control<'a> {
 /// `on_done` receives each finished cell's outcomes in completion order,
 /// with when its first item started.
 ///
-/// A lane's error or an `on_done` error stops the sweep and is returned once
-/// every lane has exited. A lane that panics ends the sweep with its panic.
+/// A lane's error, an `on_done` error or a follow-up step too large to hold
+/// stops the sweep and is returned once every lane has exited. A lane that
+/// panics ends the sweep with its panic.
 pub(crate) fn drive<E, L, D>(
     queue: &WorkQueue,
     control: &mut Control<'_>,
@@ -372,7 +398,7 @@ pub(crate) fn drive<E, L, D>(
     mut on_done: D,
 ) -> Result<(), E>
 where
-    E: Send,
+    E: Send + From<ScenarioError>,
     L: Fn(usize, &Replies<E>) + Sync,
     D: FnMut(usize, Vec<TrialOutcome>, Instant) -> Result<(), E>,
 {
@@ -415,6 +441,7 @@ fn collect<E, D>(
     on_done: &mut D,
 ) -> Result<usize, E>
 where
+    E: From<ScenarioError>,
     D: FnMut(usize, Vec<TrialOutcome>, Instant) -> Result<(), E>,
 {
     // However the loop ends, no lane may keep waiting for a follow-up batch.
@@ -432,7 +459,8 @@ where
             outcomes,
             started,
         } = reply?;
-        if let Some((outcomes, started)) = control.absorb(item.cell, item.start, outcomes, started)
+        if let Some((outcomes, started)) =
+            control.absorb(item.cell, item.start, outcomes, started)?
         {
             finished += 1;
             on_done(item.cell, outcomes, started)?;
@@ -507,7 +535,8 @@ fn trial_threads(jobs: &[Job<'_>], threads: usize) -> usize {
 /// passes each job's outcomes to `on_done` as it finishes (completion
 /// order). `trial(cell, i, rng)` runs trial `i` of `cell` on
 /// `rng = trial_rng(seed, i)`. With a journal, checkpoint doublings are
-/// marked on lane 0.
+/// marked on lane 0. A cell whose step does not fit in memory fails the
+/// sweep before any trial runs.
 pub(crate) fn run_jobs<E, T, D>(
     jobs: &[Job<'_>],
     threads: usize,
@@ -516,7 +545,7 @@ pub(crate) fn run_jobs<E, T, D>(
     mut on_done: D,
 ) -> Result<(), E>
 where
-    E: Send,
+    E: Send + From<ScenarioError>,
     T: Fn(&Cell, usize, &mut ChaCha8Rng) -> TrialOutcome + Sync,
     D: FnMut(&Job<'_>, Vec<TrialOutcome>, Instant) -> Result<(), E>,
 {
@@ -524,7 +553,7 @@ where
     let queue = WorkQueue::new();
     let mut control = Control::new(&queue, usize::MAX, journal.map(|j| (j, 0)));
     for job in jobs {
-        control.open(job.cell.index, job.plan.clone());
+        control.open(job.cell.index, job.plan.clone())?;
     }
     let lane = |_lane: usize, replies: &Replies<E>| {
         while let Some(item) = queue.pop() {
@@ -566,7 +595,7 @@ pub(crate) fn run_rows<E, T, F>(
     mut on_row: F,
 ) -> Result<(), E>
 where
-    E: Send,
+    E: Send + From<ScenarioError>,
     T: Fn(&Cell, usize, &mut ChaCha8Rng) -> TrialOutcome + Sync,
     F: FnMut(Row) -> Result<(), E>,
 {
@@ -597,7 +626,7 @@ pub(crate) fn run_sweep<E, T, F>(
     on_row: F,
 ) -> Result<(), E>
 where
-    E: Send,
+    E: Send + From<ScenarioError>,
     T: Fn(&Cell, usize, &mut ChaCha8Rng) -> TrialOutcome + Sync,
     F: FnMut(Row) -> Result<(), E>,
 {
@@ -619,8 +648,23 @@ mod tests {
     fn queued(start: usize, k: usize, cut: usize) -> Vec<WorkItem> {
         let queue = WorkQueue::new();
         let mut control = Control::new(&queue, cut, None);
-        control.open(3, Plan::range(start, k));
+        control
+            .open(3, Plan::range(start, k))
+            .expect("a small step fits");
         std::iter::from_fn(|| queue.pop()).collect()
+    }
+
+    #[test]
+    fn a_step_too_large_to_hold_is_an_error_naming_the_cell() {
+        let queue = WorkQueue::new();
+        for cut in [2, usize::MAX] {
+            let mut control = Control::new(&queue, cut, None);
+            let err = control
+                .open(7, Plan::range(0, usize::MAX / 2))
+                .expect_err("no buffer holds usize::MAX / 2 outcomes");
+            assert!(err.0.starts_with("cell 7: "), "{err}");
+            assert!(queue.pop().is_none(), "the cell queued work");
+        }
     }
 
     proptest! {

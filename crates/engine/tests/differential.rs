@@ -368,7 +368,7 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("resolve failed: {e}")))?;
         for cell in &cells {
             let seed = cell_seed(&scenario.name, master, cell.index);
-            let machine_row = run_cell(&scenario, cell, seed);
+            let machine_row = run_cell(&scenario, cell, seed).unwrap();
             let legacy = legacy_cell_outcomes(&scenario, cell, seed);
             let legacy_row = aggregate_row(&scenario, cell, seed, &legacy);
             prop_assert_eq!(&machine_row, &legacy_row);

@@ -859,3 +859,36 @@ fn cli_output_closed_early_exits_0_quietly() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn cli_trial_count_too_large_to_hold_exits_2_naming_the_cell() {
+    // 10¹² trials of one cell need 24 TB of outcome slots. Under a 4 GB
+    // address-space limit their reservation fails, and the run ends with an
+    // input error, in-process and from a pool, never an allocation abort.
+    let shown = run_ok(&["show", "quick_smoke"]);
+    let edited = shown.replace(r#""trials": 2,"#, r#""trials": 1000000000000,"#);
+    assert_ne!(edited, shown, "the trial count must have been rewritten");
+    let dir = tmp("huge-trials");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("scenario.json");
+    std::fs::write(&file, edited).unwrap();
+    for pool in ["", " --workers 2"] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                r#"ulimit -v 4000000; exec "$0" run --file "$1" --format json{pool}"#
+            ))
+            .arg(env!("CARGO_BIN_EXE_meg-lab"))
+            .arg(&file)
+            .output()
+            .expect("sh runs meg-lab");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{pool}: {stderr}");
+        assert!(
+            stderr.contains("cell 0: 1000000000000 trials do not fit in memory"),
+            "{pool}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{pool}: no row may be emitted");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

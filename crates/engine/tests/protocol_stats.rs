@@ -45,7 +45,7 @@ fn scaled_cells(scenario: &mut Scenario, budget: u64) -> Vec<Cell> {
 /// completed count.
 fn sample_cell(scenario: &Scenario, cell: &Cell, trials: usize) -> (Vec<f64>, usize) {
     let seed = cell_seed(&scenario.name, MASTER_SEED, cell.index);
-    let outcomes = run_cell_range(cell, seed, 0, trials);
+    let outcomes = run_cell_range(cell, seed, 0, trials).unwrap();
     let values: Vec<f64> = outcomes.iter().map(|o| o.value).collect();
     let completed = outcomes.iter().filter(|o| o.completed).count();
     (values, completed)
@@ -134,7 +134,7 @@ fn endemic_sis_rows_report_censoring_instead_of_spinning() {
     let cells = scaled_cells(&mut scenario, 150);
     let endemic = find_cell(&cells, "sis(c=0.5");
     let seed = cell_seed(&scenario.name, MASTER_SEED, endemic.index);
-    let row = run_cell(&scenario, endemic, seed);
+    let row = run_cell(&scenario, endemic, seed).unwrap();
     assert_eq!(
         row.completion_rate, 0.0,
         "endemic SIS must censor every trial"

@@ -2,7 +2,7 @@
 
 use crate::radius_graph::{radius_graph_into, RadiusGraphWorkspace};
 use meg_core::evolving::EvolvingGraph;
-use meg_graph::SnapshotBuf;
+use meg_graph::{NodeSet, SnapshotBuf};
 use meg_mobility::grid_walk::{GridWalk, GridWalkParams};
 use meg_mobility::{Mobility, Region};
 use rand::rngs::StdRng;
@@ -50,6 +50,11 @@ impl GeometricMegParams {
 /// `P_{t−1}` to `P_t` before it builds. With a stationary mobility
 /// initialisation this is exactly the *stationary geometric-MEG* of the
 /// paper.
+///
+/// [`advance_rows`](EvolvingGraph::advance_rows) builds only the rows its
+/// reader reads, from `G_1` on: `G_0` is always built whole, so the
+/// snapshot's arc buffer reaches its full size in one build, as it does
+/// without partial builds.
 #[derive(Clone, Debug)]
 pub struct GeometricMeg<M: Mobility> {
     mobility: M,
@@ -113,6 +118,7 @@ impl<M: Mobility> GeometricMeg<M> {
             self.mobility.positions(),
             self.radius,
             self.mobility.region(),
+            None,
             &mut self.workspace,
             &mut self.snapshot,
         );
@@ -147,16 +153,24 @@ impl<M: Mobility> EvolvingGraph for GeometricMeg<M> {
     }
 
     fn advance(&mut self) -> &SnapshotBuf {
+        self.advance_rows(None)
+    }
+
+    fn advance_rows(&mut self, rows: Option<&NodeSet>) -> &SnapshotBuf {
         let _span = meg_obs::span("advance");
-        if self.time > 0 {
+        let rows = if self.time > 0 {
             let _step = meg_obs::span("step");
             self.mobility.advance(&mut self.rng);
-        }
+            rows
+        } else {
+            None
+        };
         let _build = meg_obs::span("build");
         radius_graph_into(
             self.mobility.positions(),
             self.radius,
             self.mobility.region(),
+            rows,
             &mut self.workspace,
             &mut self.snapshot,
         );
@@ -253,6 +267,31 @@ mod tests {
         assert!(meg.region().is_torus());
         let result = flood(&mut meg, 5, 5_000);
         assert!(result.completed);
+    }
+
+    #[test]
+    fn partial_advances_build_g0_whole_and_later_only_the_asked_rows() {
+        let params = GeometricMegParams::new(300, 2.0, 4.0);
+        let mut partial = GeometricMeg::from_params(params, 13);
+        let mut whole = partial.clone();
+        let rows = NodeSet::from_iter(300, [7, 150, 299]);
+        for t in 0..4 {
+            let full = whole.advance().clone();
+            let got = partial.advance_rows(Some(&rows));
+            if t == 0 {
+                // G_0 is built whole whatever the set: every row is readable.
+                assert_eq!(got.num_edges(), full.num_edges());
+                assert_eq!(got.edges(), full.edges());
+            } else {
+                let arcs: usize = rows.iter().map(|u| full.degree(u)).sum();
+                assert_eq!(got.num_arcs(), arcs, "t = {t}: a row outside the set");
+                for u in rows.iter() {
+                    assert_eq!(got.neighbors(u), full.neighbors(u), "t = {t} row {u}");
+                }
+            }
+        }
+        // Partial builds move nothing: the next whole snapshot is the same.
+        assert_eq!(partial.advance().edges(), whole.advance().edges());
     }
 
     #[test]

@@ -49,8 +49,17 @@
 //! so both ends of a pair make the same accept decision. [`radius_graph`] is
 //! the one-shot allocating form: [`radius_graph_into`] followed by
 //! [`SnapshotBuf::to_adjacency`].
+//!
+//! ## Partial builds
+//!
+//! A reader that reads only some rows passes their set, and the gather skips
+//! every other node ([`SnapshotBuf::build_rows_of`]). A row depends only on
+//! its node's position and on the index, which is always built whole, so
+//! each built row equals its row in a full build, in order. A skipped node
+//! still moves its bucket's slot cursor, which the next node of its bucket
+//! needs.
 
-use meg_graph::{AdjacencyList, Node, RowWriter, SnapshotBuf};
+use meg_graph::{AdjacencyList, Node, NodeSet, RowWriter, SnapshotBuf};
 use meg_mobility::space::{Point, Region};
 use meg_obs as obs;
 
@@ -433,9 +442,11 @@ impl RadiusGraphWorkspace {
 /// `plain` are tested with `plain`, the others with `folded` (the region's
 /// own metric). In a `plain` run, `u` skips each bucket whose box lies
 /// beyond the radius and scans the kept buckets, consecutive ones coalesced
-/// into one slot range. Records the number of candidate tests made.
+/// into one slot range. Only the rows of `rows` are gathered (every row
+/// when `None`). Records the number of candidate tests made.
 fn gather_rows<W: LaneMetric>(
     ws: &mut RadiusGraphWorkspace,
+    rows: Option<&NodeSet>,
     out: &mut SnapshotBuf,
     plain: SquareMetric,
     folded: W,
@@ -458,12 +469,15 @@ fn gather_rows<W: LaneMetric>(
     let nb = counts.len();
     counts.copy_from_slice(&starts[..nb]);
     let n = bucket_of.len();
-    // Every slot scanned, `u`'s own included; each node skips itself.
+    // Every slot scanned, `u`'s own included; each built row skips itself.
     let mut scanned = 0usize;
-    out.build_rows(n, |u, row| {
+    out.build_rows_of(n, rows, |u, row| {
         let b = bucket_of[u as usize];
         let own = counts[b];
         counts[b] += 1;
+        if rows.is_some_and(|r| !r.contains(u)) {
+            return;
+        }
         let (ux, uy) = (xs[own], ys[own]);
         let gather = |lo: usize, hi: usize, plain_run: bool, row: &mut RowWriter<'_>| {
             let (cx, cy, ids) = (&xs[lo..hi], &ys[lo..hi], &nodes[lo..hi]);
@@ -502,26 +516,29 @@ fn gather_rows<W: LaneMetric>(
             scan(lo, hi, run.plain, row);
         }
     });
-    *scan_visits = (scanned - n) as u64;
+    *scan_visits = (scanned - rows.map_or(n, NodeSet::len)) as u64;
 }
 
 /// Builds the radius graph of `positions` **in place**: the snapshot lands in
 /// the caller-owned `out` buffer, scratch lives in the caller-owned `ws`.
 ///
 /// Nodes are connected iff their distance (Euclidean in a square, wrap-around
-/// on a torus) is at most `radius`. Performs zero heap allocations once both
-/// buffers' capacities have warmed up — this is the per-time-step hot path of
-/// every geometric evolving graph.
+/// on a torus) is at most `radius`. With `rows` set, only the rows of its
+/// nodes are built, each equal to its row in a full build, and the rest stay
+/// empty: a partial snapshot ([`SnapshotBuf::build_rows_of`]). Performs zero
+/// heap allocations once both buffers' capacities have warmed up — this is
+/// the per-time-step hot path of every geometric evolving graph.
 pub fn radius_graph_into(
     positions: &[Point],
     radius: f64,
     region: Region,
+    rows: Option<&NodeSet>,
     ws: &mut RadiusGraphWorkspace,
     out: &mut SnapshotBuf,
 ) {
     let n = positions.len();
     if n == 0 || radius <= 0.0 {
-        out.build_rows(n, |_, _| {});
+        out.build_rows_of(n, rows, |_, _| {});
         ws.scan_visits = 0;
         return;
     }
@@ -537,12 +554,16 @@ pub fn radius_graph_into(
     // per-pair branch on the region kind.
     let plain = SquareMetric { r2 };
     if wrap {
-        gather_rows(ws, out, plain, TorusMetric { r2, side });
+        gather_rows(ws, rows, out, plain, TorusMetric { r2, side });
     } else {
-        gather_rows(ws, out, plain, plain);
+        gather_rows(ws, rows, out, plain, plain);
     }
     if obs::installed() {
         obs::add(obs::Counter::BucketScanVisits, ws.scan_visits);
+        obs::add(
+            obs::Counter::SkippedRows,
+            rows.map_or(0, |r| n - r.len()) as u64,
+        );
     }
 }
 
@@ -552,7 +573,7 @@ pub fn radius_graph_into(
 pub fn radius_graph(positions: &[Point], radius: f64, region: Region) -> AdjacencyList {
     let mut ws = RadiusGraphWorkspace::default();
     let mut buf = SnapshotBuf::new();
-    radius_graph_into(positions, radius, region, &mut ws, &mut buf);
+    radius_graph_into(positions, radius, region, None, &mut ws, &mut buf);
     buf.to_adjacency()
 }
 
@@ -801,11 +822,16 @@ mod tests {
     }
 
     /// The candidate tests the row gather must make over `ws`'s index,
-    /// recounted from the positions: each node scans its runs' buckets but
-    /// itself, and in a `plain` run it skips a bucket whose node bounding
-    /// box lies beyond the radius. Returns the count with that skip and the
-    /// count without it.
-    fn recount_visits(ws: &RadiusGraphWorkspace, pos: &[Point], radius: f64) -> (u64, u64) {
+    /// recounted from the positions: each node of `rows` (every node when
+    /// `None`) scans its runs' buckets but itself, and in a `plain` run it
+    /// skips a bucket whose node bounding box lies beyond the radius.
+    /// Returns the count with that skip and the count without it.
+    fn recount_visits(
+        ws: &RadiusGraphWorkspace,
+        pos: &[Point],
+        radius: f64,
+        rows: Option<&NodeSet>,
+    ) -> (u64, u64) {
         let empty = (f64::INFINITY, f64::NEG_INFINITY);
         let mut boxes = vec![(empty, empty); ws.starts.len() - 1];
         for (&(x, y), &b) in pos.iter().zip(&ws.bucket_of) {
@@ -815,7 +841,10 @@ mod tests {
         }
         let gap = |(lo, hi): (f64, f64), c: f64| (lo - c).max(c - hi).max(0.0);
         let (mut culled, mut unculled) = (0u64, 0u64);
-        for (&(ux, uy), &b) in pos.iter().zip(&ws.bucket_of) {
+        for (u, (&(ux, uy), &b)) in pos.iter().zip(&ws.bucket_of).enumerate() {
+            if rows.is_some_and(|r| !r.contains(u as Node)) {
+                continue;
+            }
             for run in &ws.runs[ws.run_starts[b]..ws.run_starts[b + 1]] {
                 let sizes = ws.starts[run.first..=run.end].windows(2);
                 for (&(bx, by), size) in boxes[run.first..run.end].iter().zip(sizes) {
@@ -846,9 +875,9 @@ mod tests {
     ) -> (RadiusGraphWorkspace, SnapshotBuf, u64) {
         let mut ws = RadiusGraphWorkspace::default();
         let mut buf = SnapshotBuf::new();
-        radius_graph_into(pos, radius, region, &mut ws, &mut buf);
+        radius_graph_into(pos, radius, region, None, &mut ws, &mut buf);
         let half_visits = assert_rows_match_oracle(&buf, pos, radius, region, context);
-        let (culled, unculled) = recount_visits(&ws, pos, radius);
+        let (culled, unculled) = recount_visits(&ws, pos, radius, None);
         assert_eq!(ws.scan_visits, culled, "{context}: candidate tests");
         assert_eq!(unculled, 2 * half_visits, "{context}: unculled tests");
         assert!(
@@ -898,7 +927,7 @@ mod tests {
             for region in [Region::Square { side }, Region::Torus { side }] {
                 let pos = random_positions(n, side, 2000 + seed);
                 let reference = radius_graph(&pos, radius, region);
-                radius_graph_into(&pos, radius, region, &mut ws, &mut buf);
+                radius_graph_into(&pos, radius, region, None, &mut ws, &mut buf);
                 assert_eq!(buf.num_nodes(), reference.num_nodes());
                 assert_eq!(buf.num_edges(), reference.num_edges(), "seed {seed}");
                 for u in 0..n as Node {
@@ -909,7 +938,7 @@ mod tests {
                     );
                 }
                 assert_rows_match_oracle(&buf, &pos, radius, region, &format!("seed {seed}"));
-                assert_eq!(ws.scan_visits, recount_visits(&ws, &pos, radius).0);
+                assert_eq!(ws.scan_visits, recount_visits(&ws, &pos, radius, None).0);
                 checked += 1;
             }
         }
@@ -977,6 +1006,61 @@ mod tests {
             };
             let pos = tricky_positions(n, side, radius, seed);
             build_checked(&pos, radius, region, &format!("{region:?} R={radius}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Partial builds over the same positions as the oracle property,
+        /// k = 1 to 9 buckets per axis (the k ≤ 3 torus included), for row
+        /// sets that are empty, one node, a random half and every node:
+        /// each requested row equals the full build's row in order, every
+        /// other row is empty (the requested rows hold every stored arc),
+        /// and the candidate-test count equals a recount over the requested
+        /// rows. One workspace and one buffer serve every build, so a build
+        /// after a partial one is checked too.
+        #[test]
+        fn partial_builds_equal_the_full_build_on_their_rows(
+            n in 1usize..300,
+            side in 2.0f64..30.0,
+            k_sel in 0usize..10,
+            torus in 0u32..2,
+            seed in 0u64..1_000_000_000,
+        ) {
+            let radius = if k_sel == 0 {
+                side * 1.3
+            } else {
+                side / (k_sel as f64 + 0.5)
+            };
+            prop_assert_eq!(grid_k(side, radius, n), k_sel.max(1).min(n.isqrt()));
+            let region = if torus == 1 {
+                Region::Torus { side }
+            } else {
+                Region::Square { side }
+            };
+            let pos = tricky_positions(n, side, radius, seed);
+            let mut ws = RadiusGraphWorkspace::default();
+            let mut buf = SnapshotBuf::new();
+            radius_graph_into(&pos, radius, region, None, &mut ws, &mut buf);
+            let full = buf.to_adjacency();
+            let mut rng = ChaCha8Rng::seed_from_u64(!seed);
+            let one = rng.gen_range(0..n as Node);
+            let half = NodeSet::from_iter(n, (0..n as Node).filter(|_| rng.gen_bool(0.5)));
+            for rows in [NodeSet::new(n), NodeSet::singleton(n, one), half, NodeSet::full(n)] {
+                radius_graph_into(&pos, radius, region, Some(&rows), &mut ws, &mut buf);
+                let mut arcs = 0;
+                for u in rows.iter() {
+                    prop_assert_eq!(buf.neighbors(u), full.neighbors(u), "row {}", u);
+                    arcs += full.degree(u);
+                }
+                prop_assert_eq!(buf.num_arcs(), arcs, "a row outside the set was built");
+                prop_assert_eq!(
+                    ws.scan_visits,
+                    recount_visits(&ws, &pos, radius, Some(&rows)).0
+                );
+            }
+            prop_assert_eq!(buf.num_edges(), full.num_edges());
         }
     }
 
@@ -1133,7 +1217,7 @@ mod tests {
         assert_eq!(grid_k(side, radius, pos.len()), 4);
         let mut ws = RadiusGraphWorkspace::default();
         let mut buf = SnapshotBuf::new();
-        radius_graph_into(&pos, radius, region, &mut ws, &mut buf);
+        radius_graph_into(&pos, radius, region, None, &mut ws, &mut buf);
         assert_rows_match_oracle(&buf, &pos, radius, region, "k = 4 bucket edges");
         // The seam is crossed: a node just below `side` meets one at 0.
         let high = pos
@@ -1156,7 +1240,7 @@ mod tests {
         let mut buf = SnapshotBuf::new();
         let pos = random_positions(400, 12.0, 9);
         for _ in 0..5 {
-            radius_graph_into(&pos, 2.5, region, &mut ws, &mut buf);
+            radius_graph_into(&pos, 2.5, region, None, &mut ws, &mut buf);
         }
         let capacities = |ws: &RadiusGraphWorkspace, buf: &SnapshotBuf| {
             (
@@ -1172,7 +1256,7 @@ mod tests {
         };
         let warm = capacities(&ws, &buf);
         for _ in 0..20 {
-            radius_graph_into(&pos, 2.5, region, &mut ws, &mut buf);
+            radius_graph_into(&pos, 2.5, region, None, &mut ws, &mut buf);
             assert_eq!(
                 capacities(&ws, &buf),
                 warm,
@@ -1217,9 +1301,16 @@ mod tests {
         );
         let mut ws = RadiusGraphWorkspace::default();
         let mut buf = SnapshotBuf::new();
-        radius_graph_into(&[], 1.0, region, &mut ws, &mut buf);
+        radius_graph_into(&[], 1.0, region, None, &mut ws, &mut buf);
         assert_eq!(buf.num_nodes(), 0);
-        radius_graph_into(&[(1.0, 1.0), (1.5, 1.0)], 0.0, region, &mut ws, &mut buf);
+        radius_graph_into(
+            &[(1.0, 1.0), (1.5, 1.0)],
+            0.0,
+            region,
+            None,
+            &mut ws,
+            &mut buf,
+        );
         assert_eq!(buf.num_nodes(), 2);
         assert_eq!(buf.num_edges(), 0);
     }

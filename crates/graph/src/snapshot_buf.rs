@@ -32,18 +32,25 @@
 //!   [`copy_from_adjacency`](SnapshotBuf::copy_from_adjacency) use it: every
 //!   node gathers its own row from the bucket grid, lists its clique or star
 //!   neighbors, or copies its adjacency row.
+//! * **Some rows** — [`build_rows_of`](SnapshotBuf::build_rows_of) is the row
+//!   build for a reader that reads only a known set of rows: the rows
+//!   outside the set stay empty. Such a **partial** snapshot may hold an arc
+//!   without its reverse, so its edge count is unknown; debug builds panic
+//!   when it or a row outside the set is read. Geometric flooding uses it
+//!   while the informed side is the one scanned.
 //!
 //! Each path reproduces the row order the adjacency-list construction gave,
 //! which is what keeps RNG-consuming consumers (push–pull's random neighbor
 //! choice, BFS-ball sampling) byte-identical.
 
-use crate::{AdjacencyList, Graph, Node};
+use crate::{AdjacencyList, Graph, Node, NodeSet};
 
 /// A mutable, reusable CSR-style snapshot of an undirected simple graph.
 ///
-/// Lifecycle: one [`build_from_pairs`](SnapshotBuf::build_from_pairs) or
-/// [`build_rows`](SnapshotBuf::build_rows) call → query through [`Graph`]
-/// → the next build, which reuses every buffer.
+/// Lifecycle: one [`build_from_pairs`](SnapshotBuf::build_from_pairs),
+/// [`build_rows`](SnapshotBuf::build_rows) or
+/// [`build_rows_of`](SnapshotBuf::build_rows_of) call → query through
+/// [`Graph`] → the next build, which reuses every buffer.
 ///
 /// ## Example
 ///
@@ -85,6 +92,9 @@ pub struct SnapshotBuf {
     targets: Vec<Node>,
     /// Undirected edge count.
     m: usize,
+    /// After a partial build, in debug builds only, `unbuilt[u]` says row
+    /// `u` was left out; empty otherwise.
+    unbuilt: Vec<bool>,
 }
 
 impl SnapshotBuf {
@@ -96,6 +106,7 @@ impl SnapshotBuf {
             offsets: vec![0],
             targets: Vec::new(),
             m: 0,
+            unbuilt: Vec::new(),
         }
     }
 
@@ -194,6 +205,7 @@ impl SnapshotBuf {
             row_start = row_end;
         }
         self.m = m;
+        self.unbuilt.clear();
     }
 
     /// Builds the snapshot row by row: calls `fill(u, writer)` for
@@ -206,7 +218,50 @@ impl SnapshotBuf {
     /// edge count is half the number of entries written. Rows go straight
     /// into `targets` (reused; nothing is staged or sorted), so after
     /// warm-up a build allocates nothing.
-    pub fn build_rows(&mut self, n: usize, mut fill: impl FnMut(Node, &mut RowWriter<'_>)) {
+    pub fn build_rows(&mut self, n: usize, fill: impl FnMut(Node, &mut RowWriter<'_>)) {
+        let arcs = self.fill_rows(n, fill);
+        debug_assert_eq!(arcs % 2, 0, "rows list {arcs} arcs: some edge is one-sided");
+        self.m = arcs / 2;
+        self.unbuilt.clear();
+    }
+
+    /// [`build_rows`](SnapshotBuf::build_rows) for a reader that reads only
+    /// the rows in `rows` (every row when `None`, or when `rows` is full).
+    ///
+    /// `fill` is still called for every node in order, since a producer may
+    /// keep per-node cursors that every node must move, but it must commit
+    /// nothing to a row outside `rows`: those rows stay empty. A row inside
+    /// may then list an arc whose reverse was never written, so until the
+    /// next build the snapshot is **partial**: its edge count is unknown,
+    /// and debug builds panic when it, or a row outside `rows`, is read.
+    pub fn build_rows_of(
+        &mut self,
+        n: usize,
+        rows: Option<&NodeSet>,
+        fill: impl FnMut(Node, &mut RowWriter<'_>),
+    ) {
+        let Some(rows) = rows.filter(|r| !r.is_full()) else {
+            return self.build_rows(n, fill);
+        };
+        assert_eq!(rows.universe(), n, "row set and snapshot disagree on n");
+        self.m = self.fill_rows(n, fill) / 2;
+        if cfg!(debug_assertions) {
+            self.unbuilt.clear();
+            self.unbuilt
+                .extend((0..n as Node).map(|u| !rows.contains(u)));
+            for u in (0..n).filter(|&u| self.unbuilt[u]) {
+                assert_eq!(
+                    self.offsets[u],
+                    self.offsets[u + 1],
+                    "a partial build wrote row {u}, outside its row set"
+                );
+            }
+        }
+    }
+
+    /// Appends each row `fill` commits, for `u = 0..n` in order; returns
+    /// how many entries the rows hold.
+    fn fill_rows(&mut self, n: usize, mut fill: impl FnMut(Node, &mut RowWriter<'_>)) -> usize {
         self.n = n;
         self.offsets.clear();
         self.offsets.reserve(n + 1);
@@ -220,9 +275,15 @@ impl SnapshotBuf {
             self.offsets.push(writer.len);
         }
         let arcs = writer.len;
-        debug_assert_eq!(arcs % 2, 0, "rows list {arcs} arcs: some edge is one-sided");
         self.targets.truncate(arcs);
-        self.m = arcs / 2;
+        arcs
+    }
+
+    /// Row entries the last build stored, over every row: `2·m` after a
+    /// full build, and after a partial one the lengths of the rows it
+    /// built.
+    pub fn num_arcs(&self) -> usize {
+        self.targets.len()
     }
 
     /// Rebuilds the buffer as an exact copy of an adjacency list, preserving
@@ -316,7 +377,13 @@ impl Graph for SnapshotBuf {
         self.n
     }
 
+    /// Debug builds panic on a partial snapshot, whose edge count is
+    /// unknown.
     fn num_edges(&self) -> usize {
+        debug_assert!(
+            self.unbuilt.is_empty(),
+            "the edge count of a partial snapshot is unknown"
+        );
         self.m
     }
 
@@ -324,11 +391,19 @@ impl Graph for SnapshotBuf {
     #[inline]
     fn neighbors(&self, u: Node) -> &[Node] {
         let u = u as usize;
+        debug_assert!(
+            self.unbuilt.get(u) != Some(&true),
+            "row {u} of a partial snapshot was not built"
+        );
         &self.targets[self.offsets[u]..self.offsets[u + 1]]
     }
 
     fn degree(&self, u: Node) -> usize {
         let u = u as usize;
+        debug_assert!(
+            self.unbuilt.get(u) != Some(&true),
+            "row {u} of a partial snapshot was not built"
+        );
         self.offsets[u + 1] - self.offsets[u]
     }
 }
@@ -564,6 +639,94 @@ mod tests {
     fn build_from_pairs_rejects_a_pair_index_past_the_triangle() {
         // C(5, 2) = 10, so index 10 names no pair.
         SnapshotBuf::new().build_from_pairs(5, [0, 4, 10]);
+    }
+
+    /// Copies `g`'s rows of the nodes in `rows` into `buf`, every other
+    /// row left empty.
+    fn copy_rows_of(buf: &mut SnapshotBuf, g: &AdjacencyList, rows: Option<&NodeSet>) {
+        buf.build_rows_of(g.num_nodes(), rows, |u, row| {
+            if rows.is_none_or(|r| r.contains(u)) {
+                let src = g.neighbors(u);
+                row.spare(src.len()).copy_from_slice(src);
+                row.commit(src.len());
+            }
+        });
+    }
+
+    /// Rows 0 and 3 of a 6-node snapshot.
+    fn rows_0_and_3() -> NodeSet {
+        NodeSet::from_iter(6, [0, 3])
+    }
+
+    #[test]
+    fn partial_builds_keep_the_rows_of_their_set_and_nothing_else() {
+        let cycle = generators::cycle(6);
+        let mut buf = SnapshotBuf::new();
+        // Rows 0 and 3 of the 6-cycle: four arcs, none with its reverse.
+        copy_rows_of(&mut buf, &cycle, Some(&rows_0_and_3()));
+        assert_eq!((buf.num_nodes(), buf.num_arcs()), (6, 4));
+        for u in [0, 3] {
+            assert_eq!(buf.neighbors(u), cycle.neighbors(u), "row {u}");
+            assert_eq!(Graph::degree(&buf, u), 2, "row {u}");
+        }
+        // An empty set builds no row at all.
+        copy_rows_of(&mut buf, &cycle, Some(&NodeSet::new(6)));
+        assert_eq!((buf.num_nodes(), buf.num_arcs()), (6, 0));
+        // A build with a full set, with none, or through any other entry
+        // point makes the snapshot whole again after a partial one.
+        let whole: [&dyn Fn(&mut SnapshotBuf); 4] = [
+            &|buf| copy_rows_of(buf, &cycle, Some(&NodeSet::full(6))),
+            &|buf| copy_rows_of(buf, &cycle, None),
+            &|buf| buf.copy_from_adjacency(&cycle),
+            &|buf| {
+                buf.build_from_pairs(
+                    6,
+                    cycle
+                        .edges()
+                        .iter()
+                        .map(|&(u, v)| index_of_pair(6, u as u64, v as u64)),
+                )
+            },
+        ];
+        for build in whole {
+            copy_rows_of(&mut buf, &cycle, Some(&rows_0_and_3()));
+            build(&mut buf);
+            assert_eq!((buf.num_edges(), buf.num_arcs()), (6, 12));
+            assert_eq!(buf.to_adjacency().edges(), cycle.edges());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "row 2 of a partial snapshot was not built")]
+    fn reading_a_row_a_partial_build_left_out_panics_in_debug_builds() {
+        let mut buf = SnapshotBuf::new();
+        copy_rows_of(&mut buf, &generators::cycle(6), Some(&rows_0_and_3()));
+        assert_eq!(buf.neighbors(3), &[2, 4]);
+        buf.neighbors(2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "edge count of a partial snapshot is unknown")]
+    fn the_edge_count_of_a_partial_snapshot_panics_in_debug_builds() {
+        let mut buf = SnapshotBuf::new();
+        copy_rows_of(&mut buf, &generators::cycle(6), Some(&rows_0_and_3()));
+        buf.num_edges();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a partial build wrote row 1, outside its row set")]
+    fn a_partial_build_that_writes_outside_its_set_panics_in_debug_builds() {
+        let mut buf = SnapshotBuf::new();
+        copy_rows_of(&mut buf, &generators::cycle(6), None);
+        let cycle = generators::cycle(6);
+        buf.build_rows_of(6, Some(&rows_0_and_3()), |u, row| {
+            let src = cycle.neighbors(u);
+            row.spare(src.len()).copy_from_slice(src);
+            row.commit(src.len());
+        });
     }
 
     #[test]

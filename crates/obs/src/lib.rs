@@ -72,6 +72,9 @@ pub enum Counter {
     /// beyond the radius (torus-folded runs are scanned whole), so a pair
     /// tested from both ends counts twice.
     BucketScanVisits,
+    /// Rows partial geometric builds left out: a flooding step that scans
+    /// only the informed side has the rows of the other nodes skipped.
+    SkippedRows,
     /// Protocol rounds driven across all trials.
     Rounds,
     /// Trials executed.
@@ -95,11 +98,12 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in rendering order.
-    pub const ALL: [Counter; 13] = [
+    pub const ALL: [Counter; 14] = [
         Counter::EdgeBirths,
         Counter::EdgeDeaths,
         Counter::RngDraws,
         Counter::BucketScanVisits,
+        Counter::SkippedRows,
         Counter::Rounds,
         Counter::Trials,
         Counter::WorkerRespawns,
@@ -118,6 +122,7 @@ impl Counter {
             Counter::EdgeDeaths => "edge_deaths",
             Counter::RngDraws => "rng_draws",
             Counter::BucketScanVisits => "bucket_scan_visits",
+            Counter::SkippedRows => "skipped_rows",
             Counter::Rounds => "rounds",
             Counter::Trials => "trials",
             Counter::WorkerRespawns => "worker_respawns",

@@ -22,7 +22,8 @@
 //!
 //! The protocol layer is held to the same bar at `epidemic_threshold`'s
 //! operating point: `EpidemicMachine::step` on word-packed compartment sets
-//! with buffers sized at construction.
+//! with buffers sized at construction. A geometric flood's partial builds
+//! (`EvolvingGraph::advance_rows` with the informed set) are held to it too.
 //!
 //! The expansion probe keeps every per-sample buffer (the set, the BFS
 //! queue, the marks, the Fisher–Yates table) in one scratch allocated per
@@ -216,6 +217,44 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
         "EpidemicMachine::step allocated {sis_allocs} times after warm-up"
     );
 
+    // --- geometric flood with partial builds ------------------------------
+    // While |I| ≤ n/2 a flooding round reads only the informed nodes' rows,
+    // and `advance_rows` builds only those. `G_0` is built whole, so the arc
+    // buffer reaches its full size in the first build and no partial build
+    // outgrows it. After one flood of warm-up (which also sizes the debug
+    // build's record of the rows left out), four more floods on the same
+    // substrate advance without allocating; each flood's machine is made
+    // outside the counted calls.
+    use meg::core::protocols::FloodMachine;
+    let mut flood_geo = GeometricMeg::from_params(GeometricMegParams::new(512, 1.5, 4.0), 43);
+    let mut flood_rng = ChaCha8Rng::seed_from_u64(47);
+    let (mut flood_allocs, mut partial_rounds) = (0, 0);
+    for flood in 0..5u32 {
+        let mut machine = FloodMachine::new(512, flood * 101, 1.0);
+        for _ in 0..500 {
+            if machine.is_complete() {
+                break;
+            }
+            let rows = machine.rows_read();
+            let partial = rows.is_some();
+            let (allocs, snapshot) = allocations_during(|| flood_geo.advance_rows(rows));
+            machine.step(snapshot, &mut flood_rng);
+            if flood > 0 {
+                flood_allocs += allocs;
+                partial_rounds += usize::from(partial);
+            }
+        }
+        assert!(machine.is_complete(), "flood {flood} did not complete");
+    }
+    assert!(
+        partial_rounds >= 8,
+        "only {partial_rounds} measured rounds built partial snapshots"
+    );
+    assert_eq!(
+        flood_allocs, 0,
+        "geometric advance_rows() allocated {flood_allocs} times after warm-up"
+    );
+
     // --- expansion probe on `general_bound`'s geometric cell -------------
     // n = 1500 at the connectivity-threshold radius (R ≈ 5.41, r = R/2),
     // mean degree ~90. Per-sample state lives in the call's scratch, so the
@@ -253,17 +292,21 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     // (`[u64; SPAN_HIST_BUCKETS]` per span), so with the recorder live the
     // counter adds, gauge samples, and span records on the advance() hot
     // paths must perform zero heap allocations. Reuses the already-warmed
-    // dense and geometric models above — same loops, now observed.
+    // dense and geometric models above — same loops, now observed, plus
+    // partial builds of the flood's substrate (the skipped-row count).
+    let half = meg::graph::NodeSet::from_iter(512, (0..512).step_by(2));
     meg::obs::install();
     for _ in 0..5 {
         dense.advance();
         geo.advance();
+        flood_geo.advance_rows(Some(&half));
     }
     let (observed_allocs, observed_edges) = allocations_during(|| {
         let mut total = 0usize;
         for _ in 0..200 {
             total += dense.advance().num_edges();
             total += geo.advance().num_edges();
+            total += flood_geo.advance_rows(Some(&half)).num_arcs();
         }
         total
     });
@@ -280,6 +323,11 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     assert!(
         snap.counter("bucket_scan_visits") > 0,
         "geometric bucket scans were not recorded"
+    );
+    assert_eq!(
+        snap.counter("skipped_rows"),
+        205 * 256,
+        "each partial build skips the 256 rows outside its set"
     );
     assert!(
         snap.span("advance").is_some_and(|s| s.count >= 400),
